@@ -53,6 +53,6 @@ from .solver import (
     solve_band,
 )
 from .special import gamma, kernel_moment
-from .vi import AffineOperator, BoxSet, ProjectionSet, VIInstance, project, solve_vi, vi_residual
+from .vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
 
 __version__ = "0.1.0"

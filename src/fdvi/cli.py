@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage/config error, 2 non-convergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -31,6 +30,7 @@ from .errors import (
     NonMonotoneError,
     NotConvergedError,
 )
+from .fractional import GridFunction
 from .hypotheses import verify
 from .solver import BandRun, band_envelope, picard_solve, solve_band
 from .vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
@@ -58,12 +58,16 @@ def _atomic_json(path: str, payload) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_bundle(bundle, out_dir: str, stem: str) -> None:
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-", suffix=".csv")
+def _atomic_csv(path: str, write) -> None:
+    """Call write(tmp_path) on a temporary file next to path, then move it into place."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix=".csv")
     os.close(fd)
-    bundle.write_csv(tmp)
-    os.replace(tmp, csv_path)
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _write_bundle(bundle, out_dir: str, stem: str) -> None:
+    _atomic_csv(os.path.join(out_dir, f"{stem}.csv"), bundle.write_csv)
     _atomic_json(os.path.join(out_dir, f"{stem}_diagnostics.json"), bundle.diagnostics)
 
 
@@ -116,21 +120,11 @@ def _run_band(problem: LoadedProblem, alphas, lambdas, out_dir: str) -> int:
         status.append(entry)
     ok_runs = [r for r in runs if r.ok]
     if ok_runs:
-        nodes, ymin, ymax = band_envelope(ok_runs)
+        _, ymin, ymax = band_envelope(ok_runs)
         n = ymin.shape[1]
-        header = ["t"]
-        for i in range(n):
-            header += [f"y{i + 1}_min", f"y{i + 1}_max"]
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-", suffix=".csv")
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for j, t in enumerate(nodes):
-                row = [f"{t:.17g}"]
-                for i in range(n):
-                    row += [f"{ymin[j, i]:.17g}", f"{ymax[j, i]:.17g}"]
-                writer.writerow(row)
-        os.replace(tmp, os.path.join(out_dir, "envelope.csv"))
+        columns = [f"y{i + 1}_{side}" for i in range(n) for side in ("min", "max")]
+        envelope = GridFunction(ok_runs[0].bundle.y.grid, np.stack([ymin, ymax], axis=2).reshape(-1, 2 * n))
+        _atomic_csv(os.path.join(out_dir, "envelope.csv"), lambda tmp: envelope.to_csv(tmp, columns))
     _atomic_json(os.path.join(out_dir, "band_runs.json"), status)
     print(f"{len(ok_runs)}/{len(runs)} runs converged; wrote {out_dir}")
     return EXIT_OK if len(ok_runs) == len(runs) else EXIT_NO_CONVERGENCE
@@ -152,6 +146,7 @@ def cmd_band(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = _load(args)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     report = verify(problem.spec, problem.sampling, claimed=problem.claimed)
     _atomic_json(args.out, report.as_dict())
     verdict = "pass" if report.overall_pass else "FAIL"

@@ -85,9 +85,11 @@ class GridFunction:
         """Max over nodes of the Euclidean norm."""
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
-    def to_csv(self, path) -> None:
-        """Write "t,v1,...,vn" rows at full double precision."""
-        header = ["t"] + [f"v{i + 1}" for i in range(self.dim)]
+    def to_csv(self, path, columns=None) -> None:
+        """Write "t,<columns>" rows at full double precision; columns default to v1..vn."""
+        if columns is None:
+            columns = [f"v{i + 1}" for i in range(self.dim)]
+        header = ["t", *columns]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)

@@ -23,7 +23,7 @@ from .expr import evaluate
 from .fuzzy import FuzzyBoxField, fuzzy_metric
 from .problem import ProblemSpec
 from .special import gamma
-from .vi import AffineOperator, BoxSet, FeasibleSet
+from .vi import AffineOperator, BoxSet
 
 _MIN_PAIR_DIST = 1e-6
 
@@ -270,7 +270,7 @@ _COERCIVITY_RADII = (1e2, 1e3, 1e4)
 
 def check_coercivity(
     s: AffineOperator,
-    k: FeasibleSet,
+    k: BoxSet,
     u0,
     dom: SamplingDomain | None = None,
 ) -> tuple[bool, float, float]:
@@ -285,7 +285,7 @@ def check_coercivity(
         raise AnchorNotFeasible(f"anchor {u0.tolist()} is not in K")
     mu_est = s.mu
     monotone = mu_est >= -1e-10
-    if isinstance(k, BoxSet) and k.bounded:
+    if k.bounded:
         return monotone, mu_est, math.inf
     seed = dom.seed if dom is not None else 0
     count = min(dom.y_samples, 2048) if dom is not None else 1024

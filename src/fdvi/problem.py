@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NonMonotoneError
 from .expr import Expression
 from .fuzzy import FuzzyBoxField
-from .vi import AffineOperator, FeasibleSet
+from .vi import AffineOperator, BoxSet
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class ProblemSpec:
     g: tuple[tuple[Expression, ...], ...]
     Q: tuple[Expression, ...]
     S: AffineOperator
-    K: FeasibleSet
+    K: BoxSet
     c1: tuple[Expression, ...]
     c2: tuple[Expression, ...]
     anchor_u0: np.ndarray

@@ -7,17 +7,18 @@ boundary functionals of c1, c2).  A damped Picard sweep
     y <- (1 - theta) y + theta [ phi_part(f(y)) + psi_part(y, u(y)) ]
 
 iterates the composed operator from y = 0, with f chosen by a constant
-selection policy from the field's alpha-level and u solved node-wise from
-the variational inequality.  Convergence is monitored empirically: the
-fuzzy part is a set-valued contraction when rho = 2 L_F T^q / Gamma(q+1)
-is below one, and the solver warns when its sampled rho estimate is not.
+selection policy from the field's alpha-level and u solved from the
+variational inequality at all nodes in one batched solve.  Convergence is
+monitored empirically: the fuzzy part is a set-valued contraction when
+rho = 2 L_F T^q / Gamma(q+1) is below one, and the solver warns when its
+sampled rho estimate is not.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -29,12 +30,10 @@ from .errors import (
     MaxPicardExceeded,
     NonfiniteGridError,
     NonfiniteValue,
-    NotConvergedError,
 )
 from .expr import evaluate
 from .fractional import GridFunction, UniformGrid, caputo_residual, frac_integral, frac_integral_all, trapezoid_integral
 from .problem import ProblemSpec, SelectionPolicy, SolverConfig
-from .special import gamma
 from .vi import VIInstance, solve_vi, vi_residual
 
 
@@ -82,31 +81,15 @@ def psi_part(spec: ProblemSpec, y: GridFunction, h: GridFunction) -> GridFunctio
 
 
 def control_map(spec: ProblemSpec, y: GridFunction, vi_tol: float = 1e-10) -> GridFunction:
-    """Node-wise VI solve u(t_i) in SOL(K, Q(t_i, y_i) + S(.)), each node certified.
+    """u(t_i) in SOL(K, Q(t_i, y_i) + S(.)) at every node, as one batched VI solve.
 
-    Within a sweep the previous node's solution warm-starts the next one;
-    u(t) varies continuously, so this typically costs a couple of
-    iterations per node.
+    With y fixed the node problems are independent and share K and S, so
+    they are the rows of one instance.  solve_vi returns only when every
+    row is certified to vi_tol; a NotConvergedError names the worst node.
     """
-    grid = y.grid
-    ts = grid.nodes
-    w_all = _eval_grid(spec.Q, ts, y.values)
-    out = np.empty((grid.N + 1, spec.m))
-    u_prev = spec.anchor_u0
-    for i in range(grid.N + 1):
-        inst = VIInstance(spec.K, w_all[i], spec.S)
-        try:
-            u = solve_vi(inst, tol=vi_tol, start=u_prev)
-        except NotConvergedError as exc:
-            raise NotConvergedError(
-                f"VI solve failed at node {i}", residual=exc.residual, iterations=exc.iterations, node=i
-            ) from exc
-        res = vi_residual(inst, u)
-        if res > vi_tol:
-            raise NotConvergedError(f"VI certificate failed at node {i}", residual=res, iterations=0, node=i)
-        out[i] = u
-        u_prev = u
-    return GridFunction(grid, out)
+    w_all = _eval_grid(spec.Q, y.grid.nodes, y.values)
+    u = solve_vi(VIInstance(spec.K, w_all, spec.S), tol=vi_tol, start=spec.anchor_u0)
+    return GridFunction(y.grid, u)
 
 
 def selection_map(spec: ProblemSpec, y: GridFunction, policy: SelectionPolicy) -> GridFunction:
@@ -130,12 +113,12 @@ def nearest_selection(spec: ProblemSpec, f1: GridFunction, y2: GridFunction) -> 
 
 def _estimate_rho(spec: ProblemSpec, samples: int = 2048, seed: int = 0) -> float:
     """Cheap sampled contraction constant, used only for the pre-solve warning."""
-    from .hypotheses import estimate_field_lipschitz  # local import to avoid a cycle
+    from .hypotheses import compute_rho, estimate_field_lipschitz  # local import to avoid a cycle
 
     box_lo = np.full(spec.n, -5.0)
     box_hi = np.full(spec.n, 5.0)
     lf = estimate_field_lipschitz(spec.field, box_lo, box_hi, spec.T, pairs=samples, seed=seed, polish=False)
-    return 2.0 * lf * spec.T**spec.q / gamma(spec.q + 1.0)
+    return compute_rho(lf, spec.T, spec.q)
 
 
 @dataclass
@@ -157,21 +140,13 @@ class SolutionBundle:
     def write_csv(self, path) -> None:
         """Write "t, y1..yn, u1..um, f1..fn" rows at full double precision."""
         n, m = self.y.dim, self.u.dim
-        header = (
-            ["t"]
-            + [f"y{i + 1}" for i in range(n)]
+        columns = (
+            [f"y{i + 1}" for i in range(n)]
             + [f"u{j + 1}" for j in range(m)]
             + [f"f{i + 1}" for i in range(n)]
         )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, t in enumerate(self.y.grid.nodes):
-                row = [f"{t:.17g}"]
-                row += [f"{v:.17g}" for v in self.y.values[i]]
-                row += [f"{v:.17g}" for v in self.u.values[i]]
-                row += [f"{v:.17g}" for v in self.f.values[i]]
-                writer.writerow(row)
+        values = np.hstack([self.y.values, self.u.values, self.f.values])
+        GridFunction(self.y.grid, values).to_csv(path, columns)
 
     def write_diagnostics(self, path) -> None:
         with open(path, "w") as fh:
@@ -263,10 +238,8 @@ def picard_solve(
     recheck = float(np.max(np.abs(ty - y.values)))
     gh = GridFunction(grid, _g_times(spec, grid.nodes, y.values, u.values))
     rhs = GridFunction(grid, f.values + gh.values)
-    max_vi = max(
-        vi_residual(VIInstance(spec.K, w, spec.S), u.values[i])
-        for i, w in enumerate(_eval_grid(spec.Q, grid.nodes, y.values))
-    )
+    w_all = _eval_grid(spec.Q, grid.nodes, y.values)
+    max_vi = float(np.max(vi_residual(VIInstance(spec.K, w_all, spec.S), u.values)))
     ic1 = trapezoid_integral(GridFunction(grid, _eval_grid(spec.c1, grid.nodes, y.values)))
     ic2 = trapezoid_integral(GridFunction(grid, _eval_grid(spec.c2, grid.nodes, y.values)))
     # The formula pins the operator output at t = 0 to the c1 trapezoid exactly;
@@ -295,7 +268,7 @@ def picard_solve(
         "picard_residuals": history,
         "final_residual": history[-1],
         "fixed_point_recheck": recheck,
-        "max_vi_residual": float(max_vi),
+        "max_vi_residual": max_vi,
         "boundary_residual": boundary,
         "boundary_selfgap": boundary_selfgap,
         "caputo_residual": caputo_residual(spec.q, y, rhs),
@@ -328,10 +301,7 @@ def solve_band(
     """One solve per (alpha, lambda) pair; failures are captured per run."""
     runs: list[BandRun] = []
     for alpha in alphas:
-        spec_a = ProblemSpec(
-            q=spec.q, T=spec.T, n=spec.n, m=spec.m, field=spec.field, alpha=float(alpha),
-            g=spec.g, Q=spec.Q, S=spec.S, K=spec.K, c1=spec.c1, c2=spec.c2, anchor_u0=spec.anchor_u0,
-        )
+        spec_a = dataclasses.replace(spec, alpha=float(alpha))
         for lam in lambdas:
             policy = SelectionPolicy(np.broadcast_to(np.atleast_1d(np.asarray(lam, dtype=float)), (spec.n,)).copy())
             try:

@@ -1,15 +1,19 @@
 """Node-level variational inequality: find u in K with <w + S(u), v - u> >= 0.
 
-S is affine monotone, S(u) = M u + b.  For a strongly monotone S the
-solution is unique and the projected fixed-point iteration
-u <- P_K(u - gamma (w + S(u))) with gamma = mu / L^2 is a contraction.
-For merely monotone S the solver commits to the least-norm element of the
-solution set via Tikhonov regularization extrapolated to zero.
+K is a box (endpoints may be infinite) and S is affine monotone,
+S(u) = M u + b.  The constant term w is one vector (m,) or a batch (k, m)
+of independent problems that share K and S; solutions and residuals then
+come row by row.  For a strongly monotone S each solution is unique and
+the projected fixed-point iteration u <- P_K(u - gamma (w + S(u))) with
+gamma = mu / L^2 is a contraction, run on all rows at once.  For merely
+monotone S the solver takes a single instance and commits to the
+least-norm element of the solution set via Tikhonov regularization
+extrapolated to zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +62,7 @@ class AffineOperator:
         return self.M.shape[0]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.M @ u + self.b
+        return u @ self.M.T + self.b
 
     @cached_property
     def mu(self) -> float:
@@ -113,79 +117,61 @@ class BoxSet:
 
 
 @dataclass(frozen=True)
-class ProjectionSet:
-    """Feasible set given only through a user projection callable."""
-
-    fn: object
-    dim: int
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatch(f"point has dimension {x.shape[-1]}, set {self.dim}")
-        if x.ndim == 2:  # user callables are only required to handle single points
-            return np.vstack([np.asarray(self.fn(row), dtype=float) for row in x])
-        return np.asarray(self.fn(x), dtype=float)
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.linalg.norm(x - self.project(x)) <= tol)
-
-
-FeasibleSet = BoxSet | ProjectionSet
-
-
-def project(k: FeasibleSet, x) -> np.ndarray:
-    """Nearest point of K (coordinate clamp for boxes)."""
-    return k.project(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
 class VIInstance:
-    k: FeasibleSet
+    """One VI, or a batch of them when w has shape (k, m)."""
+
+    k: BoxSet
     w: np.ndarray
     s: AffineOperator
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.w, dtype=float))
         object.__setattr__(self, "w", w)
-        if not (self.k.dim == w.shape[0] == self.s.dim):
+        if w.ndim > 2 or not (self.k.dim == w.shape[-1] == self.s.dim):
             raise DimensionMismatch(
-                f"inconsistent dimensions: K {self.k.dim}, w {w.shape[0]}, S {self.s.dim}"
+                f"inconsistent dimensions: K {self.k.dim}, w {w.shape}, S {self.s.dim}"
             )
 
     def operator(self, u: np.ndarray) -> np.ndarray:
         return self.w + self.s(u)
 
 
-def vi_residual(inst: VIInstance, u) -> float:
-    """Natural-map residual ||u - P_K(u - (w + S(u)))||; zero iff u solves the VI."""
+def vi_residual(inst: VIInstance, u):
+    """Natural-map residual ||u - P_K(u - (w + S(u)))|| of each row; zero iff u solves the VI.
+
+    A float for a single point, an array of k values for a batch.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape[0] != inst.k.dim:
-        raise DimensionMismatch(f"point has dimension {u.shape[0]}, instance {inst.k.dim}")
-    return float(np.linalg.norm(u - inst.k.project(u - inst.operator(u))))
+    if u.shape[-1] != inst.k.dim:
+        raise DimensionMismatch(f"point has dimension {u.shape[-1]}, instance {inst.k.dim}")
+    res = np.linalg.norm(u - inst.k.project(u - inst.operator(u)), axis=-1)
+    return float(res) if res.ndim == 0 else res
 
 
 def _solve_strong(inst: VIInstance, mu: float, tol: float, max_iter: int, u0: np.ndarray) -> tuple[np.ndarray, int]:
+    """Projected iteration on every row at once; stops when the worst row certifies."""
     lip = inst.s.lipschitz
     gamma = mu / (lip * lip)
-    u = u0
+    u = np.broadcast_to(u0, inst.w.shape)
     for it in range(1, max_iter + 1):
         u_next = inst.k.project(u - gamma * inst.operator(u))
-        r_gamma = float(np.linalg.norm(u_next - u))
+        r_gamma = float(np.max(np.linalg.norm(u_next - u, axis=-1)))
         u = u_next
-        if r_gamma <= tol and vi_residual(inst, u) <= tol:
+        if r_gamma <= tol and np.max(vi_residual(inst, u)) <= tol:
             return u, it
+    res = np.atleast_1d(vi_residual(inst, u))
+    worst = int(np.argmax(res))
     raise NotConvergedError(
-        f"projected fixed point did not reach tol {tol} in {max_iter} iterations",
-        residual=vi_residual(inst, u),
+        f"projected fixed point did not reach tol {tol} in {max_iter} iterations (worst row {worst})",
+        residual=float(res[worst]),
         iterations=max_iter,
+        node=worst,
     )
 
 
 def _solve_newton_box(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray) -> np.ndarray:
     """Semismooth Newton on the normal map for box sets (used on the mu ~ 0 path)."""
-    k: BoxSet = inst.k  # type: ignore[assignment]
+    k = inst.k
     m = inst.s.M
     eye = np.eye(inst.s.dim)
     z = u0 - inst.operator(u0)
@@ -205,18 +191,6 @@ def _solve_newton_box(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarra
     return k.project(z)
 
 
-def _solve_extragradient(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray) -> np.ndarray:
-    lip = max(inst.s.lipschitz, 1e-30)
-    gamma = 1.0 / (2.0 * lip)
-    u = u0
-    for _ in range(max_iter):
-        half = inst.k.project(u - gamma * inst.operator(u))
-        u = inst.k.project(u - gamma * inst.operator(half))
-        if vi_residual(inst, u) <= tol:
-            break
-    return u
-
-
 _TIKHONOV_EPS = (1e-2, 1e-4, 1e-6)
 
 
@@ -224,19 +198,16 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
     """mu ~ 0: Tikhonov solves at eps in {1e-2,1e-4,1e-6}, extrapolated to eps = 0.
 
     Quadratic extrapolation of the regularization path approximates the
-    least-norm solution.  Box sets use a semismooth Newton solve per eps;
-    projection-oracle sets fall back to extragradient steps.
+    least-norm solution.  Each eps is a semismooth Newton solve, with the
+    projected iteration as the fallback.
     """
     sols = []
     u = u0
     for eps in _TIKHONOV_EPS:
         sub = VIInstance(inst.k, inst.w, inst.s.shifted(eps))
-        if isinstance(inst.k, BoxSet):
-            u = _solve_newton_box(sub, tol, 100, u)
-            if vi_residual(sub, u) > max(10.0 * tol, 1e-9):
-                u, _ = _solve_strong(sub, eps, tol, max_iter, u)
-        else:
-            u = _solve_extragradient(sub, max(tol, eps * 1e-4), max_iter, u)
+        u = _solve_newton_box(sub, tol, 100, u)
+        if vi_residual(sub, u) > max(10.0 * tol, 1e-9):
+            u, _ = _solve_strong(sub, eps, tol, max_iter, u)
         sols.append(u)
     e = np.asarray(_TIKHONOV_EPS)
     weights = []
@@ -258,17 +229,23 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
 def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, start=None) -> np.ndarray:
     """Solve the VI; unique solution for strongly monotone S, least-norm otherwise.
 
-    Raises NonMonotoneError when the symmetric part of M has an eigenvalue
-    below -1e-10, NotConvergedError when the residual target is not met.
+    A batch w of shape (k, m) is solved as k independent rows, every row
+    started from P_K(start), and returns (k, m) once every row's residual is
+    within tol.  Raises NonMonotoneError when the symmetric part of M has an
+    eigenvalue below -1e-10, NotConvergedError (node = the worst row) when
+    the residual target is not met, and DimensionMismatch for a batch with
+    a merely monotone S, which is solved one instance at a time.
     """
     if tol <= 0.0:
         raise DomainError("tolerance must be positive")
     mu = inst.s.mu
     if mu < -_MONOTONE_TOL:
         raise NonMonotoneError(f"operator is not monotone: mu = {mu:.3e}")
-    u0 = inst.k.project(np.zeros(inst.s.dim)) if start is None else inst.k.project(np.asarray(start, dtype=float))
+    u0 = inst.k.project(np.zeros(inst.s.dim) if start is None else np.asarray(start, dtype=float))
     if mu > _STRONG_MU:
         u, _ = _solve_strong(inst, mu, tol, max_iter, u0)
-    else:
+    elif inst.w.ndim == 1:
         u, _ = _solve_monotone(inst, tol, max_iter, u0)
+    else:
+        raise DimensionMismatch(f"a monotone S with mu = {mu:.3e} takes one instance, got a batch of {inst.w.shape[0]}")
     return u

@@ -180,6 +180,13 @@ def test_cli_verify_malformed_json_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_cli_verify_creates_report_directory(tmp_path, config_path):
+    report_path = tmp_path / "a" / "b" / "report.json"
+    rc = main(["verify", "--config", config_path, "--out", str(report_path)])
+    assert rc == 0
+    assert json.loads(report_path.read_text())["overall_pass"]
+
+
 def test_cli_band(tmp_path, config_path):
     out = tmp_path / "band"
     rc = main(["band", "--config", config_path, "--out", str(out),

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fdvi.errors import DimensionMismatch, NonMonotoneError
+from fdvi.errors import DimensionMismatch, NonMonotoneError, NotConvergedError
 from fdvi.vi import (
     AffineOperator,
     BoxSet,
-    ProjectionSet,
     VIInstance,
     _power_iteration_norm,
-    project,
+    _solve_strong,
     solve_vi,
     vi_residual,
 )
@@ -32,7 +31,7 @@ def random_strongly_monotone(rng, m, mu_min=0.3):
 
 
 def test_project_orthant_clamp():
-    assert np.allclose(project(BoxSet.orthant(2), [1.5, -0.3]), [1.5, 0.0])
+    assert np.allclose(BoxSet.orthant(2).project([1.5, -0.3]), [1.5, 0.0])
 
 
 def test_project_idempotent():
@@ -40,8 +39,8 @@ def test_project_idempotent():
     rng = np.random.default_rng(3)
     for _ in range(200):
         x = rng.uniform(-5, 5, size=2)
-        p = project(k, x)
-        assert np.allclose(project(k, p), p)
+        p = k.project(x)
+        assert np.allclose(k.project(p), p)
 
 
 def test_project_nonexpansive():
@@ -49,7 +48,7 @@ def test_project_nonexpansive():
     rng = np.random.default_rng(4)
     for _ in range(500):
         x, z = rng.uniform(-5, 5, size=(2, 2))
-        assert np.linalg.norm(project(k, x) - project(k, z)) <= np.linalg.norm(x - z) + 1e-15
+        assert np.linalg.norm(k.project(x) - k.project(z)) <= np.linalg.norm(x - z) + 1e-15
 
 
 def test_project_variational_characterization():
@@ -58,7 +57,7 @@ def test_project_variational_characterization():
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = rng.uniform(-4, 4, size=2)
-        px = project(k, x)
+        px = k.project(x)
         zs = np.column_stack([rng.uniform(k.lo[i], k.hi[i], size=1000) for i in range(2)])
         assert np.max((zs - px) @ (x - px)) <= 1e-12
 
@@ -108,20 +107,6 @@ def test_solution_bound_via_anchor():
         assert np.linalg.norm(u) <= bound + 1e-8
 
 
-def test_projection_oracle_feasible_set():
-    # projection onto the unit ball
-    def ball(x):
-        nx = np.linalg.norm(x)
-        return x if nx <= 1.0 else x / nx
-
-    k = ProjectionSet(fn=ball, dim=2)
-    s = AffineOperator(2.0 * np.eye(2), np.zeros(2))
-    w = np.array([-4.0, 0.0])
-    u = solve_vi(VIInstance(k, w, s), tol=1e-10)
-    # unconstrained minimizer is (2, 0); projected solution sits on the boundary at (1, 0)
-    assert np.allclose(u, [1.0, 0.0], atol=1e-8)
-
-
 def test_monotone_but_not_strong_rotation():
     rot = AffineOperator(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
     assert rot.mu == pytest.approx(0.0, abs=1e-12)
@@ -148,6 +133,52 @@ def test_non_monotone_rejected():
 def test_dimension_mismatch_detected():
     with pytest.raises(DimensionMismatch):
         VIInstance(BoxSet.orthant(2), np.zeros(3), AffineOperator(np.eye(2), np.zeros(2)))
+
+
+# --- batches ------------------------------------------------------------
+
+
+def test_batch_matches_row_by_row_solves():
+    # non-diagonal S: rows need different iteration counts, some sit on faces of K
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        s = random_strongly_monotone(rng, 3)
+        k = BoxSet(rng.uniform(-1.0, 0.0, size=3), rng.uniform(0.5, 1.5, size=3))
+        w = rng.uniform(-3, 3, size=(12, 3))
+        batch = VIInstance(k, w, s)
+        u = solve_vi(batch, tol=1e-12)
+        assert u.shape == (12, 3)
+        rows = [VIInstance(k, wi, s) for wi in w]
+        singles = np.array([solve_vi(inst, tol=1e-12) for inst in rows])
+        assert np.max(np.abs(u - singles)) <= 1e-9
+        res = vi_residual(batch, u)
+        assert res.shape == (12,) and np.max(res) <= 1e-12
+        assert isinstance(vi_residual(rows[0], u[0]), float)
+        u0 = k.project(np.zeros(3))
+        iters = {_solve_strong(inst, s.mu, 1e-12, 100_000, u0)[1] for inst in rows}
+        assert len(iters) > 1
+
+
+def test_batch_not_converged_names_worst_row():
+    rng = np.random.default_rng(71)
+    s = random_strongly_monotone(rng, 3)
+    k = BoxSet.orthant(3)
+    w = rng.uniform(-1, 1, size=(6, 3)) * np.array([0.1, 0.2, 0.3, 5.0, 0.2, 0.1])[:, None]
+    inst = VIInstance(k, w, s)
+    # one projected step from P_K(0), as the solver takes it
+    gamma = s.mu / s.lipschitz**2
+    u1 = k.project(-gamma * inst.operator(np.zeros((6, 3))))
+    res = vi_residual(inst, u1)
+    with pytest.raises(NotConvergedError) as err:
+        solve_vi(inst, max_iter=1)
+    assert err.value.node == int(np.argmax(res)) == 3
+    assert err.value.residual == pytest.approx(np.max(res))
+
+
+def test_batch_rejected_on_monotone_path():
+    s = AffineOperator(np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        solve_vi(VIInstance(BoxSet([0.0, 0.0], [1.0, 1.0]), np.ones((3, 2)), s))
 
 
 # --- residual -------------------------------------------------------------
