@@ -9,6 +9,10 @@ the true suprema, monotone under sample-count refinement with a fixed seed
 Norm conventions: the field Lipschitz constant, p, M0, M1, M2 use the
 Euclidean norm; the g and Q bounds use 1-norms (entrywise sum for g),
 matching how such constants are usually tabulated for worked instances.
+The field Lipschitz constant is measured in fuzzy_metric, which is exact
+from the alpha = 0 and alpha = 1 levels: the sampling pass evaluates it
+for all pairs at once through FuzzyBoxField.level_arrays, the polish one
+pair at a time.
 """
 
 from __future__ import annotations
@@ -88,32 +92,16 @@ def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.
     return np.concatenate(([0.0, t_horizon], extra))
 
 
-def _metric_over_pairs(field: FuzzyBoxField, ts, y1s, y2s, levels: int = 101) -> np.ndarray:
-    """Vectorized sup-over-levels Hausdorff distance between field values at two states."""
-    count = ts.shape[0]
-    n = field.dim
-    e1 = np.empty((count, n))
-    d1 = np.empty((count, n))
-    e2 = np.empty((count, n))
-    d2 = np.empty((count, n))
-    for i, comp in enumerate(field.components):
-        e1[:, i] = np.broadcast_to(np.asarray(evaluate(comp.scale, ts, y1s), dtype=float), (count,))
-        d1[:, i] = np.broadcast_to(np.asarray(evaluate(comp.offset, ts, y1s), dtype=float), (count,))
-        e2[:, i] = np.broadcast_to(np.asarray(evaluate(comp.scale, ts, y2s), dtype=float), (count,))
-        d2[:, i] = np.broadcast_to(np.asarray(evaluate(comp.offset, ts, y2s), dtype=float), (count,))
-    out = np.zeros(count)
-    for alpha in np.linspace(0.0, 1.0, levels):
-        h_alpha = np.zeros(count)
-        for i, comp in enumerate(field.components):
-            iv = comp.base.level(float(alpha))
-            p1 = d1[:, i] + e1[:, i] * iv.lo
-            r1 = d1[:, i] + e1[:, i] * iv.hi
-            p2 = d2[:, i] + e2[:, i] * iv.lo
-            r2 = d2[:, i] + e2[:, i] * iv.hi
-            dlo = np.abs(np.minimum(p1, r1) - np.minimum(p2, r2))
-            dhi = np.abs(np.maximum(p1, r1) - np.maximum(p2, r2))
-            h_alpha = np.maximum(h_alpha, np.maximum(dlo, dhi))
-        out = np.maximum(out, h_alpha)
+def _metric_over_pairs(field: FuzzyBoxField, ts, y1s, y2s) -> np.ndarray:
+    """Vectorized fuzzy_metric between the field values at two states.
+
+    The sup over levels is attained at alpha = 0 or 1 (see fuzzy_metric).
+    """
+    out = np.zeros(ts.shape[0])
+    for alpha in (0.0, 1.0):
+        lo1, hi1 = field.level_arrays(ts, y1s, alpha)
+        lo2, hi2 = field.level_arrays(ts, y2s, alpha)
+        out = np.maximum(out, np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2)), axis=1))
     return out
 
 
@@ -204,6 +192,26 @@ def _field_sup_norm(field: FuzzyBoxField, t: float, ys: np.ndarray) -> np.ndarra
     return np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)), axis=1)
 
 
+def _eval_batch(exprs, t: float, batch: np.ndarray) -> np.ndarray:
+    """Evaluate expressions at (t, each state of the batch); returns (k, len(exprs))."""
+    out = np.empty((batch.shape[0], len(exprs)))
+    for j, e in enumerate(exprs):
+        out[:, j] = np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), (batch.shape[0],))
+    return out
+
+
+def _column_sum(vals: np.ndarray) -> np.ndarray:
+    """Row sums accumulated column by column, left to right.
+
+    np.sum reassociates, and the report's constants are written at full
+    precision, so the summation order is fixed here.
+    """
+    acc = np.zeros(vals.shape[0])
+    for col in vals.T:
+        acc += col
+    return acc
+
+
 def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     """Sampled suprema for the boundedness hypotheses; see module docstring for norms."""
     if dom.dim != spec.n:
@@ -212,30 +220,17 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     ts = _sample_times(spec.T, dom.t_samples, _stream(dom.seed, 1))
     ys = lo + (hi - lo) * _stream(dom.seed, 2).random((dom.y_samples, spec.n))
 
-    def q_norm1(t, batch):
-        acc = np.zeros(batch.shape[0])
-        for e in spec.Q:
-            acc += np.abs(np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), (batch.shape[0],)))
-        return acc
+    g_flat = [e for row in spec.g for e in row]
 
-    def g_norm1(t, batch):
-        acc = np.zeros(batch.shape[0])
-        for row in spec.g:
-            for e in row:
-                acc += np.abs(np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), (batch.shape[0],)))
-        return acc
+    def abs_sum(exprs):
+        return lambda t, batch: _column_sum(np.abs(_eval_batch(exprs, t, batch)))
 
     def c_norm(exprs):
-        def fn(t, batch):
-            acc = np.zeros(batch.shape[0])
-            for e in exprs:
-                acc += np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), (batch.shape[0],)) ** 2
-            return np.sqrt(acc)
-        return fn
+        return lambda t, batch: np.sqrt(_column_sum(_eval_batch(exprs, t, batch) ** 2))
 
     p_sup, p_t, p_y = _sup_over_samples(lambda t, b: _field_sup_norm(spec.field, t, b), ts, ys, spec.T, lo, hi)
-    eta_g, g_t, g_y = _sup_over_samples(g_norm1, ts, ys, spec.T, lo, hi)
-    eta_q, q_t, q_y = _sup_over_samples(q_norm1, ts, ys, spec.T, lo, hi)
+    eta_g, g_t, g_y = _sup_over_samples(abs_sum(g_flat), ts, ys, spec.T, lo, hi)
+    eta_q, q_t, q_y = _sup_over_samples(abs_sum(spec.Q), ts, ys, spec.T, lo, hi)
     m1, c1_t, c1_y = _sup_over_samples(c_norm(spec.c1), ts, ys, spec.T, lo, hi)
     m2, c2_t, c2_y = _sup_over_samples(c_norm(spec.c2), ts, ys, spec.T, lo, hi)
     origin = np.zeros((1, spec.n))

@@ -47,11 +47,11 @@ def _eval_grid(exprs, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _g_times(spec: ProblemSpec, ts: np.ndarray, ys: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
     """Rows g(t_i, y_i) @ h_i for all nodes; returns (N+1, n)."""
+    m = h_vals.shape[1]
+    g_all = _eval_grid([e for row in spec.g for e in row], ts, ys).reshape(ts.shape[0], spec.n, m)
     out = np.zeros((ts.shape[0], spec.n))
-    for i, row in enumerate(spec.g):
-        for j, e in enumerate(row):
-            gij = np.broadcast_to(np.asarray(evaluate(e, ts, ys), dtype=float), ts.shape)
-            out[:, i] += gij * h_vals[:, j]
+    for j in range(m):  # left to right: einsum/np.sum would reassociate and change output bits
+        out += g_all[:, :, j] * h_vals[:, j : j + 1]
     return out
 
 

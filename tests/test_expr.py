@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fdvi.errors import ArityError, EvalDomainError, EvalOverflowError, ExprSyntaxError, UnknownIdentifier
 from fdvi.expr import evaluate, parse, to_source
@@ -138,3 +141,45 @@ def test_domain_checks_cover_vectorized_inputs():
     e = parse("1/y1", 1)
     with pytest.raises(EvalDomainError):
         evaluate(e, np.zeros(3), np.array([[1.0], [0.0], [2.0]]))
+
+
+# --- finite-or-raise property ----------------------------------------------
+
+
+def _expressions(binops, funcs):
+    leaves = st.one_of(st.sampled_from(["t", "y1", "y2"]), st.floats(0.0, 1e300).map(repr))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(sub, st.sampled_from(binops), sub).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+            st.tuples(st.sampled_from(funcs), sub).map(lambda p: f"{p[0]}({p[1]})"),
+            sub.map(lambda s: f"(-{s})"),
+        ),
+        max_leaves=12,
+    )
+
+
+_HUGE = st.floats(-1e300, 1e300)
+_STATES = hnp.arrays(np.float64, (4, 2), elements=_HUGE)
+
+
+@given(_expressions(["+", "-", "*", "/", "^"], ["exp", "log", "sqrt"]), _HUGE, _STATES)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_is_finite_or_raises_domain_error(source, t, ys):
+    try:
+        value = evaluate(parse(source, 2), t, ys)
+    except EvalDomainError:
+        return
+    assert np.all(np.isfinite(value))
+
+
+@given(_expressions(["+", "-", "*"], ["exp"]), _HUGE, _STATES)
+@settings(max_examples=300, deadline=None)
+def test_overflow_raises_eval_overflow_error(source, t, ys):
+    # Without / ^ log sqrt nothing can leave the domain, so a non-finite
+    # value can only come from overflow.
+    try:
+        value = evaluate(parse(source, 2), t, ys)
+    except EvalOverflowError:
+        return
+    assert np.all(np.isfinite(value))

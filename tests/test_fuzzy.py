@@ -10,6 +10,7 @@ from fdvi.expr import parse
 from fdvi.fuzzy import (
     Box,
     FieldComponent,
+    FuzzyBox,
     FuzzyBoxField,
     FuzzyIntervalNumber,
     clamp_to_box,
@@ -201,8 +202,29 @@ def test_example_field_lipschitz_bound_sampled():
     rng = np.random.default_rng(17)
     pairs = rng.uniform(-4.0, 4.0, size=(10_000, 2))
     for y1, y2 in pairs:
-        d = fuzzy_metric(f.at(0.0, np.array([y1])), f.at(0.0, np.array([y2])), levels=3)
+        d = fuzzy_metric(f.at(0.0, np.array([y1])), f.at(0.0, np.array([y2])))
         assert d <= 0.5 * abs(y1 - y2) + 1e-12
+
+
+def _random_fuzzy_box(rng, n=3):
+    comps = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            base = FuzzyIntervalNumber.triangular(*np.sort(rng.uniform(-2.0, 2.0, 3)))
+        else:
+            base = FuzzyIntervalNumber.trapezoidal(*np.sort(rng.uniform(-2.0, 2.0, 4)))
+        comps.append(base.scaled(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)))
+    return FuzzyBox(comps)
+
+
+def test_fuzzy_metric_exact_against_fine_level_grid():
+    # Level endpoints are affine in alpha, so the sup over a 1001-level grid
+    # is attained at alpha = 0 or 1 and the two-level metric equals it exactly.
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        a, b = _random_fuzzy_box(rng), _random_fuzzy_box(rng)
+        brute = max(hausdorff(a.level(float(al)), b.level(float(al))) for al in np.linspace(0.0, 1.0, 1001))
+        assert fuzzy_metric(a, b) == brute
 
 
 # --- selection and clamping ----------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 
 from fdvi.errors import AnchorNotFeasible, DomainError
 from fdvi.expr import parse
-from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber
+from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric
 from fdvi.hypotheses import (
     SamplingDomain,
+    _metric_over_pairs,
     check_coercivity,
     compute_delta,
     compute_eta_s,
@@ -173,6 +174,24 @@ def test_constants_zero_scale_field():
     consts = estimate_constants(spec_like, small_domain(pairs=2000, y_samples=256))
     assert consts["L_F"] == 0.0
     assert consts["p_sup"] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_metric_over_pairs_matches_scalar_fuzzy_metric():
+    # The sampling pass and the polish objective must measure the same metric.
+    field = FuzzyBoxField([
+        FieldComponent(FuzzyIntervalNumber.trapezoidal(-0.6, -0.1, 0.2, 0.7),
+                       scale=parse("0.5 + 0.3*y2", 2), offset=parse("0.2*t*y1", 2)),
+        FieldComponent(FuzzyIntervalNumber.triangular(-0.5, 0.1, 0.5),
+                       scale=parse("sin(y1)", 2), offset=parse("0.1*y2", 2)),
+    ])
+    rng = np.random.default_rng(41)
+    ts = rng.uniform(0.0, 1.0, 400)
+    y1s = rng.uniform(-4.0, 4.0, (400, 2))
+    y2s = rng.uniform(-4.0, 4.0, (400, 2))
+    assert np.any(np.sin(y1s[:, 0]) * np.sin(y2s[:, 0]) < 0.0)
+    batch = _metric_over_pairs(field, ts, y1s, y2s)
+    scalar = [fuzzy_metric(field.at(t, a), field.at(t, b)) for t, a, b in zip(ts, y1s, y2s)]
+    np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-15)
 
 
 def test_lipschitz_estimate_never_exceeds_true_constant(example_spec):
