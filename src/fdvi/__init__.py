@@ -27,7 +27,6 @@ from .fuzzy import (
     field_level,
     fuzzy_metric,
     hausdorff,
-    level,
     select,
 )
 from .hypotheses import (

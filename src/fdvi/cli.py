@@ -18,6 +18,8 @@ import json
 import os
 import sys
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
     NotConvergedError,
 )
 from .fractional import GridFunction
-from .hypotheses import verify
+from .hypotheses import compute_rho, estimate_field_lipschitz, verify
 from .solver import BandRun, band_envelope, picard_solve, solve_band
 from .vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
 
@@ -41,12 +43,16 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_HYPOTHESIS = 3
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+def _atomic_write(path: str, write) -> None:
+    """Call write(tmp_path) on a temporary file next to path, then move it into place.
+
+    The temporary file is removed if the write or the move fails.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-",
+                               suffix=os.path.basename(path))
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -55,19 +61,12 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _atomic_json(path: str, payload) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _atomic_csv(path: str, write) -> None:
-    """Call write(tmp_path) on a temporary file next to path, then move it into place."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix=".csv")
-    os.close(fd)
-    write(tmp)
-    os.replace(tmp, path)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _write_bundle(bundle, out_dir: str, stem: str) -> None:
-    _atomic_csv(os.path.join(out_dir, f"{stem}.csv"), bundle.write_csv)
+    _atomic_write(os.path.join(out_dir, f"{stem}.csv"), bundle.write_csv)
     _atomic_json(os.path.join(out_dir, f"{stem}_diagnostics.json"), bundle.diagnostics)
 
 
@@ -89,8 +88,22 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return items
 
 
+def _warn_if_rho_large(problem: LoadedProblem) -> None:
+    """Warn before a solve when a cheap sampled rho over the sampling box is >= 1."""
+    spec, dom = problem.spec, problem.sampling
+    l_f = estimate_field_lipschitz(spec.field, dom.y_box_lo, dom.y_box_hi, spec.T,
+                                   pairs=2048, seed=dom.seed, polish=False)
+    rho = compute_rho(l_f, spec.T, spec.q)
+    if rho >= 1.0:
+        warnings.warn(
+            f"sampled contraction constant rho = {rho:.4g} >= 1; "
+            "the fuzzy part may not contract and the sweep may diverge"
+        )
+
+
 def cmd_solve(args) -> int:
     problem = _load(args)
+    _warn_if_rho_large(problem)
     os.makedirs(args.out, exist_ok=True)
     bundle = picard_solve(problem.spec, problem.solver, problem.selection)
     _write_bundle(bundle, args.out, "solution")
@@ -124,7 +137,7 @@ def _run_band(problem: LoadedProblem, alphas, lambdas, out_dir: str) -> int:
         n = ymin.shape[1]
         columns = [f"y{i + 1}_{side}" for i in range(n) for side in ("min", "max")]
         envelope = GridFunction(ok_runs[0].bundle.y.grid, np.stack([ymin, ymax], axis=2).reshape(-1, 2 * n))
-        _atomic_csv(os.path.join(out_dir, "envelope.csv"), lambda tmp: envelope.to_csv(tmp, columns))
+        _atomic_write(os.path.join(out_dir, "envelope.csv"), lambda tmp: envelope.to_csv(tmp, columns))
     _atomic_json(os.path.join(out_dir, "band_runs.json"), status)
     print(f"{len(ok_runs)}/{len(runs)} runs converged; wrote {out_dir}")
     return EXIT_OK if len(ok_runs) == len(runs) else EXIT_NO_CONVERGENCE
@@ -140,6 +153,7 @@ def cmd_band(args) -> int:
     for l in lambdas:
         if not -1.0 <= l <= 1.0:
             raise ConfigError("/", f"lambda {l} outside [-1, 1]")
+    _warn_if_rho_large(problem)
     os.makedirs(args.out, exist_ok=True)
     return _run_band(problem, alphas, lambdas, args.out)
 
@@ -162,9 +176,9 @@ def cmd_vi(args) -> int:
     rows = [r for r in args.M.split(";") if r.strip() != ""]
     mat = np.array([_parse_float_list(r, "M row") for r in rows])
     b = np.array(_parse_float_list(args.b, "b"))
-    lo = [np.inf if x == "inf" else -np.inf if x == "-inf" else float(x) for x in args.k_lo.split(",")]
-    hi = [np.inf if x == "inf" else -np.inf if x == "-inf" else float(x) for x in args.k_hi.split(",")]
-    inst = VIInstance(BoxSet(np.array(lo), np.array(hi)), w, AffineOperator(mat, b))
+    lo = np.array(_parse_float_list(args.k_lo, "K-lo"))
+    hi = np.array(_parse_float_list(args.k_hi, "K-hi"))
+    inst = VIInstance(BoxSet(lo, hi), w, AffineOperator(mat, b))
     u = solve_vi(inst, tol=args.tol)
     payload = {"u": u.tolist(), "residual": vi_residual(inst, u), "mu": inst.s.mu}
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -69,18 +69,6 @@ class GridFunction:
     def zeros(cls, grid: UniformGrid, dim: int) -> "GridFunction":
         return cls(grid, np.zeros((grid.N + 1, dim)))
 
-    @classmethod
-    def from_callable(cls, grid: UniformGrid, fn, dim: int | None = None) -> "GridFunction":
-        rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.nodes]
-        vals = np.vstack(rows)
-        if dim is not None and vals.shape[1] != dim:
-            raise DimensionMismatch(f"callable produced dimension {vals.shape[1]}, expected {dim}")
-        return cls(grid, vals)
-
-    def sup_abs(self) -> float:
-        """Max over nodes and coordinates of |value| (the sup norm used by the solver)."""
-        return float(np.max(np.abs(self.values)))
-
     def sup_norm2(self) -> float:
         """Max over nodes of the Euclidean norm."""
         return float(np.max(np.linalg.norm(self.values, axis=1)))

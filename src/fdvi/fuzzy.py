@@ -33,17 +33,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise DomainError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 class Box:
     """An axis-aligned box in R^n, stored as lo/hi arrays."""
@@ -67,10 +56,6 @@ class Box:
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    @property
-    def coords(self) -> tuple[Interval, ...]:
-        return tuple(Interval(float(a), float(b)) for a, b in zip(self.lo, self.hi))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -131,10 +116,6 @@ class FuzzyIntervalNumber:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"membership level must lie in [0, 1], got {alpha}")
-
-
-def level(w: FuzzyIntervalNumber, alpha: float) -> Interval:
-    return w.level(alpha)
 
 
 class FuzzyBox:

@@ -18,7 +18,7 @@ pair at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,117 +158,82 @@ def estimate_field_lipschitz(
     return max(best, polished)
 
 
-def _sup_over_samples(fn, ts, ys, t_horizon, lo, hi, polish=True):
-    """Max of fn(t, y-batch) over the sample grid, refined by pattern search.
-
-    fn must accept (scalar t, (k,n) states) and return (k,) values.
-    Returns (value, witness_t, witness_y).
-    """
-    best = -math.inf
-    wt, wy = 0.0, ys[0]
-    for t in ts:
-        vals = fn(float(t), ys)
-        idx = int(np.argmax(vals))
-        if vals[idx] > best:
-            best = float(vals[idx])
-            wt, wy = float(t), ys[idx]
-    if polish:
-        def objective(x: np.ndarray) -> float:
-            return float(fn(float(x[0]), x[None, 1:])[0])
-
-        x0 = np.concatenate(([wt], wy))
-        plo = np.concatenate(([0.0], lo))
-        phi = np.concatenate(([t_horizon], hi))
-        val, arg = _pattern_maximize(objective, x0, plo, phi)
-        if val > best:
-            best, wt, wy = val, float(arg[0]), arg[1:]
-    return best, wt, np.asarray(wy)
-
-
-def _field_sup_norm(field: FuzzyBoxField, t: float, ys: np.ndarray) -> np.ndarray:
-    """||F(t,y)|| as the Euclidean norm of the farthest support corner."""
-    ts = np.full(ys.shape[0], t)
-    lo, hi = field.level_arrays(ts, ys, 0.0)
-    return np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)), axis=1)
-
-
-def _eval_batch(exprs, t: float, batch: np.ndarray) -> np.ndarray:
-    """Evaluate expressions at (t, each state of the batch); returns (k, len(exprs))."""
-    out = np.empty((batch.shape[0], len(exprs)))
-    for j, e in enumerate(exprs):
-        out[:, j] = np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), (batch.shape[0],))
-    return out
-
-
-def _column_sum(vals: np.ndarray) -> np.ndarray:
-    """Row sums accumulated column by column, left to right.
+def _row_sum(exprs, t: float, batch: np.ndarray, fn) -> np.ndarray:
+    """Sum over exprs of fn(expr at (t, each state of the batch)), left to right.
 
     np.sum reassociates, and the report's constants are written at full
     precision, so the summation order is fixed here.
     """
-    acc = np.zeros(vals.shape[0])
-    for col in vals.T:
-        acc += col
+    acc = np.zeros(batch.shape[0])
+    for e in exprs:
+        acc += fn(np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), acc.shape))
     return acc
 
 
 def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
-    """Sampled suprema for the boundedness hypotheses; see module docstring for norms."""
+    """Sampled suprema for the hypotheses' constants, keyed by their report names.
+
+    Each constant but L_F is the max of its objective over the sampled
+    (t, state) points, refined by pattern search from the best one, with
+    the point where it is attained kept in "witnesses".
+    """
     if dom.dim != spec.n:
         raise DomainError(f"sampling box has dimension {dom.dim}, problem n = {spec.n}")
     lo, hi = dom.y_box_lo, dom.y_box_hi
     ts = _sample_times(spec.T, dom.t_samples, _stream(dom.seed, 1))
     ys = lo + (hi - lo) * _stream(dom.seed, 2).random((dom.y_samples, spec.n))
 
-    g_flat = [e for row in spec.g for e in row]
+    def field_norm(t, batch):
+        """||F(t,y)|| as the Euclidean norm of the farthest support corner."""
+        f_lo, f_hi = spec.field.level_arrays(np.full(batch.shape[0], t), batch, 0.0)
+        return np.linalg.norm(np.maximum(np.abs(f_lo), np.abs(f_hi)), axis=1)
 
     def abs_sum(exprs):
-        return lambda t, batch: _column_sum(np.abs(_eval_batch(exprs, t, batch)))
+        return lambda t, batch: _row_sum(exprs, t, batch, np.abs)
 
     def c_norm(exprs):
-        return lambda t, batch: np.sqrt(_column_sum(_eval_batch(exprs, t, batch) ** 2))
+        return lambda t, batch: np.sqrt(_row_sum(exprs, t, batch, np.square))
 
-    p_sup, p_t, p_y = _sup_over_samples(lambda t, b: _field_sup_norm(spec.field, t, b), ts, ys, spec.T, lo, hi)
-    eta_g, g_t, g_y = _sup_over_samples(abs_sum(g_flat), ts, ys, spec.T, lo, hi)
-    eta_q, q_t, q_y = _sup_over_samples(abs_sum(spec.Q), ts, ys, spec.T, lo, hi)
-    m1, c1_t, c1_y = _sup_over_samples(c_norm(spec.c1), ts, ys, spec.T, lo, hi)
-    m2, c2_t, c2_y = _sup_over_samples(c_norm(spec.c2), ts, ys, spec.T, lo, hi)
-    origin = np.zeros((1, spec.n))
-    m0, m0_t, _ = _sup_over_samples(
-        lambda t, b: _field_sup_norm(spec.field, t, np.zeros((b.shape[0], spec.n))),
-        ts, origin, spec.T, np.zeros(spec.n), np.zeros(spec.n),
-    )
-    l_f = estimate_field_lipschitz(
+    # name -> (objective of (scalar t, (k, n) states) -> (k,), sampled states,
+    # polish box); without a box the state stays put and the witness is a time
+    table = {
+        "p_sup": (field_norm, ys, (lo, hi)),
+        "eta_g": (abs_sum([e for row in spec.g for e in row]), ys, (lo, hi)),
+        "eta_Q": (abs_sum(spec.Q), ys, (lo, hi)),
+        "M1": (c_norm(spec.c1), ys, (lo, hi)),
+        "M2": (c_norm(spec.c2), ys, (lo, hi)),
+        "M0": (field_norm, np.zeros((1, spec.n)), None),
+    }
+    consts, witnesses = {}, {}
+    for name, (fn, states, box) in table.items():
+        best, wt, wy = -math.inf, 0.0, states[0]
+        for t in ts:
+            vals = fn(float(t), states)
+            idx = int(np.argmax(vals))
+            if vals[idx] > best:
+                best, wt, wy = float(vals[idx]), float(t), states[idx]
+        box_lo, box_hi = box or (wy, wy)
+        val, arg = _pattern_maximize(
+            lambda x: float(fn(float(x[0]), x[None, 1:])[0]),
+            np.concatenate(([wt], wy)),
+            np.concatenate(([0.0], box_lo)),
+            np.concatenate(([spec.T], box_hi)),
+        )
+        if val > best:
+            best, wt, wy = val, float(arg[0]), arg[1:]
+        consts[name] = best
+        witnesses[name] = {"t": wt, "y": wy.tolist()} if box else {"t": wt}
+    consts["L_F"] = estimate_field_lipschitz(
         spec.field, lo, hi, spec.T, pairs=dom.pair_samples, seed=dom.seed
     )
-    return {
-        "L_F": l_f,
-        "p_sup": p_sup,
-        "eta_g": eta_g,
-        "eta_Q": eta_q,
-        "M1": m1,
-        "M2": m2,
-        "M0": m0,
-        "witnesses": {
-            "p_sup": {"t": p_t, "y": p_y.tolist()},
-            "eta_g": {"t": g_t, "y": g_y.tolist()},
-            "eta_Q": {"t": q_t, "y": q_y.tolist()},
-            "M1": {"t": c1_t, "y": c1_y.tolist()},
-            "M2": {"t": c2_t, "y": c2_y.tolist()},
-            "M0": {"t": m0_t},
-        },
-    }
+    consts["witnesses"] = witnesses
+    return consts
 
 
 _COERCIVITY_RADII = (1e2, 1e3, 1e4)
 
 
-def check_coercivity(
-    s: AffineOperator,
-    k: BoxSet,
-    u0,
-    dom: SamplingDomain | None = None,
-) -> tuple[bool, float, float]:
+def check_coercivity(s: AffineOperator, k: BoxSet, u0, dom: SamplingDomain) -> tuple[bool, float, float]:
     """(monotone, mu_est, liminf_est) for assumption A6.
 
     mu_est is the exact smallest eigenvalue of the symmetric part; the
@@ -282,10 +247,8 @@ def check_coercivity(
     monotone = mu_est >= -1e-10
     if k.bounded:
         return monotone, mu_est, math.inf
-    seed = dom.seed if dom is not None else 0
-    count = min(dom.y_samples, 2048) if dom is not None else 1024
-    rng = _stream(seed, 4)
-    dirs = rng.standard_normal((count, s.dim))
+    rng = _stream(dom.seed, 4)
+    dirs = rng.standard_normal((min(dom.y_samples, 2048), s.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
     liminf = math.inf
     for radius in _COERCIVITY_RADII:
@@ -336,20 +299,27 @@ def compute_delta(
     return numerator / (1.0 - rho) + 1.0
 
 
+_NORMS = {
+    "L_F": "euclidean", "p_sup": "euclidean", "M0": "euclidean",
+    "M1": "euclidean", "M2": "euclidean",
+    "eta_g": "entrywise 1-norm", "eta_Q": "1-norm",
+    "mu": "spectral (symmetric part)", "coercive_quotient": "euclidean",
+}
+
+# verdict -> the sampled constant whose finiteness it checks
+_BOUND_VERDICTS = {
+    "A1_lipschitz_field": "L_F",
+    "A3_field_bound": "p_sup",
+    "A4_g_bound": "eta_g",
+    "A5_Q_bound": "eta_Q",
+}
+
+
 @dataclass
 class HypothesisReport:
-    """Estimated constants, the contraction constant, the a-priori bound, verdicts."""
+    """Constants keyed by their report names, the contraction constant, the a-priori bound, verdicts."""
 
-    L_F_est: float
-    p_sup: float
-    eta_g: float
-    eta_Q: float
-    mu_est: float
-    coercive_liminf_est: float
-    M1: float
-    M2: float
-    M0: float
-    eta_S: float
+    constants: dict
     rho: float
     delta: float | None
     verdicts: dict
@@ -357,21 +327,10 @@ class HypothesisReport:
     witnesses: dict
     flags: list[str]
     sampling: dict
-    norms: dict = field(default_factory=lambda: {
-        "L_F": "euclidean", "p_sup": "euclidean", "M0": "euclidean",
-        "M1": "euclidean", "M2": "euclidean",
-        "eta_g": "entrywise 1-norm", "eta_Q": "1-norm",
-        "mu": "spectral (symmetric part)", "coercive_quotient": "euclidean",
-    })
 
     def as_dict(self) -> dict:
         return {
-            "constants": {
-                "L_F": self.L_F_est, "p_sup": self.p_sup, "eta_g": self.eta_g,
-                "eta_Q": self.eta_Q, "mu": self.mu_est,
-                "coercive_liminf": self.coercive_liminf_est,
-                "M1": self.M1, "M2": self.M2, "M0": self.M0, "eta_S": self.eta_S,
-            },
+            "constants": self.constants,
             "rho": self.rho,
             "delta": self.delta,
             "expected_sup_norm_bound": self.delta,
@@ -380,63 +339,49 @@ class HypothesisReport:
             "witnesses": self.witnesses,
             "flags": self.flags,
             "sampling": self.sampling,
-            "norms": self.norms,
+            "norms": dict(_NORMS),
         }
 
 
 def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) -> HypothesisReport:
     """Full hypothesis check: constants, coercivity, rho < 1, delta.
 
-    ``claimed`` optionally maps constant names to user-declared bounds; a
-    sampled value exceeding its declared bound is flagged (informational,
-    never a pass/fail input).
+    ``claimed`` optionally maps sampled constants' names to user-declared
+    bounds; a sampled value exceeding its declared bound is flagged
+    (informational, never a pass/fail input).
     """
-    consts = estimate_constants(spec, dom)
-    monotone, mu_est, liminf = check_coercivity(spec.S, spec.K, spec.anchor_u0, dom)
-    rho = compute_rho(consts["L_F"], spec.T, spec.q)
-    coercive_ok = monotone and (liminf > 0.0)
-    eta_s = compute_eta_s(spec.S, spec.anchor_u0, mu_est) if mu_est > 0.0 else math.inf
-    verdicts = {
-        "A1_lipschitz_field": {"pass": math.isfinite(consts["L_F"]), "L_F": consts["L_F"]},
-        "A2_measurability": {
-            "pass": True,
-            "note": "field data are continuous expressions of (t, y); measurable by construction",
-        },
-        "A3_field_bound": {"pass": math.isfinite(consts["p_sup"]), "p_sup": consts["p_sup"]},
-        "A4_g_bound": {"pass": math.isfinite(consts["eta_g"]), "eta_g": consts["eta_g"]},
-        "A5_Q_bound": {"pass": math.isfinite(consts["eta_Q"]), "eta_Q": consts["eta_Q"]},
-        "A6_coercivity": {
-            "pass": bool(coercive_ok),
-            "monotone": bool(monotone),
-            "mu": mu_est,
-            "liminf_quotient": liminf,
-        },
-        "contraction": {"pass": bool(rho < 1.0), "rho": rho},
+    sampled = estimate_constants(spec, dom)
+    witnesses = sampled.pop("witnesses")
+    monotone, mu, liminf = check_coercivity(spec.S, spec.K, spec.anchor_u0, dom)
+    eta_s = compute_eta_s(spec.S, spec.anchor_u0, mu) if mu > 0.0 else math.inf
+    c = {**sampled, "mu": mu, "coercive_liminf": liminf, "eta_S": eta_s}
+    rho = compute_rho(c["L_F"], spec.T, spec.q)
+    verdicts = {v: {"pass": math.isfinite(c[name]), name: c[name]} for v, name in _BOUND_VERDICTS.items()}
+    verdicts["A2_measurability"] = {
+        "pass": True,
+        "note": "field data are continuous expressions of (t, y); measurable by construction",
     }
-    overall = all(v["pass"] for v in verdicts.values())
+    verdicts["A6_coercivity"] = {
+        "pass": bool(monotone and liminf > 0.0),
+        "monotone": bool(monotone),
+        "mu": mu,
+        "liminf_quotient": liminf,
+    }
+    verdicts["contraction"] = {"pass": bool(rho < 1.0), "rho": rho}
     delta = None
     if rho < 1.0 and math.isfinite(eta_s):
         delta = compute_delta(
-            consts["M0"], consts["eta_g"], eta_s, consts["eta_Q"],
-            consts["M1"], consts["M2"], spec.T, spec.q, rho,
+            c["M0"], c["eta_g"], c["eta_S"], c["eta_Q"], c["M1"], c["M2"], spec.T, spec.q, rho,
         )
-    flags: list[str] = []
-    name_map = {
-        "L_F": consts["L_F"], "p_sup": consts["p_sup"], "eta_g": consts["eta_g"],
-        "eta_Q": consts["eta_Q"], "M1": consts["M1"], "M2": consts["M2"], "M0": consts["M0"],
-    }
-    for name, declared in (claimed or {}).items():
-        sampled = name_map.get(name)
-        if sampled is not None and sampled > declared * (1.0 + 1e-9) + 1e-12:
-            flags.append(
-                f"sampled {name} = {sampled:.6g} exceeds the declared bound {declared:.6g}"
-            )
+    flags = [
+        f"sampled {name} = {sampled[name]:.6g} exceeds the declared bound {declared:.6g}"
+        for name, declared in (claimed or {}).items()
+        if name in sampled and sampled[name] > declared * (1.0 + 1e-9) + 1e-12
+    ]
     return HypothesisReport(
-        L_F_est=consts["L_F"], p_sup=consts["p_sup"], eta_g=consts["eta_g"],
-        eta_Q=consts["eta_Q"], mu_est=mu_est, coercive_liminf_est=liminf,
-        M1=consts["M1"], M2=consts["M2"], M0=consts["M0"], eta_S=eta_s,
-        rho=rho, delta=delta, verdicts=verdicts, overall_pass=bool(overall),
-        witnesses=consts["witnesses"], flags=flags,
+        constants=c, rho=rho, delta=delta, verdicts=verdicts,
+        overall_pass=all(v["pass"] for v in verdicts.values()),
+        witnesses=witnesses, flags=flags,
         sampling={
             "seed": dom.seed, "t_samples": dom.t_samples, "y_samples": dom.y_samples,
             "pair_samples": dom.pair_samples,

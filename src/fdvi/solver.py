@@ -10,16 +10,13 @@ iterates the composed operator from y = 0, with f chosen by a constant
 selection policy from the field's alpha-level and u solved from the
 variational inequality at all nodes in one batched solve.  Convergence is
 monitored empirically: the fuzzy part is a set-valued contraction when
-rho = 2 L_F T^q / Gamma(q+1) is below one, and the solver warns when its
-sampled rho estimate is not.
+rho = 2 L_F T^q / Gamma(q+1) is below one (fdvi.hypotheses estimates it).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +108,6 @@ def nearest_selection(spec: ProblemSpec, f1: GridFunction, y2: GridFunction) -> 
     return GridFunction(f1.grid, np.clip(f1.values, lo, hi))
 
 
-def _estimate_rho(spec: ProblemSpec, samples: int = 2048, seed: int = 0) -> float:
-    """Cheap sampled contraction constant, used only for the pre-solve warning."""
-    from .hypotheses import compute_rho, estimate_field_lipschitz  # local import to avoid a cycle
-
-    box_lo = np.full(spec.n, -5.0)
-    box_hi = np.full(spec.n, 5.0)
-    lf = estimate_field_lipschitz(spec.field, box_lo, box_hi, spec.T, pairs=samples, seed=seed, polish=False)
-    return compute_rho(lf, spec.T, spec.q)
-
-
 @dataclass
 class SolutionBundle:
     """Converged trajectories plus certificates.
@@ -147,11 +134,6 @@ class SolutionBundle:
         )
         values = np.hstack([self.y.values, self.u.values, self.f.values])
         GridFunction(self.y.grid, values).to_csv(path, columns)
-
-    def write_diagnostics(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.diagnostics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
@@ -181,7 +163,6 @@ def picard_solve(
     spec: ProblemSpec,
     cfg: SolverConfig | None = None,
     policy: SelectionPolicy | None = None,
-    warn_on_rho: bool = True,
 ) -> SolutionBundle:
     """Iterate the discrete mild operator to a fixed point.
 
@@ -192,14 +173,6 @@ def picard_solve(
     """
     cfg = cfg or SolverConfig()
     policy = policy or SelectionPolicy.constant(0.0, spec.n)
-    if warn_on_rho:
-        rho = _estimate_rho(spec)
-        if rho >= 1.0:
-            warnings.warn(
-                f"sampled contraction constant rho = {rho:.4g} >= 1; "
-                "the fuzzy part may not contract and the sweep may diverge",
-                stacklevel=2,
-            )
     grid = UniformGrid(spec.T, cfg.N)
     if cfg.y0 is None:
         y = GridFunction.zeros(grid, spec.n)
@@ -296,7 +269,6 @@ def solve_band(
     cfg: SolverConfig,
     alphas,
     lambdas,
-    warn_on_rho: bool = False,
 ) -> list[BandRun]:
     """One solve per (alpha, lambda) pair; failures are captured per run."""
     runs: list[BandRun] = []
@@ -305,7 +277,7 @@ def solve_band(
         for lam in lambdas:
             policy = SelectionPolicy(np.broadcast_to(np.atleast_1d(np.asarray(lam, dtype=float)), (spec.n,)).copy())
             try:
-                bundle = picard_solve(spec_a, cfg, policy, warn_on_rho=warn_on_rho)
+                bundle = picard_solve(spec_a, cfg, policy)
                 runs.append(BandRun(float(alpha), policy.lam, bundle, None))
             except Exception as exc:  # per-run status, partial results are useful
                 runs.append(BandRun(float(alpha), policy.lam, None, f"{type(exc).__name__}: {exc}"))

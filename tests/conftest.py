@@ -21,7 +21,7 @@ def example_spec(example_problem):
 def _solve(spec, n_nodes):
     cfg = SolverConfig(N=n_nodes)
     policy = SelectionPolicy.constant(0.0, spec.n)
-    return picard_solve(spec, cfg, policy, warn_on_rho=False)
+    return picard_solve(spec, cfg, policy)
 
 
 @pytest.fixture(scope="session")

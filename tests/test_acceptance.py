@@ -139,19 +139,20 @@ def test_criterion_07_hypothesis_report(example_problem, solved):
     problem = example_problem
     report_obj = verify(problem.spec, problem.sampling, claimed=problem.claimed)
     checks = {
-        "L_F in [0.45, 0.51]": 0.45 <= report_obj.L_F_est <= 0.51,
-        "M1 = 1.2 +- 1e-6": abs(report_obj.M1 - 1.2) <= 1e-6,
-        "M2 = 0.9 +- 1e-6": abs(report_obj.M2 - 0.9) <= 1e-6,
-        "mu = 3": abs(report_obj.mu_est - 3.0) <= 1e-12,
-        "coercive quotient -> 3": abs(report_obj.coercive_liminf_est - 3.0) <= 1e-9,
+        "L_F in [0.45, 0.51]": 0.45 <= report_obj.constants["L_F"] <= 0.51,
+        "M1 = 1.2 +- 1e-6": abs(report_obj.constants["M1"] - 1.2) <= 1e-6,
+        "M2 = 0.9 +- 1e-6": abs(report_obj.constants["M2"] - 0.9) <= 1e-6,
+        "mu = 3": abs(report_obj.constants["mu"] - 3.0) <= 1e-12,
+        "coercive quotient -> 3": abs(report_obj.constants["coercive_liminf"] - 3.0) <= 1e-9,
         "overall pass": report_obj.overall_pass,
-        "eta_Q reported ~ 9.25": 9.0 <= report_obj.eta_Q <= 5 * math.pi / 2 + 1.4 + 1e-9,
+        "eta_Q reported ~ 9.25": 9.0 <= report_obj.constants["eta_Q"] <= 5 * math.pi / 2 + 1.4 + 1e-9,
         "eta_Q deviation flagged": any("eta_Q" in f for f in report_obj.flags),
         "||y||_sup <= delta": solved(1000).y.sup_norm2() <= report_obj.delta,
     }
     report(7, "hypothesis report", all(checks.values()),
            "; ".join(k for k, v in checks.items() if not v) or
-           f"L_F={report_obj.L_F_est:.4f}, eta_Q={report_obj.eta_Q:.3f}, delta={report_obj.delta:.2f}")
+           f"L_F={report_obj.constants['L_F']:.4f}, eta_Q={report_obj.constants['eta_Q']:.3f}, "
+           f"delta={report_obj.delta:.2f}")
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from fdvi.cli import main
 from fdvi.config import apply_overrides, build_problem, example_config, load_config
 from fdvi.errors import ConfigError
-from fdvi.solver import read_solution_csv
+from fdvi.solver import SolutionBundle, read_solution_csv
 
 
 @pytest.fixture()
@@ -158,6 +158,29 @@ def test_cli_solve_blowup_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_cli_solve_and_band_warn_on_sampled_rho(tmp_path, config_path):
+    # the field is flat on [-5, 5] and steep beyond it, so only an estimate
+    # over the configured sampling box ([-1000, 1000]) sees rho = 1.19 >= 1
+    args = ["--config", config_path, "--override", "fuzzy.0.scale=3*max(y1 - 5, 0)"]
+    with pytest.warns(UserWarning, match=r"rho = 1\.1\d* >= 1"):
+        assert main(["solve", "--out", str(tmp_path / "solve"), *args]) == 0
+    with pytest.warns(UserWarning, match=r"rho = 1\.1\d* >= 1"):
+        assert main(["band", "--out", str(tmp_path / "band"), "--alpha", "1", "--lambda=0", *args]) == 0
+
+
+def test_cli_failed_write_leaves_no_temp_file(tmp_path, config_path, monkeypatch):
+    def failing_write(self, path):
+        with open(path, "w") as fh:
+            fh.write("t,y1\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(SolutionBundle, "write_csv", failing_write)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk full"):
+        main(["solve", "--config", config_path, "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
 def test_cli_verify_pass_and_fail(tmp_path, config_path):
     report_path = tmp_path / "report.json"
     rc = main(["verify", "--config", config_path, "--out", str(report_path)])
@@ -185,6 +208,30 @@ def test_cli_verify_creates_report_directory(tmp_path, config_path):
     rc = main(["verify", "--config", config_path, "--out", str(report_path)])
     assert rc == 0
     assert json.loads(report_path.read_text())["overall_pass"]
+
+
+def test_cli_verify_report_layout(tmp_path, config_path):
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", config_path, "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert set(report) == {"constants", "rho", "delta", "expected_sup_norm_bound", "verdicts",
+                           "overall_pass", "witnesses", "flags", "sampling", "norms"}
+    sampled = {"p_sup", "eta_g", "eta_Q", "M1", "M2"}
+    assert set(report["constants"]) == sampled | {"L_F", "M0", "mu", "coercive_liminf", "eta_S"}
+    assert set(report["witnesses"]) == sampled | {"M0"}
+    assert all(set(report["witnesses"][name]) == {"t", "y"} for name in sampled)
+    assert set(report["witnesses"]["M0"]) == {"t"}
+    assert {name: set(v) for name, v in report["verdicts"].items()} == {
+        "A1_lipschitz_field": {"pass", "L_F"},
+        "A2_measurability": {"pass", "note"},
+        "A3_field_bound": {"pass", "p_sup"},
+        "A4_g_bound": {"pass", "eta_g"},
+        "A5_Q_bound": {"pass", "eta_Q"},
+        "A6_coercivity": {"pass", "monotone", "mu", "liminf_quotient"},
+        "contraction": {"pass", "rho"},
+    }
+    assert set(report["norms"]) == {"L_F", "p_sup", "M0", "M1", "M2", "eta_g", "eta_Q", "mu",
+                                    "coercive_quotient"}
 
 
 def test_cli_band(tmp_path, config_path):

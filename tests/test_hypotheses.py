@@ -216,15 +216,15 @@ def test_verify_example_passes(example_spec):
     report = verify(example_spec, small_domain(), claimed={"eta_Q": 5 * math.pi / 2})
     assert report.overall_pass
     assert report.rho == pytest.approx(0.3953, abs=5e-4)
-    assert report.mu_est == pytest.approx(3.0)
-    assert report.coercive_liminf_est == pytest.approx(3.0, abs=1e-9)
-    assert report.eta_S == pytest.approx(1.0 / 3.0)
+    assert report.constants["mu"] == pytest.approx(3.0)
+    assert report.constants["coercive_liminf"] == pytest.approx(3.0, abs=1e-9)
+    assert report.constants["eta_S"] == pytest.approx(1.0 / 3.0)
     assert report.delta is not None and report.delta > 0
-    assert report.rho == pytest.approx(compute_rho(report.L_F_est, 0.7, 1.6), rel=1e-14)
+    assert report.rho == pytest.approx(compute_rho(report.constants["L_F"], 0.7, 1.6), rel=1e-14)
     assert any("eta_Q" in f for f in report.flags)
     # delta recomputable from the report fields
-    byhand = compute_delta(report.M0, report.eta_g, report.eta_S, report.eta_Q,
-                           report.M1, report.M2, 0.7, 1.6, report.rho)
+    c = report.constants
+    byhand = compute_delta(c["M0"], c["eta_g"], c["eta_S"], c["eta_Q"], c["M1"], c["M2"], 0.7, 1.6, report.rho)
     assert report.delta == pytest.approx(byhand, rel=1e-14)
 
 

@@ -224,7 +224,7 @@ def test_nearest_selection_random_property(example_problem):
 
 def test_picard_constant_case_two_sweeps():
     spec = scalar_spec(c1="0.3", c2="0.8")
-    bundle = picard_solve(spec, SolverConfig(N=64, picard_tol=1e-12), warn_on_rho=False)
+    bundle = picard_solve(spec, SolverConfig(N=64, picard_tol=1e-12))
     assert bundle.diagnostics["iterations"] <= 2
     grid = bundle.y.grid
     assert np.allclose(bundle.y.values[:, 0], 0.21 + 0.5 * grid.nodes, atol=1e-13)
@@ -252,7 +252,7 @@ def test_picard_divergence_raises_with_history():
     # c1 feedback with slope 6: the sweep map's dominant eigenvalue is ~ 6 T / 2 > 1
     spec = scalar_spec(c1="6*y1", c2="0")
     with pytest.raises(MaxPicardExceeded) as err:
-        picard_solve(spec, SolverConfig(N=32, max_picard=40, y0=np.array([1.0])), warn_on_rho=False)
+        picard_solve(spec, SolverConfig(N=32, max_picard=40, y0=np.array([1.0])))
     assert len(err.value.residual_history) == 40
     assert err.value.residual_history[-1] > err.value.residual_history[5]
 
@@ -268,7 +268,7 @@ def test_picard_nonfinite_blowup_detected():
     # checks that the overflow arrives as a typed error, not a numpy warning.
     spec = scalar_spec(c1="y1*y1", c2="0")
     with pytest.raises(NonfiniteValue) as err:
-        picard_solve(spec, SolverConfig(N=16, max_picard=60, y0=np.array([4.0])), warn_on_rho=False)
+        picard_solve(spec, SolverConfig(N=16, max_picard=60, y0=np.array([4.0])))
     assert err.value.iteration > 1
 
 
@@ -277,7 +277,7 @@ def test_picard_overflow_outside_expressions_detected():
     # y1^2 = 1.69e308 is still finite; the c1 trapezoid sum is the first overflow
     spec = scalar_spec(c1="y1*y1", c2="0")
     with pytest.raises(NonfiniteValue) as err:
-        picard_solve(spec, SolverConfig(N=16, max_picard=5, y0=np.array([1.3e154])), warn_on_rho=False)
+        picard_solve(spec, SolverConfig(N=16, max_picard=5, y0=np.array([1.3e154])))
     assert isinstance(err.value.__cause__, FloatingPointError)
 
 
@@ -285,16 +285,7 @@ def test_picard_domain_error_propagates():
     # a domain violation is not a blow-up: log(0) at the zero start surfaces as is
     spec = scalar_spec(c1="log(y1)", c2="0")
     with pytest.raises(EvalDomainError, match="log"):
-        picard_solve(spec, SolverConfig(N=16, max_picard=5), warn_on_rho=False)
-
-
-def test_picard_rho_warning():
-    spec = scalar_spec(scale="10*cos(y1)", c1="0.1", c2="0.1", alpha=0.0)
-    with pytest.warns(UserWarning, match="rho"):
-        try:
-            picard_solve(spec, SolverConfig(N=32, max_picard=3))
-        except MaxPicardExceeded:
-            pass
+        picard_solve(spec, SolverConfig(N=16, max_picard=5))
 
 
 def test_solution_csv_round_trip(tmp_path, solved):
@@ -317,8 +308,7 @@ def test_band_empty_alphas(example_spec):
 def test_band_singleton_matches_solve(example_spec):
     runs = solve_band(example_spec, SolverConfig(N=200), [1.0], [0.0])
     assert len(runs) == 1 and runs[0].ok
-    direct = picard_solve(example_spec, SolverConfig(N=200), SelectionPolicy.constant(0.0, 1),
-                          warn_on_rho=False)
+    direct = picard_solve(example_spec, SolverConfig(N=200), SelectionPolicy.constant(0.0, 1))
     assert np.array_equal(runs[0].bundle.y.values, direct.y.values)
 
 
