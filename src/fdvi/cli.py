@@ -46,13 +46,18 @@ EXIT_HYPOTHESIS = 3
 def _atomic_write(path: str, write) -> None:
     """Call write(tmp_path) on a temporary file next to path, then move it into place.
 
-    The temporary file is removed if the write or the move fails.
+    The file gets the mode a plain open() would give it under the current
+    umask (mkstemp creates it owner-only).  The temporary file is removed
+    if the write or the move fails.
     """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-",
                                suffix=os.path.basename(path))
     os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         write(tmp)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

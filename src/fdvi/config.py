@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, ExprError
 from .expr import Expression, parse
 from .fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber
-from .hypotheses import SamplingDomain
+from .hypotheses import SAMPLED_CONSTANTS, SamplingDomain
 from .problem import ProblemSpec, SelectionPolicy, SolverConfig
 from .vi import AffineOperator, BoxSet
 
@@ -280,6 +280,7 @@ def build_problem(doc: dict) -> LoadedProblem:
     claimed_doc = doc.get("claimed", {})
     if not isinstance(claimed_doc, dict):
         raise ConfigError("/claimed", "expected an object of name -> bound")
+    _no_unknown(claimed_doc, SAMPLED_CONSTANTS, "/claimed")
     claimed = {k: _number(v, f"/claimed/{k}") for k, v in claimed_doc.items()}
 
     try:

@@ -11,7 +11,9 @@ closed form is exact.  The Euclidean Hausdorff differs by at most a
 factor sqrt(n); they coincide for scalar problems.  The fuzzy metric,
 the sup over alpha of that distance between alpha-levels, is exact too:
 level endpoints are affine in alpha, so the sup sits at alpha = 0 or 1.
-FuzzyBoxField.level_arrays is the one vectorised level-endpoint formula.
+FuzzyBoxField.levels is the one vectorised level-endpoint formula; it
+takes the scale/offset coefficients that FuzzyBoxField.coefficients
+evaluates once per state, and level_arrays composes the two.
 """
 
 from __future__ import annotations
@@ -166,24 +168,38 @@ class FuzzyBoxField:
     def level(self, t: float, y, alpha: float) -> Box:
         return self.at(t, y).level(alpha)
 
-    def level_arrays(self, ts, ys, alpha: float):
-        """Vectorized levels over grid nodes: returns (lo, hi) of shape (k, n)."""
-        _check_alpha(alpha)
+    def coefficients(self, ts, ys):
+        """Each component's scale e and offset d at the nodes, evaluated once.
+
+        ts broadcasts against the leading axes of ys (shape (..., n)); the
+        result is two arrays of the broadcast shape plus a trailing axis n.
+        """
         ts = np.asarray(ts, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        k = ts.shape[0]
-        n = self.dim
-        lo = np.empty((k, n))
-        hi = np.empty((k, n))
+        shape = np.broadcast_shapes(ts.shape, ys.shape[:-1]) + (self.dim,)
+        e = np.empty(shape)
+        d = np.empty(shape)
         for i, comp in enumerate(self.components):
-            iv = comp.base.level(alpha)
-            e = np.broadcast_to(np.asarray(evaluate(comp.scale, ts, ys), dtype=float), (k,))
-            d = np.broadcast_to(np.asarray(evaluate(comp.offset, ts, ys), dtype=float), (k,))
-            p = d + e * iv.lo
-            r = d + e * iv.hi
-            lo[:, i] = np.minimum(p, r)
-            hi[:, i] = np.maximum(p, r)
-        return lo, hi
+            e[..., i] = evaluate(comp.scale, ts, ys)
+            d[..., i] = evaluate(comp.offset, ts, ys)
+        return e, d
+
+    def levels(self, e, d, alpha: float):
+        """The alpha-level endpoints d + e * [w_i]_alpha as (lo, hi), shaped like e."""
+        _check_alpha(alpha)
+        ivs = [comp.base.level(alpha) for comp in self.components]
+        # in place, because the verifier's sampling grids are large; same bits as d + e * lo
+        p = e * np.array([iv.lo for iv in ivs])
+        p += d
+        r = e * np.array([iv.hi for iv in ivs])
+        r += d
+        hi = np.maximum(p, r)
+        return np.minimum(p, r, out=p), hi
+
+    def level_arrays(self, ts, ys, alpha: float):
+        """Vectorized levels over nodes: (lo, hi) of shape (k, n) for (k,) times and (k, n) states."""
+        _check_alpha(alpha)
+        return self.levels(*self.coefficients(ts, ys), alpha)
 
 
 def field_level(field: FuzzyBoxField, t: float, y, alpha: float) -> Box:

@@ -10,9 +10,12 @@ Norm conventions: the field Lipschitz constant, p, M0, M1, M2 use the
 Euclidean norm; the g and Q bounds use 1-norms (entrywise sum for g),
 matching how such constants are usually tabulated for worked instances.
 The field Lipschitz constant is measured in fuzzy_metric, which is exact
-from the alpha = 0 and alpha = 1 levels: the sampling pass evaluates it
-for all pairs at once through FuzzyBoxField.level_arrays, the polish one
-pair at a time.
+from the alpha = 0 and alpha = 1 levels; _metric_over_pairs evaluates it
+for a batch of pairs from one coefficient pass per state.
+
+Every objective is batch-native.  Sampling evaluates each constant's
+objective over the whole (time, state) grid, in blocks of times; the
+polish evaluates all moves of a pattern-search sweep as one batch.
 """
 
 from __future__ import annotations
@@ -24,12 +27,18 @@ import numpy as np
 
 from .errors import AnchorNotFeasible, DomainError
 from .expr import evaluate
-from .fuzzy import FuzzyBoxField, fuzzy_metric
+from .fuzzy import FuzzyBoxField
+from .fuzzy import fuzzy_metric  # noqa: F401 -- perfbench/tracing.py patches this binding
 from .problem import ProblemSpec
 from .special import gamma
 from .vi import AffineOperator, BoxSet
 
 _MIN_PAIR_DIST = 1e-6
+# Most (time, state) rows one sampling block of estimate_constants evaluates.
+_BLOCK_ROWS = 2**18
+
+# The constants estimate_constants samples: the names a claimed bound may use.
+SAMPLED_CONSTANTS = ("L_F", "p_sup", "eta_g", "eta_Q", "M0", "M1", "M2")
 
 
 def _stream(seed: int, idx: int) -> np.random.Generator:
@@ -66,19 +75,35 @@ class SamplingDomain:
 
 
 def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps: int = 80):
-    """Deterministic coordinate pattern search; fn may return -inf to veto a point."""
+    """Deterministic coordinate pattern search; fn maps (k, d) points to (k,) values.
+
+    A sweep tries the moves +step_i, -step_i for each coordinate i in turn
+    and accepts each one that beats the best value so far.  The moves are
+    evaluated as one batch from the current point; after an accepted move
+    the remaining ones are re-batched from the new point, so the search
+    path is exactly that of trying the moves one at a time.  fn may return
+    -inf to veto a point.
+    """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    best = fn(x)
+    best = float(fn(x[None])[0])
     step = (hi - lo) / 8.0
+    axis = np.repeat(np.arange(x.shape[0]), 2)  # move m changes coordinate axis[m]
+    sign = np.tile([1.0, -1.0], x.shape[0])
     for _ in range(sweeps):
         improved = False
-        for i in range(x.shape[0]):
-            for sgn in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] = min(max(trial[i] + sgn * step[i], lo[i]), hi[i])
-                val = fn(trial)
-                if val > best:
-                    best, x, improved = val, trial, True
+        first = 0
+        while first < axis.shape[0]:
+            ax = axis[first:]
+            trials = np.repeat(x[None], ax.shape[0], axis=0)
+            trials[np.arange(ax.shape[0]), ax] = np.minimum(
+                np.maximum(x[ax] + sign[first:] * step[ax], lo[ax]), hi[ax])
+            vals = fn(trials)
+            better = np.flatnonzero(vals > best)
+            if better.size == 0:
+                break
+            k = int(better[0])
+            best, x, improved = float(vals[k]), trials[k], True
+            first += k + 1
         if not improved:
             step *= 0.5
             if np.max(step) < 1e-14 * max(1.0, float(np.max(hi - lo))):
@@ -95,12 +120,15 @@ def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.
 def _metric_over_pairs(field: FuzzyBoxField, ts, y1s, y2s) -> np.ndarray:
     """Vectorized fuzzy_metric between the field values at two states.
 
-    The sup over levels is attained at alpha = 0 or 1 (see fuzzy_metric).
+    The sup over levels is attained at alpha = 0 or 1 (see fuzzy_metric);
+    both levels come from one coefficient evaluation per state.
     """
+    e1, d1 = field.coefficients(ts, y1s)
+    e2, d2 = field.coefficients(ts, y2s)
     out = np.zeros(ts.shape[0])
     for alpha in (0.0, 1.0):
-        lo1, hi1 = field.level_arrays(ts, y1s, alpha)
-        lo2, hi2 = field.level_arrays(ts, y2s, alpha)
+        lo1, hi1 = field.levels(e1, d1, alpha)
+        lo2, hi2 = field.levels(e2, d2, alpha)
         out = np.maximum(out, np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2)), axis=1))
     return out
 
@@ -130,6 +158,7 @@ def estimate_field_lipschitz(
     rmax = 0.5 * float(np.max(hi - lo))
     radii = np.exp(rng.uniform(math.log(1e-5), math.log(max(rmax, 2e-5)), size=pairs))
     y2 = np.clip(y1 + radii[:, None] * dirs, lo, hi)
+    del dirs, radii  # keep them out of the metric's peak memory
     ts = np.concatenate(([0.0, t_horizon], rng.uniform(0.0, t_horizon, size=pairs - 2)))
     dist = np.linalg.norm(y1 - y2, axis=1)
     mask = dist >= _MIN_PAIR_DIST
@@ -142,14 +171,14 @@ def estimate_field_lipschitz(
     if not polish:
         return best
 
-    def objective(x: np.ndarray) -> float:
-        t = x[0]
-        a = x[1 : 1 + n]
-        b = x[1 + n :]
-        d = float(np.linalg.norm(a - b))
-        if d < _MIN_PAIR_DIST:
-            return -math.inf
-        return fuzzy_metric(field.at(t, a), field.at(t, b)) / d
+    def objective(x: np.ndarray) -> np.ndarray:
+        """The quotient at rows (t, y1, y2) of x; -inf where y1 and y2 nearly coincide."""
+        a, b = x[:, 1 : 1 + n], x[:, 1 + n :]
+        d = np.linalg.norm(a - b, axis=1)
+        ok = d >= _MIN_PAIR_DIST
+        out = np.full(x.shape[0], -math.inf)
+        out[ok] = _metric_over_pairs(field, x[ok, 0], a[ok], b[ok]) / d[ok]
+        return out
 
     x0 = np.concatenate(([ts[best_idx]], y1[best_idx], y2[best_idx]))
     plo = np.concatenate(([0.0], lo, lo))
@@ -158,24 +187,42 @@ def estimate_field_lipschitz(
     return max(best, polished)
 
 
-def _row_sum(exprs, t: float, batch: np.ndarray, fn) -> np.ndarray:
-    """Sum over exprs of fn(expr at (t, each state of the batch)), left to right.
+def _row_sum(exprs, ts, ys, fn) -> np.ndarray:
+    """Sum over exprs of fn(expr at (ts, ys)), left to right, in their broadcast shape.
 
     np.sum reassociates, and the report's constants are written at full
     precision, so the summation order is fixed here.
     """
-    acc = np.zeros(batch.shape[0])
+    acc = np.zeros(np.broadcast_shapes(np.shape(ts), ys.shape[:-1]))
     for e in exprs:
-        acc += fn(np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), acc.shape))
+        acc += fn(evaluate(e, ts, ys))
     return acc
+
+
+def _grid_max(fn, ts: np.ndarray, states: np.ndarray):
+    """(value, t, state) of the first maximum of fn over times x states in (time, state) order.
+
+    fn maps (k, 1) times and (s, n) states to (k, s) values; times go in
+    blocks of at most _BLOCK_ROWS grid rows.
+    """
+    per_block = max(1, _BLOCK_ROWS // states.shape[0])
+    best, wt, wy = -math.inf, 0.0, states[0]
+    for start in range(0, ts.shape[0], per_block):
+        block = ts[start : start + per_block]
+        vals = fn(block[:, None], states)
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, j] > best:
+            best, wt, wy = float(vals[i, j]), float(block[i]), states[j]
+    return best, wt, wy
 
 
 def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     """Sampled suprema for the hypotheses' constants, keyed by their report names.
 
     Each constant but L_F is the max of its objective over the sampled
-    (t, state) points, refined by pattern search from the best one, with
-    the point where it is attained kept in "witnesses".
+    (t, state) grid, refined by pattern search from the first point where
+    it is attained, with the point where it is attained kept in
+    "witnesses".
     """
     if dom.dim != spec.n:
         raise DomainError(f"sampling box has dimension {dom.dim}, problem n = {spec.n}")
@@ -183,19 +230,20 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     ts = _sample_times(spec.T, dom.t_samples, _stream(dom.seed, 1))
     ys = lo + (hi - lo) * _stream(dom.seed, 2).random((dom.y_samples, spec.n))
 
-    def field_norm(t, batch):
+    def field_norm(t, states):
         """||F(t,y)|| as the Euclidean norm of the farthest support corner."""
-        f_lo, f_hi = spec.field.level_arrays(np.full(batch.shape[0], t), batch, 0.0)
-        return np.linalg.norm(np.maximum(np.abs(f_lo), np.abs(f_hi)), axis=1)
+        f_lo, f_hi = spec.field.level_arrays(t, states, 0.0)
+        return np.linalg.norm(np.maximum(np.abs(f_lo), np.abs(f_hi)), axis=-1)
 
     def abs_sum(exprs):
-        return lambda t, batch: _row_sum(exprs, t, batch, np.abs)
+        return lambda t, states: _row_sum(exprs, t, states, np.abs)
 
     def c_norm(exprs):
-        return lambda t, batch: np.sqrt(_row_sum(exprs, t, batch, np.square))
+        return lambda t, states: np.sqrt(_row_sum(exprs, t, states, np.square))
 
-    # name -> (objective of (scalar t, (k, n) states) -> (k,), sampled states,
-    # polish box); without a box the state stays put and the witness is a time
+    # name -> (objective of times and (..., n) states, broadcast together,
+    # sampled states, polish box); without a box the state stays put and
+    # the witness is a time
     table = {
         "p_sup": (field_norm, ys, (lo, hi)),
         "eta_g": (abs_sum([e for row in spec.g for e in row]), ys, (lo, hi)),
@@ -206,15 +254,10 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     }
     consts, witnesses = {}, {}
     for name, (fn, states, box) in table.items():
-        best, wt, wy = -math.inf, 0.0, states[0]
-        for t in ts:
-            vals = fn(float(t), states)
-            idx = int(np.argmax(vals))
-            if vals[idx] > best:
-                best, wt, wy = float(vals[idx]), float(t), states[idx]
+        best, wt, wy = _grid_max(fn, ts, states)
         box_lo, box_hi = box or (wy, wy)
         val, arg = _pattern_maximize(
-            lambda x: float(fn(float(x[0]), x[None, 1:])[0]),
+            lambda x: fn(x[:, 0], x[:, 1:]),
             np.concatenate(([wt], wy)),
             np.concatenate(([0.0], box_lo)),
             np.concatenate(([spec.T], box_hi)),
@@ -346,10 +389,13 @@ class HypothesisReport:
 def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) -> HypothesisReport:
     """Full hypothesis check: constants, coercivity, rho < 1, delta.
 
-    ``claimed`` optionally maps sampled constants' names to user-declared
-    bounds; a sampled value exceeding its declared bound is flagged
-    (informational, never a pass/fail input).
+    ``claimed`` optionally maps sampled constants' names (SAMPLED_CONSTANTS)
+    to user-declared bounds; a sampled value exceeding its declared bound is
+    flagged (informational, never a pass/fail input).
     """
+    unknown = sorted(set(claimed or {}) - set(SAMPLED_CONSTANTS))
+    if unknown:
+        raise DomainError(f"claimed bounds name constants that are not sampled: {unknown}")
     sampled = estimate_constants(spec, dom)
     witnesses = sampled.pop("witnesses")
     monotone, mu, liminf = check_coercivity(spec.S, spec.K, spec.anchor_u0, dom)
@@ -376,7 +422,7 @@ def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) 
     flags = [
         f"sampled {name} = {sampled[name]:.6g} exceeds the declared bound {declared:.6g}"
         for name, declared in (claimed or {}).items()
-        if name in sampled and sampled[name] > declared * (1.0 + 1e-9) + 1e-12
+        if sampled[name] > declared * (1.0 + 1e-9) + 1e-12
     ]
     return HypothesisReport(
         constants=c, rho=rho, delta=delta, verdicts=verdicts,

@@ -5,9 +5,12 @@ a name it patches must fail here rather than crash a traced benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import fdvi.hypotheses
+from fdvi.cli import main
+from fdvi.config import example_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +32,24 @@ def test_tracer_resolves_every_patched_name():
     finally:
         tracer.uninstall()
     assert fdvi.hypotheses.fuzzy_metric is original
+
+
+def test_tracer_sees_the_verifier_polish(tmp_path):
+    # the per-layer polish metrics must not read 0 because the spans moved
+    doc = example_config()
+    doc["sampling"].update(t_samples=8, y_samples=256, pair_samples=2000)
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(doc))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()
+    names = [tracer.names[i] for i in spans["name_id"]]
+    assert names.count("hypotheses.verify") == 1
+    # six sampled constants and L_F
+    assert names.count("hypotheses.pattern_maximize") == 7
+    assert names.count("fuzzy.level_arrays") > 0

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -53,6 +55,18 @@ def test_reject_unknown_keys():
     with pytest.raises(ConfigError) as err:
         build_problem(doc)
     assert err.value.pointer == "/solver/speed"
+
+
+def test_reject_claimed_names_that_are_not_sampled(tmp_path):
+    doc = example_config()
+    doc["claimed"] = {"eta_q": 7.85}
+    with pytest.raises(ConfigError) as err:
+        build_problem(doc)
+    assert err.value.pointer == "/claimed/eta_q"
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_reject_dimension_mismatches():
@@ -313,6 +327,22 @@ def test_cli_example_end_to_end(tmp_path):
     band_files = sorted(p.name for p in (out / "band").glob("band_*.csv"))
     assert len(band_files) == 9
     assert (out / "band" / "envelope.csv").exists()
+
+
+def test_cli_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    out = tmp_path / "example"
+    old_umask = os.umask(0o022)
+    try:
+        assert main(["example", "--out", str(out)]) == 0
+        with open(out / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old_umask)
+    plain_mode = stat.S_IMODE((out / "plain.txt").stat().st_mode)
+    assert plain_mode == 0o644
+    written = [p for p in out.rglob("*") if p.is_file() and p.name != "plain.txt"]
+    assert len(written) > 20
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {p.name: plain_mode for p in written}
 
 
 def test_cli_determinism_byte_identical(tmp_path, config_path):

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import fdvi.hypotheses
+from fdvi.config import build_problem, example_config
 from fdvi.errors import AnchorNotFeasible, DomainError
-from fdvi.expr import parse
+from fdvi.expr import evaluate, parse
 from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric
 from fdvi.hypotheses import (
+    SAMPLED_CONSTANTS,
     SamplingDomain,
     _metric_over_pairs,
+    _pattern_maximize,
+    _sample_times,
+    _stream,
     check_coercivity,
     compute_delta,
     compute_eta_s,
@@ -24,6 +30,83 @@ from fdvi.vi import AffineOperator, BoxSet, VIInstance, solve_vi
 def small_domain(seed=20260809, pairs=20_000, y_samples=1024):
     return SamplingDomain(np.array([-8.0]), np.array([8.0]), t_samples=16,
                           y_samples=y_samples, pair_samples=pairs, seed=seed)
+
+
+# --- pattern search -----------------------------------------------------------
+
+
+def one_at_a_time_maximize(fn, x0, lo, hi, sweeps=80):
+    """The pattern search evaluated one move at a time: the oracle for the batched one.
+
+    fn maps (k, d) points to (k,) values and is called on one point at a time.
+    Returns (best, arg, number of fn calls).
+    """
+    calls = 0
+
+    def one(x):
+        nonlocal calls
+        calls += 1
+        return float(fn(x[None])[0])
+
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    best = one(x)
+    step = (hi - lo) / 8.0
+    for _ in range(sweeps):
+        improved = False
+        for i in range(x.shape[0]):
+            for sgn in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] = min(max(trial[i] + sgn * step[i], lo[i]), hi[i])
+                val = one(trial)
+                if val > best:
+                    best, x, improved = val, trial, True
+        if not improved:
+            step *= 0.5
+            if np.max(step) < 1e-14 * max(1.0, float(np.max(hi - lo))):
+                break
+    return best, x, calls
+
+
+def random_objective(rng, d):
+    """A smooth multimodal objective of (k, d) points with a -inf veto half-space."""
+    centre = rng.uniform(-3.0, 3.0, d)
+    weight = rng.uniform(0.2, 2.0, d)
+    freq = rng.uniform(0.5, 4.0, d)
+    veto_dir = rng.standard_normal(d)
+    veto_at = rng.uniform(0.5, 2.0)
+
+    def fn(x):
+        vals = -np.sum(weight * (x - centre) ** 2, axis=1) + np.sum(np.sin(freq * x), axis=1)
+        return np.where(x @ veto_dir > veto_at, -math.inf, vals)
+
+    return fn
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_batched_polish_follows_the_one_at_a_time_path(d):
+    rng = np.random.default_rng(100 + d)
+    saved = total = 0
+    for _ in range(25):
+        fn = random_objective(rng, d)
+        # boxes that often cut the optimum off, starts that often need clipping
+        lo = rng.uniform(-2.5, 0.0, d)
+        hi = lo + rng.uniform(0.1, 3.0, d)
+        x0 = rng.uniform(-3.0, 3.0, d)
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return fn(x)
+
+        best, arg = _pattern_maximize(counted, x0, lo, hi)
+        ref_best, ref_arg, ref_calls = one_at_a_time_maximize(fn, x0, lo, hi)
+        assert best == ref_best
+        assert np.array_equal(arg, ref_arg)
+        assert calls < ref_calls
+        saved += ref_calls - calls
+        total += ref_calls
+    assert saved > total // 3
 
 
 # --- compute_rho -------------------------------------------------------------
@@ -194,6 +277,108 @@ def test_metric_over_pairs_matches_scalar_fuzzy_metric():
     np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-15)
 
 
+def per_time_constants(spec, dom):
+    """estimate_constants without L_F, one sampled time at a time and polished one move at a time."""
+    ts = _sample_times(spec.T, dom.t_samples, _stream(dom.seed, 1))
+    lo, hi = dom.y_box_lo, dom.y_box_hi
+    ys = lo + (hi - lo) * _stream(dom.seed, 2).random((dom.y_samples, spec.n))
+
+    def row_sum(exprs, t, batch, fn):
+        acc = np.zeros(batch.shape[0])
+        for e in exprs:
+            acc += fn(np.broadcast_to(np.asarray(evaluate(e, t, batch), dtype=float), acc.shape))
+        return acc
+
+    def field_norm(t, batch):
+        f_lo, f_hi = spec.field.level_arrays(np.full(batch.shape[0], t), batch, 0.0)
+        return np.linalg.norm(np.maximum(np.abs(f_lo), np.abs(f_hi)), axis=1)
+
+    g = [e for row in spec.g for e in row]
+    table = {
+        "p_sup": (field_norm, ys, True),
+        "eta_g": (lambda t, b: row_sum(g, t, b, np.abs), ys, True),
+        "eta_Q": (lambda t, b: row_sum(spec.Q, t, b, np.abs), ys, True),
+        "M1": (lambda t, b: np.sqrt(row_sum(spec.c1, t, b, np.square)), ys, True),
+        "M2": (lambda t, b: np.sqrt(row_sum(spec.c2, t, b, np.square)), ys, True),
+        "M0": (field_norm, np.zeros((1, spec.n)), False),
+    }
+    consts, witnesses = {}, {}
+    for name, (fn, states, boxed) in table.items():
+        best, wt, wy = -math.inf, 0.0, states[0]
+        for t in ts:
+            vals = fn(float(t), states)
+            idx = int(np.argmax(vals))
+            if vals[idx] > best:
+                best, wt, wy = float(vals[idx]), float(t), states[idx]
+        box_lo, box_hi = (lo, hi) if boxed else (wy, wy)
+        val, arg, _ = one_at_a_time_maximize(
+            lambda x: fn(float(x[0, 0]), x[:, 1:]),
+            np.concatenate(([wt], wy)),
+            np.concatenate(([0.0], box_lo)),
+            np.concatenate(([spec.T], box_hi)),
+        )
+        if val > best:
+            best, wt, wy = val, float(arg[0]), arg[1:]
+        consts[name] = best
+        witnesses[name] = {"t": wt, "y": wy.tolist()} if boxed else {"t": wt}
+    return consts, witnesses
+
+
+def _two_dim_problem():
+    doc = example_config()
+    doc.update({
+        "q": 1.7, "T": 0.9, "n": 2,
+        "fuzzy": [
+            {"type": "trapezoidal", "a": -0.6, "b": -0.1, "c": 0.2, "d": 0.7,
+             "scale": "0.5 + 0.3*y2", "offset": "0.2*t*y1"},
+            {"type": "triangular", "a": -0.5, "b": 0.1, "c": 0.5,
+             "scale": "sin(y1)", "offset": "0.1*y2"},
+        ],
+        "g": [["1 + 0.5*sin(t)", "0.3*cos(y2)"], ["-0.7*y1/(1 + y1^2)", "exp(-t)"]],
+        "Q": ["atan(y1) - y2/(1 + abs(y2))", "2 + cos(t*y1)"],
+        "c1": ["0.5*sin(y1)", "0.2*cos(y2)"],
+        "c2": ["0.3*y1/(1 + abs(y1))", "0.4*sin(y2)"],
+        "sampling": {"y_box": {"lo": [-3.0, -2.0], "hi": [3.0, 2.5]}},
+        "selection": {"lambda": [0.3, -0.6]},
+        "claimed": {},
+    })
+    return build_problem(doc).spec
+
+
+def _constant_q_problem():
+    doc = example_config()
+    doc["Q"] = ["2", "-1"]
+    return build_problem(doc).spec
+
+
+@pytest.mark.parametrize("case", ["example", "two_dim", "constant_Q", "two_blocks"])
+def test_blocked_sampling_matches_per_time_loop(case, example_problem):
+    spec, dom = example_problem.spec, example_problem.sampling
+    if case == "two_dim":
+        spec = _two_dim_problem()
+        dom = SamplingDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.5]), t_samples=24,
+                             y_samples=900, pair_samples=2000, seed=5)
+    elif case == "constant_Q":
+        spec = _constant_q_problem()
+    dom = SamplingDomain(dom.y_box_lo, dom.y_box_hi, t_samples=dom.t_samples, y_samples=dom.y_samples,
+                         pair_samples=2000, seed=dom.seed)
+    if case == "two_blocks":
+        dom = SamplingDomain(dom.y_box_lo, dom.y_box_hi, t_samples=70, y_samples=5000,
+                             pair_samples=2000, seed=dom.seed)
+        assert 70 * 5000 > fdvi.hypotheses._BLOCK_ROWS
+    consts = estimate_constants(spec, dom)
+    witnesses = consts.pop("witnesses")
+    ref_consts, ref_witnesses = per_time_constants(spec, dom)
+    assert set(consts) == set(SAMPLED_CONSTANTS)
+    assert {k: v for k, v in consts.items() if k != "L_F"} == ref_consts
+    assert witnesses == ref_witnesses
+    if case == "constant_Q":
+        # every point ties: the witness is the first time and the first state
+        ys = dom.y_box_lo + (dom.y_box_hi - dom.y_box_lo) * _stream(dom.seed, 2).random((dom.y_samples, 1))
+        assert witnesses["eta_Q"] == {"t": 0.0, "y": ys[0].tolist()}
+        assert consts["eta_Q"] == 3.0
+
+
 def test_lipschitz_estimate_never_exceeds_true_constant(example_spec):
     # quotients of |cos| scaled by 0.5 can never exceed 0.5
     val = estimate_field_lipschitz(example_spec.field, [-8.0], [8.0], 0.7, pairs=5000, seed=1)
@@ -226,6 +411,11 @@ def test_verify_example_passes(example_spec):
     c = report.constants
     byhand = compute_delta(c["M0"], c["eta_g"], c["eta_S"], c["eta_Q"], c["M1"], c["M2"], 0.7, 1.6, report.rho)
     assert report.delta == pytest.approx(byhand, rel=1e-14)
+
+
+def test_verify_rejects_claimed_names_it_does_not_sample(example_spec):
+    with pytest.raises(DomainError, match="eta_q"):
+        verify(example_spec, small_domain(pairs=2000, y_samples=64), claimed={"eta_q": 1.0})
 
 
 def test_verify_inflated_horizon_fails_contraction(example_spec):
