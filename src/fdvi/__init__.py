@@ -24,7 +24,6 @@ from .fuzzy import (
     FuzzyIntervalNumber,
     Interval,
     clamp_to_box,
-    field_level,
     fuzzy_metric,
     hausdorff,
     select,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -90,6 +91,8 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise ConfigError("/", f"bad {what} list {text!r}: {exc}") from exc
     if not items:
         raise ConfigError("/", f"{what} list must not be empty")
+    if any(math.isnan(x) for x in items):
+        raise ConfigError("/", f"{what} list {text!r} contains NaN")
     return items
 
 
@@ -106,16 +109,19 @@ def _warn_if_rho_large(problem: LoadedProblem) -> None:
         )
 
 
-def cmd_solve(args) -> int:
-    problem = _load(args)
+def _solve(problem: LoadedProblem, out_dir: str) -> int:
     _warn_if_rho_large(problem)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     bundle = picard_solve(problem.spec, problem.solver, problem.selection)
-    _write_bundle(bundle, args.out, "solution")
+    _write_bundle(bundle, out_dir, "solution")
     print(f"converged in {bundle.diagnostics['iterations']} sweeps; "
           f"final residual {bundle.diagnostics['final_residual']:.3e}")
-    print(f"wrote {os.path.join(args.out, 'solution.csv')}")
+    print(f"wrote {os.path.join(out_dir, 'solution.csv')}")
     return EXIT_OK
+
+
+def cmd_solve(args) -> int:
+    return _solve(_load(args), args.out)
 
 
 def _band_stem(alpha: float, lam: float) -> str:
@@ -123,6 +129,7 @@ def _band_stem(alpha: float, lam: float) -> str:
 
 
 def _run_band(problem: LoadedProblem, alphas, lambdas, out_dir: str) -> int:
+    os.makedirs(out_dir, exist_ok=True)
     runs = solve_band(problem.spec, problem.solver, alphas, lambdas)
     status = []
     for run in runs:
@@ -159,21 +166,23 @@ def cmd_band(args) -> int:
         if not -1.0 <= l <= 1.0:
             raise ConfigError("/", f"lambda {l} outside [-1, 1]")
     _warn_if_rho_large(problem)
-    os.makedirs(args.out, exist_ok=True)
     return _run_band(problem, alphas, lambdas, args.out)
 
 
-def cmd_verify(args) -> int:
-    problem = _load(args)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+def _verify(problem: LoadedProblem, path: str) -> int:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     report = verify(problem.spec, problem.sampling, claimed=problem.claimed)
-    _atomic_json(args.out, report.as_dict())
+    _atomic_json(path, report.as_dict())
     verdict = "pass" if report.overall_pass else "FAIL"
     print(f"hypotheses {verdict}: rho = {report.rho:.4f}, delta = {report.delta}")
     for flag in report.flags:
         print(f"note: {flag}")
-    print(f"wrote {args.out}")
+    print(f"wrote {path}")
     return EXIT_OK if report.overall_pass else EXIT_HYPOTHESIS
+
+
+def cmd_verify(args) -> int:
+    return _verify(_load(args), args.out)
 
 
 def cmd_vi(args) -> int:
@@ -183,6 +192,9 @@ def cmd_vi(args) -> int:
     b = np.array(_parse_float_list(args.b, "b"))
     lo = np.array(_parse_float_list(args.k_lo, "K-lo"))
     hi = np.array(_parse_float_list(args.k_hi, "K-hi"))
+    for what, values in (("w", w), ("M", mat), ("b", b)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("/", f"{what} must be finite; only the K bounds may be infinite")
     inst = VIInstance(BoxSet(lo, hi), w, AffineOperator(mat, b))
     u = solve_vi(inst, tol=args.tol)
     payload = {"u": u.tolist(), "residual": vi_residual(inst, u), "mu": inst.s.mu}
@@ -195,20 +207,11 @@ def cmd_example(args) -> int:
     doc = example_config()
     _atomic_json(os.path.join(args.out, "config.json"), doc)
     problem = build_problem(doc)
-    report = verify(problem.spec, problem.sampling, claimed=problem.claimed)
-    _atomic_json(os.path.join(args.out, "report.json"), report.as_dict())
-    print(f"verify: rho = {report.rho:.4f} ({'pass' if report.overall_pass else 'FAIL'})")
-    for flag in report.flags:
-        print(f"note: {flag}")
-    bundle = picard_solve(problem.spec, problem.solver, problem.selection)
-    _write_bundle(bundle, args.out, "solution")
-    print(f"solve: converged in {bundle.diagnostics['iterations']} sweeps")
-    band_dir = os.path.join(args.out, "band")
-    os.makedirs(band_dir, exist_ok=True)
-    band_rc = _run_band(problem, [0.0, 0.5, 1.0], [-1.0, 0.0, 1.0], band_dir)
-    if not report.overall_pass:
-        return EXIT_HYPOTHESIS
-    return band_rc
+    verify_rc = _verify(problem, os.path.join(args.out, "report.json"))
+    _solve(problem, args.out)
+    # solve and band run even when the hypotheses fail; that failure decides the exit code
+    band_rc = _run_band(problem, [0.0, 0.5, 1.0], [-1.0, 0.0, 1.0], os.path.join(args.out, "band"))
+    return verify_rc or band_rc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,11 +7,13 @@ find the offending value.  Unknown keys are rejected everywhere.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ExprError
+from .errors import ConfigError, ExprError, FdviError
 from .expr import Expression, parse
 from .fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber
 from .hypotheses import SAMPLED_CONSTANTS, SamplingDomain
@@ -26,7 +28,6 @@ class LoadedProblem:
     sampling: SamplingDomain
     selection: SelectionPolicy
     claimed: dict
-    raw: dict
 
 
 def load_config(path) -> dict:
@@ -77,15 +78,39 @@ def _require(doc: dict, key: str, pointer: str):
     return doc[key]
 
 
-def _no_unknown(doc: dict, allowed, pointer: str) -> None:
-    for key in doc:
+def _object(value, allowed, pointer: str) -> dict:
+    """value, checked to be a JSON object whose keys all lie in allowed."""
+    if not isinstance(value, dict):
+        raise ConfigError(pointer or "/", "expected a JSON object")
+    for key in value:
         if key not in allowed:
             raise ConfigError(f"{pointer}/{key}", "unknown key")
+    return value
+
+
+def _section(doc: dict, key: str, parsers: dict) -> dict:
+    """Parse the optional object doc[key], each present key by parsers[key] at its own pointer.
+
+    Absent keys stay absent, so the caller's dataclass supplies their
+    defaults; the document's key order is kept.
+    """
+    pointer = f"/{key}"
+    section = _object(doc.get(key, {}), parsers, pointer)
+    return {k: parsers[k](v, f"{pointer}/{k}") for k, v in section.items()}
+
+
+def _build(pointer: str, make, *args, **kw):
+    """make(*args, **kw), with a construction failure re-raised as a ConfigError at pointer."""
+    try:
+        return make(*args, **kw)
+    except (FdviError, ValueError) as exc:
+        raise ConfigError(pointer, str(exc)) from exc
 
 
 def _number(value, pointer: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(pointer, f"expected a number, got {value!r}")
+    # the range test is False for NaN and +-inf, and for ints float() would overflow on
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(pointer, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -96,11 +121,11 @@ def _integer(value, pointer: str) -> int:
 
 
 def _bound(value, pointer: str) -> float:
-    """A number, or the strings "inf" / "-inf" for box endpoints."""
-    if value == "inf":
-        return np.inf
-    if value == "-inf":
-        return -np.inf
+    """A number, or an infinite box endpoint: "inf", "-inf" or JSON +-Infinity."""
+    if value in ("inf", "-inf"):
+        return float(value)
+    if isinstance(value, float) and math.isinf(value):
+        return value
     return _number(value, pointer)
 
 
@@ -125,47 +150,45 @@ def _expr_list(value, count: int, n: int, pointer: str) -> tuple[Expression, ...
     return tuple(_expr(v, n, f"{pointer}/{i}") for i, v in enumerate(value))
 
 
+def _y_box(value, n: int, pointer: str) -> tuple[np.ndarray, np.ndarray]:
+    if not isinstance(value, dict) or set(value) != {"lo", "hi"}:
+        raise ConfigError(pointer, "expected an object with keys lo and hi")
+    return _number_list(value["lo"], n, f"{pointer}/lo"), _number_list(value["hi"], n, f"{pointer}/hi")
+
+
 _TOP_KEYS = {
     "q", "T", "n", "m", "alpha", "fuzzy", "g", "Q", "S", "K", "c1", "c2",
     "anchor_u0", "solver", "sampling", "selection", "claimed",
 }
 _FUZZY_KEYS = {"type", "a", "b", "c", "d", "scale", "offset"}
-_SOLVER_KEYS = {"N", "picard_tol", "max_picard", "damping", "vi_tol", "y0"}
-_SAMPLING_KEYS = {"y_box", "t_samples", "y_samples", "pair_samples", "seed"}
 
 
-def _parse_fuzzy_component(doc: dict, n: int, pointer: str) -> FieldComponent:
-    if not isinstance(doc, dict):
-        raise ConfigError(pointer, "expected an object")
-    _no_unknown(doc, _FUZZY_KEYS, pointer)
+def _parse_fuzzy_component(doc, n: int, pointer: str) -> FieldComponent:
+    doc = _object(doc, _FUZZY_KEYS, pointer)
     kind = _require(doc, "type", pointer)
-    a = _number(_require(doc, "a", pointer), f"{pointer}/a")
-    b = _number(_require(doc, "b", pointer), f"{pointer}/b")
-    c = _number(_require(doc, "c", pointer), f"{pointer}/c")
-    try:
-        if kind == "triangular":
-            if "d" in doc:
-                raise ConfigError(f"{pointer}/d", "triangular shapes have no d parameter")
-            base = FuzzyIntervalNumber.triangular(a, b, c)
-        elif kind == "trapezoidal":
-            d = _number(_require(doc, "d", pointer), f"{pointer}/d")
-            base = FuzzyIntervalNumber.trapezoidal(a, b, c, d)
-        else:
-            raise ConfigError(f"{pointer}/type", f"unknown shape {kind!r}")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+    params = [_number(_require(doc, k, pointer), f"{pointer}/{k}") for k in ("a", "b", "c")]
+    if kind == "triangular":
+        if "d" in doc:
+            raise ConfigError(f"{pointer}/d", "triangular shapes have no d parameter")
+        make = FuzzyIntervalNumber.triangular
+    elif kind == "trapezoidal":
+        params.append(_number(_require(doc, "d", pointer), f"{pointer}/d"))
+        make = FuzzyIntervalNumber.trapezoidal
+    else:
+        raise ConfigError(f"{pointer}/type", f"unknown shape {kind!r}")
+    base = _build(pointer, make, *params)
     scale = _expr(doc.get("scale", "1"), n, f"{pointer}/scale")
     offset = _expr(doc.get("offset", "0"), n, f"{pointer}/offset")
     return FieldComponent(base=base, scale=scale, offset=offset)
 
 
 def build_problem(doc: dict) -> LoadedProblem:
-    """Validate a config document and construct the runtime objects."""
-    if not isinstance(doc, dict):
-        raise ConfigError("/", "config must be a JSON object")
-    _no_unknown(doc, _TOP_KEYS, "")
+    """Validate a config document and construct the runtime objects.
+
+    solver, sampling, selection and claimed are optional; an absent solver or
+    sampling key takes the SolverConfig / SamplingDomain default.
+    """
+    doc = _object(doc, _TOP_KEYS, "")
     q = _number(_require(doc, "q", ""), "/q")
     if not 1.0 < q <= 2.0:
         raise ConfigError("/q", f"fractional order must lie in (1, 2], got {q}")
@@ -195,10 +218,7 @@ def build_problem(doc: dict) -> LoadedProblem:
     c1 = _expr_list(_require(doc, "c1", ""), n, n, "/c1")
     c2 = _expr_list(_require(doc, "c2", ""), n, n, "/c2")
 
-    s_doc = _require(doc, "S", "")
-    if not isinstance(s_doc, dict):
-        raise ConfigError("/S", "expected an object with keys M and b")
-    _no_unknown(s_doc, {"M", "b"}, "/S")
+    s_doc = _object(_require(doc, "S", ""), {"M", "b"}, "/S")
     m_doc = _require(s_doc, "M", "/S")
     if not isinstance(m_doc, list) or len(m_doc) != m:
         raise ConfigError("/S/M", f"expected an {m} x {m} matrix")
@@ -206,10 +226,7 @@ def build_problem(doc: dict) -> LoadedProblem:
     b_vec = _number_list(_require(s_doc, "b", "/S"), m, "/S/b")
     s_op = AffineOperator(mat, b_vec)
 
-    k_doc = _require(doc, "K", "")
-    if not isinstance(k_doc, dict):
-        raise ConfigError("/K", "expected an object")
-    _no_unknown(k_doc, {"type", "lo", "hi"}, "/K")
+    k_doc = _object(_require(doc, "K", ""), {"type", "lo", "hi"}, "/K")
     if _require(k_doc, "type", "/K") != "box":
         raise ConfigError("/K/type", "only box feasible sets are expressible in configs")
     lo_doc = _require(k_doc, "lo", "/K")
@@ -226,72 +243,29 @@ def build_problem(doc: dict) -> LoadedProblem:
     if not k_set.contains(anchor, tol=1e-12):
         raise ConfigError("/anchor_u0", "anchor must lie in K")
 
-    solver_doc = doc.get("solver", {})
-    if not isinstance(solver_doc, dict):
-        raise ConfigError("/solver", "expected an object")
-    _no_unknown(solver_doc, _SOLVER_KEYS, "/solver")
-    try:
-        solver = SolverConfig(
-            N=_integer(solver_doc.get("N", 1000), "/solver/N"),
-            picard_tol=_number(solver_doc.get("picard_tol", 1e-9), "/solver/picard_tol"),
-            max_picard=_integer(solver_doc.get("max_picard", 500), "/solver/max_picard"),
-            damping=_number(solver_doc.get("damping", 1.0), "/solver/damping"),
-            vi_tol=_number(solver_doc.get("vi_tol", 1e-10), "/solver/vi_tol"),
-            y0=None if "y0" not in solver_doc else _number_list(solver_doc["y0"], n, "/solver/y0"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("/solver", str(exc)) from exc
+    def vector(value, pointer):
+        return _number_list(value, n, pointer)
 
-    sampling_doc = doc.get("sampling", {})
-    if not isinstance(sampling_doc, dict):
-        raise ConfigError("/sampling", "expected an object")
-    _no_unknown(sampling_doc, _SAMPLING_KEYS, "/sampling")
-    ybox = sampling_doc.get("y_box", {"lo": [-10.0] * n, "hi": [10.0] * n})
-    if not isinstance(ybox, dict) or set(ybox) != {"lo", "hi"}:
-        raise ConfigError("/sampling/y_box", "expected an object with keys lo and hi")
-    try:
-        sampling = SamplingDomain(
-            y_box_lo=_number_list(ybox["lo"], n, "/sampling/y_box/lo"),
-            y_box_hi=_number_list(ybox["hi"], n, "/sampling/y_box/hi"),
-            t_samples=_integer(sampling_doc.get("t_samples", 64), "/sampling/t_samples"),
-            y_samples=_integer(sampling_doc.get("y_samples", 4096), "/sampling/y_samples"),
-            pair_samples=_integer(sampling_doc.get("pair_samples", 100_000), "/sampling/pair_samples"),
-            seed=_integer(sampling_doc.get("seed", 0), "/sampling/seed"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("/sampling", str(exc)) from exc
+    solver = _build("/solver", SolverConfig, **_section(doc, "solver", {
+        "N": _integer, "picard_tol": _number, "max_picard": _integer,
+        "damping": _number, "vi_tol": _number, "y0": vector,
+    }))
+    sampling = _section(doc, "sampling", {
+        "y_box": lambda value, pointer: _y_box(value, n, pointer),
+        "t_samples": _integer, "y_samples": _integer, "pair_samples": _integer, "seed": _integer,
+    })
+    y_box = sampling.pop("y_box", (np.full(n, -10.0), np.full(n, 10.0)))
+    sampling = _build("/sampling", SamplingDomain, *y_box, **sampling)
+    lam = _section(doc, "selection", {"lambda": vector}).get("lambda", np.zeros(n))
+    selection = _build("/selection/lambda", SelectionPolicy, lam)
+    claimed = _section(doc, "claimed", dict.fromkeys(SAMPLED_CONSTANTS, _number))
 
-    selection_doc = doc.get("selection", {})
-    if not isinstance(selection_doc, dict):
-        raise ConfigError("/selection", "expected an object")
-    _no_unknown(selection_doc, {"lambda"}, "/selection")
-    lam = selection_doc.get("lambda", [0.0] * n)
-    try:
-        selection = SelectionPolicy(_number_list(lam, n, "/selection/lambda"))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("/selection/lambda", str(exc)) from exc
-
-    claimed_doc = doc.get("claimed", {})
-    if not isinstance(claimed_doc, dict):
-        raise ConfigError("/claimed", "expected an object of name -> bound")
-    _no_unknown(claimed_doc, SAMPLED_CONSTANTS, "/claimed")
-    claimed = {k: _number(v, f"/claimed/{k}") for k, v in claimed_doc.items()}
-
-    try:
-        spec = ProblemSpec(
-            q=q, T=t_horizon, n=n, m=m, field=field, alpha=alpha,
-            g=g, Q=q_exprs, S=s_op, K=k_set, c1=c1, c2=c2, anchor_u0=anchor,
-        )
-    except Exception as exc:
-        raise ConfigError("/", str(exc)) from exc
+    spec = _build(
+        "/", ProblemSpec, q=q, T=t_horizon, n=n, m=m, field=field, alpha=alpha,
+        g=g, Q=q_exprs, S=s_op, K=k_set, c1=c1, c2=c2, anchor_u0=anchor,
+    )
     return LoadedProblem(spec=spec, solver=solver, sampling=sampling,
-                         selection=selection, claimed=claimed, raw=doc)
+                         selection=selection, claimed=claimed)
 
 
 def example_config() -> dict:

@@ -202,11 +202,6 @@ class FuzzyBoxField:
         return self.levels(*self.coefficients(ts, ys), alpha)
 
 
-def field_level(field: FuzzyBoxField, t: float, y, alpha: float) -> Box:
-    """The alpha-level box of the field at (t, y)."""
-    return field.level(t, y, alpha)
-
-
 def hausdorff(a: Box, b: Box) -> float:
     """Hausdorff distance between boxes under the max norm (exact closed form)."""
     if a.dim != b.dim:

@@ -139,16 +139,13 @@ class SolutionBundle:
 def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
     """Read a bundle CSV back into (y, u, f) grid functions."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    data = np.asarray(rows)
+        header = next(csv.reader(fh))
+    data = GridFunction.read_csv(path)
     n = sum(1 for name in header if name.startswith("y"))
     m = sum(1 for name in header if name.startswith("u"))
-    grid = UniformGrid(float(data[-1, 0]), data.shape[0] - 1)
-    y = GridFunction(grid, data[:, 1 : 1 + n])
-    u = GridFunction(grid, data[:, 1 + n : 1 + n + m])
-    f = GridFunction(grid, data[:, 1 + n + m : 1 + 2 * n + m])
+    y = GridFunction(data.grid, data.values[:, :n])
+    u = GridFunction(data.grid, data.values[:, n : n + m])
+    f = GridFunction(data.grid, data.values[:, n + m : 2 * n + m])
     return y, u, f
 
 

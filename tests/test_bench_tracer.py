@@ -8,7 +8,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+import fdvi
 import fdvi.hypotheses
+import fdvi.solver
 from fdvi.cli import main
 from fdvi.config import example_config
 
@@ -32,6 +34,15 @@ def test_tracer_resolves_every_patched_name():
     finally:
         tracer.uninstall()
     assert fdvi.hypotheses.fuzzy_metric is original
+
+
+def test_selfcheck_counts_through_the_package_exports():
+    # perfbench/selfcheck.py counts calls of fdvi.<name> at every module
+    # attribute bound to the same function, so each export must resolve to the
+    # function the solver and the verifier call
+    assert fdvi.solve_vi is fdvi.solver.solve_vi
+    assert fdvi.vi_residual is fdvi.solver.vi_residual
+    assert fdvi.fuzzy_metric is fdvi.hypotheses.fuzzy_metric
 
 
 def test_tracer_sees_the_verifier_polish(tmp_path):

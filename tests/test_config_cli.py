@@ -6,9 +6,12 @@ import stat
 import numpy as np
 import pytest
 
+import fdvi.cli
 from fdvi.cli import main
 from fdvi.config import apply_overrides, build_problem, example_config, load_config
 from fdvi.errors import ConfigError
+from fdvi.hypotheses import SamplingDomain, verify
+from fdvi.problem import SolverConfig
 from fdvi.solver import SolutionBundle, read_solution_csv
 
 
@@ -106,6 +109,76 @@ def test_anchor_must_be_feasible():
     assert err.value.pointer == "/anchor_u0"
 
 
+def test_omitted_sections_take_the_dataclass_defaults():
+    doc = example_config()
+    for key in ("solver", "sampling", "selection", "claimed"):
+        del doc[key]
+    problem = build_problem(doc)
+    assert problem.solver == SolverConfig()
+    dom = problem.sampling
+    assert dom.y_box_lo.tolist() == [-10.0] and dom.y_box_hi.tolist() == [10.0]
+    default = SamplingDomain(dom.y_box_lo, dom.y_box_hi)
+    assert (dom.t_samples, dom.y_samples, dom.pair_samples, dom.seed) == (
+        default.t_samples, default.y_samples, default.pair_samples, default.seed)
+    assert problem.selection.lam.tolist() == [0.0]
+    assert problem.claimed == {}
+
+
+def _edited(path, value):
+    """The example config with the value at path (a tuple of keys) replaced."""
+    if not path:
+        return value
+    doc = example_config()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, pointer", [
+    ((), [], "/"),
+    (("S",), [[3.0, 0.0], [0.0, 3.0]], "/S"),
+    (("fuzzy", 0, "a"), 0.25, "/fuzzy/0"),  # a > b
+    (("solver", "N"), 4, "/solver"),
+    (("solver", "N"), 1.5, "/solver/N"),
+    (("sampling", "y_samples"), 1, "/sampling"),
+    (("sampling", "y_box"), {"lo": [-1.0]}, "/sampling/y_box"),
+    (("selection", "lambda"), [1.5], "/selection/lambda"),
+    (("claimed",), ["eta_Q"], "/claimed"),
+    # JSON's NaN and Infinity literals are numbers to Python, but no config number may be one
+    (("T",), math.inf, "/T"),
+    (("T",), 10**400, "/T"),  # an int beyond the float range
+    (("solver", "vi_tol"), math.nan, "/solver/vi_tol"),
+    (("solver", "picard_tol"), math.nan, "/solver/picard_tol"),
+    (("K", "lo", 0), math.nan, "/K/lo/0"),
+    (("claimed", "eta_Q"), math.nan, "/claimed/eta_Q"),
+])
+def test_config_errors_point_at_the_offending_value(path, value, pointer):
+    with pytest.raises(ConfigError) as err:
+        build_problem(_edited(path, value))
+    assert err.value.pointer == pointer
+
+
+def test_infinite_box_bounds_accept_json_infinity():
+    doc = _edited(("K", "hi"), [math.inf, "inf"])
+    doc["K"]["lo"] = [-math.inf, "-inf"]
+    doc["anchor_u0"] = [-1.0, 0.0]
+    problem = build_problem(json.loads(json.dumps(doc)))
+    assert problem.spec.K.lo.tolist() == [-math.inf, -math.inf]
+    assert problem.spec.K.hi.tolist() == [math.inf, math.inf]
+
+
+def test_claims_keep_their_order_in_the_report_flags():
+    doc = example_config()
+    doc["sampling"].update(t_samples=8, y_samples=256, pair_samples=2000)
+    # neither the order of SAMPLED_CONSTANTS nor sorted order
+    doc["claimed"] = {"eta_g": 0.0, "p_sup": 0.0, "M1": 0.0}
+    problem = build_problem(doc)
+    report = verify(problem.spec, problem.sampling, claimed=problem.claimed)
+    assert [flag.split()[1] for flag in report.flags] == ["eta_g", "p_sup", "M1"]
+
+
 def test_overrides():
     doc = example_config()
     out = apply_overrides(doc, ["solver.N=50", "alpha=0.25"])
@@ -170,6 +243,13 @@ def test_cli_solve_blowup_exit_code(tmp_path):
     path.write_text(json.dumps(doc))
     rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("override", ["solver.vi_tol=NaN", "solver.picard_tol=NaN"])
+def test_cli_nan_override_is_config_error(tmp_path, config_path, override, capsys):
+    rc = main(["solve", "--config", config_path, "--out", str(tmp_path / "out"), "--override", override])
+    assert rc == 1
+    assert f"/{override.split('=')[0].replace('.', '/')}:" in capsys.readouterr().err
 
 
 def test_cli_solve_and_band_warn_on_sampled_rho(tmp_path, config_path):
@@ -307,6 +387,17 @@ def test_cli_vi_dimension_error_exit_1():
     assert rc == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--w", "nan,1", "--M", "3,0;0,3", "--b", "0,0", "--K-lo", "0,0"],
+    ["--w", "1,1", "--M", "3,0;0,nan", "--b", "0,0", "--K-lo", "0,0"],
+    ["--w", "inf,1", "--M", "3,0;0,3", "--b", "0,0", "--K-lo", "0,0"],
+    ["--w", "1,1", "--M", "3,0;0,3", "--b", "0,-inf", "--K-lo", "0,0"],
+    ["--w", "1,1", "--M", "3,0;0,3", "--b", "0,0", "--K-lo", "0,nan"],
+])
+def test_cli_vi_nonfinite_data_exit_1(flags):
+    assert main(["vi", *flags, "--K-hi", "inf,inf"]) == 1
+
+
 def test_cli_usage_error():
     assert main(["solve"]) == 1  # missing required flags
     assert main(["bogus-subcommand"]) == 1
@@ -327,6 +418,13 @@ def test_cli_example_end_to_end(tmp_path):
     band_files = sorted(p.name for p in (out / "band").glob("band_*.csv"))
     assert len(band_files) == 9
     assert (out / "band" / "envelope.csv").exists()
+
+
+def test_cli_example_warns_on_sampled_rho(tmp_path, monkeypatch):
+    # example runs the same pre-solve check as solve and band
+    monkeypatch.setattr(fdvi.cli, "estimate_field_lipschitz", lambda *args, **kwargs: 10.0)
+    with pytest.warns(UserWarning, match=r"rho = \S+ >= 1"):
+        assert main(["example", "--out", str(tmp_path / "example")]) == 0
 
 
 def test_cli_outputs_get_the_mode_of_a_plain_open(tmp_path):

@@ -14,7 +14,6 @@ from fdvi.fuzzy import (
     FuzzyBoxField,
     FuzzyIntervalNumber,
     clamp_to_box,
-    field_level,
     fuzzy_metric,
     hausdorff,
     select,
@@ -88,7 +87,7 @@ def test_level_nestedness_property(w, a1, a2):
 
 
 def test_field_level_unit_scale_at_origin():
-    box = field_level(example_field(), 0.0, np.array([0.0]), 0.0)
+    box = example_field().level(0.0, np.array([0.0]), 0.0)
     assert box.lo[0] == pytest.approx(-0.5) and box.hi[0] == pytest.approx(0.5)
 
 
@@ -97,7 +96,7 @@ def test_field_level_matches_derived_formula():
     f = example_field()
     for y in (-2.0, -0.3, 0.7, 2.5):
         for alpha in (0.0, 0.25, 0.8):
-            box = field_level(f, 0.1, np.array([y]), alpha)
+            box = f.level(0.1, np.array([y]), alpha)
             half = 0.5 * (1.0 - alpha) * abs(math.cos(y))
             assert box.lo[0] == pytest.approx(-half, abs=1e-14)
             assert box.hi[0] == pytest.approx(half, abs=1e-14)
