@@ -79,8 +79,10 @@ def _write_bundle(bundle, out_dir: str, stem: str) -> None:
 def _load(args) -> LoadedProblem:
     doc = load_config(args.config)
     doc = apply_overrides(doc, getattr(args, "override", None))
-    if getattr(args, "seed", None) is not None:
-        doc.setdefault("sampling", {})["seed"] = args.seed
+    if getattr(args, "seed", None) is not None and isinstance(doc, dict):
+        sampling = doc.setdefault("sampling", {})
+        if isinstance(sampling, dict):  # otherwise build_problem reports it at /sampling
+            sampling["seed"] = args.seed
     return build_problem(doc)
 
 

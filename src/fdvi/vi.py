@@ -13,6 +13,7 @@ extrapolated to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -236,8 +237,8 @@ def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, star
     the residual target is not met, and DimensionMismatch for a batch with
     a merely monotone S, which is solved one instance at a time.
     """
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     mu = inst.s.mu
     if mu < -_MONOTONE_TOL:
         raise NonMonotoneError(f"operator is not monotone: mu = {mu:.3e}")

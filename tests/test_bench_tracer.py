@@ -6,6 +6,9 @@ a name it patches must fail here rather than crash a traced benchmark run.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fdvi
@@ -64,3 +67,29 @@ def test_tracer_sees_the_verifier_polish(tmp_path):
     # six sampled constants and L_F
     assert names.count("hypotheses.pattern_maximize") == 7
     assert names.count("fuzzy.level_arrays") > 0
+
+
+_LAZY_FFT_PROBE = """
+import dataclasses, sys
+import fdvi.cli
+from fdvi.config import build_problem, example_config
+from fdvi.hypotheses import verify
+from fdvi.problem import SolverConfig
+from fdvi.solver import picard_solve
+
+problem = build_problem(example_config())
+dom = dataclasses.replace(problem.sampling, t_samples=4, y_samples=64, pair_samples=500)
+verify(problem.spec, dom)
+before = "numpy.fft" in sys.modules
+picard_solve(problem.spec, SolverConfig(N=16))
+print(before, "numpy.fft" in sys.modules)
+"""
+
+
+def test_numpy_fft_loads_only_when_a_solve_convolves():
+    # the benchmark's setup_s and verify's peak RSS must not pay for numpy.fft
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _LAZY_FFT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False", "True"]

@@ -398,6 +398,25 @@ def test_cli_vi_nonfinite_data_exit_1(flags):
     assert main(["vi", *flags, "--K-hi", "inf,inf"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_vi_nonfinite_tol_exit_1(tol):
+    # rejected before iterating; NaN used to pass the positivity check and spin max_iter
+    assert main(["vi", "--w", "1,-1", "--M", "3,0;0,3", "--b", "0,0",
+                 "--K-lo", "0,0", "--K-hi", "inf,inf", "--tol", tol]) == 1
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ([1], "/"),
+    ({**example_config(), "sampling": [1]}, "/sampling"),
+])
+def test_cli_seed_with_non_object_container_is_config_error(tmp_path, capsys, doc, pointer):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json"), "--seed", "3"])
+    assert rc == 1
+    assert f"config error: {pointer}:" in capsys.readouterr().err
+
+
 def test_cli_usage_error():
     assert main(["solve"]) == 1  # missing required flags
     assert main(["bogus-subcommand"]) == 1

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from fdvi.errors import DimensionMismatch, DomainError, GridTooCoarse, IndexOutO
 from fdvi.fractional import (
     GridFunction,
     UniformGrid,
+    _kernel_spectrum,
+    _panel_weights,
     caputo_residual,
     frac_integral,
     frac_integral_all,
@@ -53,6 +56,41 @@ def test_node_zero_returns_zero_and_bad_index_raises():
         frac_integral(1.6, phi, 17)
     with pytest.raises(DomainError):
         frac_integral(2.5, phi, 4)
+
+
+def _direct_frac_integral_all(q, phi):
+    """The direct O(N^2) sum: one np.convolve per column (the FFT path's oracle)."""
+    grid = phi.grid
+    n = grid.N
+    a, b = _panel_weights(q, n, grid.h)
+    vals = phi.values
+    out = np.zeros_like(vals)
+    out[1:] = a[1:, None] * vals[0][None, :] + b[1] * vals[1:]
+    c = a[1:n] + b[2 : n + 1]
+    for col in range(vals.shape[1]):
+        conv = np.convolve(c, vals[1 : n + 1, col])
+        out[2:, col] += conv[: n - 1]
+    return out / gamma(q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 1000, 1025, 4096])
+def test_fft_convolution_matches_the_direct_sum(n):
+    rng = np.random.default_rng(n)
+    grid = UniformGrid(0.7, n)
+    for dim in (1, 2, 3):
+        phi = GridFunction(grid, rng.standard_normal((n + 1, dim)) + np.sin(3 * grid.nodes)[:, None])
+        for q in (0.3, 1.0, 1.6, 2.0):
+            want = _direct_frac_integral_all(q, phi)
+            got = frac_integral_all(q, phi).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
+def test_cached_kernel_spectrum_is_read_only():
+    nfft, spec = _kernel_spectrum(1.6, 100, 0.7 / 100)
+    assert nfft == 256  # the next power of two >= 2N - 3
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0] = 0.0
 
 
 def test_all_nodes_matches_per_node():
@@ -211,6 +249,34 @@ def test_grid_function_csv_round_trip(tmp_path):
     again = GridFunction.read_csv(path)
     assert again.grid == grid
     assert np.array_equal(again.values, phi.values)
+
+
+def _cell_by_cell_csv(phi, path):
+    """The cell-by-cell csv.writer output that GridFunction.to_csv must reproduce."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *[f"v{i + 1}" for i in range(phi.dim)]])
+        for t, row in zip(phi.grid.nodes, phi.values):
+            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+
+
+@pytest.mark.parametrize("rows", [3, 256, 257, 1001])
+@pytest.mark.parametrize("dim", [1, 5])
+def test_csv_writer_is_byte_identical_to_cell_by_cell(tmp_path, rows, dim):
+    grid = UniformGrid(0.7, rows - 1)
+    rng = np.random.default_rng(rows * dim)
+    special = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 3.0])
+    values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-20, 20, (rows, dim))
+    flat = values.reshape(-1)
+    flat[: min(special.size, flat.size)] = special[: flat.size]
+    phi = GridFunction(grid, values)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    phi.to_csv(fast)
+    _cell_by_cell_csv(phi, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    again = GridFunction.read_csv(fast)
+    assert again.grid == grid
+    assert np.array_equal(again.values.view(np.int64), phi.values.view(np.int64))
 
 
 def test_grid_function_rejects_nonfinite():
