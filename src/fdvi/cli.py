@@ -126,17 +126,26 @@ def cmd_solve(args) -> int:
     return _solve(_load(args), args.out)
 
 
-def _band_stem(alpha: float, lam: float) -> str:
-    return f"band_alpha{alpha:g}_lambda{lam:g}"
+def _band_stems(alphas, lambdas) -> list[str]:
+    """One output stem per (alpha, lambda) run, in solve_band's order; stems must be distinct."""
+    stems: dict[str, tuple[float, float]] = {}
+    for alpha in alphas:
+        for lam in lambdas:
+            stem = f"band_alpha{alpha:g}_lambda{lam:g}"
+            if stem in stems:
+                raise ConfigError("/", f"runs (alpha={stems[stem][0]!r}, lambda={stems[stem][1]!r}) and "
+                                       f"(alpha={alpha!r}, lambda={lam!r}) would both write {stem}.csv")
+            stems[stem] = (alpha, lam)
+    return list(stems)
 
 
 def _run_band(problem: LoadedProblem, alphas, lambdas, out_dir: str) -> int:
+    stems = _band_stems(alphas, lambdas)
     os.makedirs(out_dir, exist_ok=True)
     runs = solve_band(problem.spec, problem.solver, alphas, lambdas)
     status = []
-    for run in runs:
+    for run, stem in zip(runs, stems):
         lam0 = float(run.lam[0])
-        stem = _band_stem(run.alpha, lam0)
         entry = {"alpha": run.alpha, "lambda": run.lam.tolist(), "converged": run.ok}
         if run.ok:
             _write_bundle(run.bundle, out_dir, stem)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +100,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.N < 8:
             raise DomainError(f"grid resolution N must be >= 8, got {self.N}")
-        if self.picard_tol <= 0.0 or self.vi_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
+        for name in ("picard_tol", "vi_tol"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise DomainError(f"{name} must be finite and positive, got {tol}")
         if not 0.0 < self.damping <= 1.0:
             raise DomainError(f"damping must lie in (0, 1], got {self.damping}")
         if self.max_picard < 1:

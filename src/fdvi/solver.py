@@ -1,16 +1,18 @@
 """The mild-solution engine.
 
-The integral representation splits into a fuzzy part (kernel integrals of
-the selection f) and a control part (kernel integrals of g(t,y)u plus the
-boundary functionals of c1, c2).  A damped Picard sweep
+One application of the discrete mild operator is
 
-    y <- (1 - theta) y + theta [ phi_part(f(y)) + psi_part(y, u(y)) ]
+    T(y) = B[f + g(t,y)u] + l,   B[w](t) = I^q w(t) - (t/T) I^q w(T),
+    l(t) = (t/T) int_0^T c2(s, y(s)) ds + (1 - t/T) int_0^T c1(s, y(s)) ds,
 
-iterates the composed operator from y = 0, with f chosen by a constant
-selection policy from the field's alpha-level and u solved from the
-variational inequality at all nodes in one batched solve.  Convergence is
-monitored empirically: the fuzzy part is a set-valued contraction when
-rho = 2 L_F T^q / Gamma(q+1) is below one (fdvi.hypotheses estimates it).
+with f chosen by a constant selection policy from the field's alpha-level
+and u solved from the variational inequality at all nodes in one batched
+solve.  The bracket B is linear, so the fuzzy part B[f] (phi_part) and the
+control part B[g(t,y)u] + l (psi_part) share one convolution of the whole
+right-hand side.  Damped Picard sweeps y <- (1 - theta) y + theta T(y)
+iterate the operator from y = 0.  Convergence is monitored empirically:
+the fuzzy part is a set-valued contraction when rho = 2 L_F T^q / Gamma(q+1)
+is below one (fdvi.hypotheses estimates it).
 """
 
 from __future__ import annotations
@@ -52,29 +54,25 @@ def _g_times(spec: ProblemSpec, ts: np.ndarray, ys: np.ndarray, h_vals: np.ndarr
     return out
 
 
-def _kernel_pair(spec: ProblemSpec, w: GridFunction) -> np.ndarray:
-    """I^q w(t) - (t/T) I^q w(T): the recurring kernel bracket of the mild formula."""
-    fi = frac_integral_all(spec.q, w)
-    ts = w.grid.nodes
-    return fi.values - (ts / spec.T)[:, None] * fi.values[-1][None, :]
+def phi_part(spec: ProblemSpec, w: GridFunction) -> GridFunction:
+    """The kernel bracket B[w](t) = I^q w(t) - (t/T) I^q w(T); B[f] is the fuzzy part."""
+    fi = frac_integral_all(spec.q, w).values
+    return GridFunction(w.grid, fi - (w.grid.nodes / spec.T)[:, None] * fi[-1][None, :])
 
 
-def phi_part(spec: ProblemSpec, f: GridFunction) -> GridFunction:
-    """Fuzzy half of the mild operator applied to a selection f."""
-    return GridFunction(f.grid, _kernel_pair(spec, f))
+def _add_boundary_term(spec: ProblemSpec, y: GridFunction, vals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(vals + l, int c1, int c2), with the boundary term l(t) = (t/T) int c2 + (1 - t/T) int c1."""
+    ts = y.grid.nodes
+    ic1 = trapezoid_integral(GridFunction(y.grid, _eval_grid(spec.c1, ts, y.values)))
+    ic2 = trapezoid_integral(GridFunction(y.grid, _eval_grid(spec.c2, ts, y.values)))
+    frac = (ts / spec.T)[:, None]
+    return vals + frac * ic2[None, :] + (1.0 - frac) * ic1[None, :], ic1, ic2
 
 
 def psi_part(spec: ProblemSpec, y: GridFunction, h: GridFunction) -> GridFunction:
-    """Control half: kernel bracket of g(t,y)h plus the c1/c2 boundary functionals."""
-    grid = y.grid
-    ts = grid.nodes
-    gh = GridFunction(grid, _g_times(spec, ts, y.values, h.values))
-    vals = _kernel_pair(spec, gh)
-    ic1 = trapezoid_integral(GridFunction(grid, _eval_grid(spec.c1, ts, y.values)))
-    ic2 = trapezoid_integral(GridFunction(grid, _eval_grid(spec.c2, ts, y.values)))
-    frac = (ts / spec.T)[:, None]
-    vals = vals + frac * ic2[None, :] + (1.0 - frac) * ic1[None, :]
-    return GridFunction(grid, vals)
+    """Control part: the kernel bracket of g(t,y)h plus the c1/c2 boundary term."""
+    gh = GridFunction(y.grid, _g_times(spec, y.grid.nodes, y.values, h.values))
+    return GridFunction(y.grid, _add_boundary_term(spec, y, phi_part(spec, gh).values)[0])
 
 
 def control_map(spec: ProblemSpec, y: GridFunction, vi_tol: float = 1e-10) -> GridFunction:
@@ -150,10 +148,12 @@ def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
 
 
 def _apply_operator(spec, cfg, policy, y):
+    """T(y) with one convolution; returns (T(y), u, f, rhs = f + g(t,y)u, int c1, int c2)."""
     u = control_map(spec, y, vi_tol=cfg.vi_tol)
     f = selection_map(spec, y, policy)
-    ty = phi_part(spec, f).values + psi_part(spec, y, u).values
-    return ty, u, f
+    rhs = GridFunction(y.grid, f.values + _g_times(spec, y.grid.nodes, y.values, u.values))
+    ty, ic1, ic2 = _add_boundary_term(spec, y, phi_part(spec, rhs).values)
+    return ty, u, f, rhs, ic1, ic2
 
 
 def picard_solve(
@@ -178,13 +178,12 @@ def picard_solve(
     history: list[float] = []
     theta = cfg.damping
     converged = False
-    u = f = None
     for sweep in range(1, cfg.max_picard + 1):
         try:
             # Overflow raises here instead of warning, and inf/NaN never
             # get past the expression evaluator or GridFunction.
             with np.errstate(over="raise"):
-                ty, u, f = _apply_operator(spec, cfg, policy, y)
+                ty = _apply_operator(spec, cfg, policy, y)[0]
                 new_vals = (1.0 - theta) * y.values + theta * ty
                 res = float(np.max(np.abs(new_vals - y.values)))
                 y = GridFunction(grid, new_vals)
@@ -204,14 +203,10 @@ def picard_solve(
         )
     # Recompute the trajectories at the final y so the bundle is self-consistent,
     # and measure how far one more application of the operator moves it.
-    ty, u, f = _apply_operator(spec, cfg, policy, y)
+    ty, u, f, rhs, ic1, ic2 = _apply_operator(spec, cfg, policy, y)
     recheck = float(np.max(np.abs(ty - y.values)))
-    gh = GridFunction(grid, _g_times(spec, grid.nodes, y.values, u.values))
-    rhs = GridFunction(grid, f.values + gh.values)
     w_all = _eval_grid(spec.Q, grid.nodes, y.values)
     max_vi = float(np.max(vi_residual(VIInstance(spec.K, w_all, spec.S), u.values)))
-    ic1 = trapezoid_integral(GridFunction(grid, _eval_grid(spec.c1, grid.nodes, y.values)))
-    ic2 = trapezoid_integral(GridFunction(grid, _eval_grid(spec.c2, grid.nodes, y.values)))
     # The formula pins the operator output at t = 0 to the c1 trapezoid exactly;
     # checking it on the recheck application verifies the wiring.  The self-gap
     # of the returned iterate is convergence-limited at O(picard residual).

@@ -93,3 +93,28 @@ def test_numpy_fft_loads_only_when_a_solve_convolves():
     done = subprocess.run([sys.executable, "-c", _LAZY_FFT_PROBE], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.split() == ["False", "True"]
+
+
+def test_tracer_sees_the_solver_operator(tmp_path):
+    # one kernel bracket, so one convolution, per application of the operator
+    doc = example_config()
+    doc["solver"]["N"] = 64
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    applications = json.loads((out / "solution_diagnostics.json").read_text())["iterations"] + 1
+    spans = tracer.arrays()
+    names = [tracer.names[i] for i in spans["name_id"]]
+    assert names.count("solver.control_map") == applications
+    assert names.count("solver.phi_part") == applications
+    parents = [names[p] if p >= 0 else None for p in spans["parent"]]
+    convolutions = [parent for name, parent in zip(names, parents) if name == "fractional.frac_integral_all"]
+    assert convolutions.count("solver.phi_part") == applications
+    assert convolutions.count("solver.psi_part") == 0

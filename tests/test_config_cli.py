@@ -346,6 +346,20 @@ def test_cli_band_empty_alpha_is_usage_error(tmp_path, config_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("alphas, lambdas", [
+    ("0.1234561,0.1234562", "1"),  # equal to 6 significant digits
+    ("1", "0.5,0.5"),  # exact duplicate
+    ("0,1,0", "0"),
+])
+def test_cli_band_colliding_output_names_is_config_error(tmp_path, config_path, capsys, alphas, lambdas):
+    # two runs writing one CSV would leave band_runs.json pointing both at the survivor
+    out = tmp_path / "band"
+    assert main(["band", "--config", config_path, "--out", str(out),
+                 "--alpha", alphas, f"--lambda={lambdas}"]) == 1
+    assert "would both write" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_band_single_pair_matches_solve(tmp_path, config_path):
     out_b = tmp_path / "band"
     out_s = tmp_path / "solve"

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fdvi.errors import EvalDomainError, MaxPicardExceeded, NonfiniteValue
+from fdvi.config import build_problem, example_config
+from fdvi.errors import DomainError, EvalDomainError, MaxPicardExceeded, NonfiniteValue
 from fdvi.expr import parse
 from fdvi.fractional import GridFunction, UniformGrid, trapezoid_integral
 from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, hausdorff
 from fdvi.problem import ProblemSpec, SelectionPolicy, SolverConfig
 from fdvi.solver import (
+    _apply_operator,
+    _g_times,
     control_map,
     nearest_selection,
     phi_part,
@@ -91,6 +94,56 @@ def test_psi_self_convergence(example_spec):
     coarse = vals[250].values
     fine = vals[1000].values[::4]
     assert np.max(np.abs(coarse - fine)) <= 5e-7
+
+
+# --- the whole operator ------------------------------------------------------
+
+
+def _two_dim_spec():
+    doc = example_config()
+    doc.update({
+        "q": 1.7, "T": 0.9, "n": 2, "alpha": 0.4,
+        "fuzzy": [
+            {"type": "trapezoidal", "a": -0.6, "b": -0.1, "c": 0.2, "d": 0.7,
+             "scale": "0.5 + 0.3*y2", "offset": "0.2*t*y1"},
+            {"type": "triangular", "a": -0.5, "b": 0.1, "c": 0.5,
+             "scale": "sin(y1)", "offset": "0.1*y2"},
+        ],
+        "g": [["1 + 0.5*sin(t)", "0.3*cos(y2)"], ["-0.7*y1/(1 + y1^2)", "exp(-t)"]],
+        "Q": ["atan(y1) - y2/(1 + abs(y2))", "2 + cos(t*y1)"],
+        "c1": ["0.5*sin(y1)", "0.2*cos(y2)"],
+        "c2": ["0.3*y1/(1 + abs(y1))", "0.4*sin(y2)"],
+        "sampling": {"y_box": {"lo": [-3.0, -2.0], "hi": [3.0, 2.5]}},
+        "selection": {"lambda": [0.3, -0.6]},
+        "claimed": {},
+    })
+    problem = build_problem(doc)
+    return problem.spec, problem.selection
+
+
+@pytest.mark.parametrize("case", ["example", "two_dim"])
+def test_operator_is_one_bracket_of_the_whole_rhs(case, example_problem, rng):
+    # B is linear: B[f + g u] + l equals the two-bracket form phi_part(f) + psi_part(y, u)
+    spec, policy = (example_problem.spec, example_problem.selection) if case == "example" else _two_dim_spec()
+    cfg = SolverConfig(N=300)
+    grid = UniformGrid(spec.T, cfg.N)
+    for _ in range(3):
+        y = GridFunction(grid, rng.uniform(-2.0, 2.0, (grid.N + 1, spec.n)))
+        ty, u, f, rhs, ic1, ic2 = _apply_operator(spec, cfg, policy, y)
+        two_brackets = phi_part(spec, f).values + psi_part(spec, y, u).values
+        assert np.max(np.abs(ty - two_brackets)) <= 1e-14 * (1.0 + np.max(np.abs(ty)))
+        assert np.array_equal(u.values, control_map(spec, y, cfg.vi_tol).values)
+        assert np.array_equal(f.values, selection_map(spec, y, policy).values)
+        assert np.array_equal(rhs.values, f.values + _g_times(spec, grid.nodes, y.values, u.values))
+        # the bracket vanishes at both ends, where l is int c1 and int c2
+        assert np.array_equal(ty[0], ic1) and np.array_equal(ty[-1], ic2)
+
+
+@pytest.mark.parametrize("name", ["picard_tol", "vi_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_solver_config_rejects_nonfinite_tolerances(name, value):
+    with pytest.raises(DomainError, match=name):
+        SolverConfig(**{name: value})
 
 
 # --- control_map ------------------------------------------------------------
