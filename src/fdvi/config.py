@@ -235,9 +235,7 @@ def build_problem(doc: dict) -> LoadedProblem:
         raise ConfigError("/K", f"box bounds must be lists of length {m}")
     k_lo = np.array([_bound(v, f"/K/lo/{i}") for i, v in enumerate(lo_doc)])
     k_hi = np.array([_bound(v, f"/K/hi/{i}") for i, v in enumerate(hi_doc)])
-    if np.any(k_lo > k_hi):
-        raise ConfigError("/K", "box has lo > hi")
-    k_set = BoxSet(k_lo, k_hi)
+    k_set = _build("/K", BoxSet, k_lo, k_hi)
 
     anchor = _number_list(_require(doc, "anchor_u0", ""), m, "/anchor_u0")
     if not k_set.contains(anchor, tol=1e-12):

@@ -159,7 +159,7 @@ def estimate_field_lipschitz(
     radii = np.exp(rng.uniform(math.log(1e-5), math.log(max(rmax, 2e-5)), size=pairs))
     y2 = np.clip(y1 + radii[:, None] * dirs, lo, hi)
     del dirs, radii  # keep them out of the metric's peak memory
-    ts = np.concatenate(([0.0, t_horizon], rng.uniform(0.0, t_horizon, size=pairs - 2)))
+    ts = _sample_times(t_horizon, pairs, rng)
     dist = np.linalg.norm(y1 - y2, axis=1)
     mask = dist >= _MIN_PAIR_DIST
     if not np.any(mask):
@@ -301,7 +301,7 @@ def check_coercivity(s: AffineOperator, k: BoxSet, u0, dom: SamplingDomain) -> t
         if not np.any(keep):
             continue
         kept = pts[keep]
-        quot = np.einsum("ij,ij->i", kept @ s.M.T + s.b, kept - u0) / norms[keep] ** 2
+        quot = np.einsum("ij,ij->i", s(kept), kept - u0) / norms[keep] ** 2
         liminf = min(liminf, float(np.min(quot)))
     return monotone, mu_est, liminf
 

@@ -2,8 +2,8 @@
 
 Everything downstream (fractional integrals, contraction constants, the
 a-priori bound) reduces to these two primitives, so they are kept exact:
-gamma via the Lanczos approximation, kernel moments via closed-form
-antiderivatives.
+gamma from the standard library's math.gamma, kernel moments via
+closed-form antiderivatives.
 """
 
 from __future__ import annotations
@@ -14,42 +14,15 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 
-# Lanczos coefficients for g = 7, 9 terms (Godfrey's classic set).
-# Relative accuracy is ~1e-13 over the positive real axis, comfortably
-# inside the 1e-12 target on [0.1, 30].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
-    """Gamma function for real x, excluding the poles at 0, -1, -2, ...
-
-    Uses reflection for x < 0.5 so non-integer negative arguments work too.
-    """
+    """Gamma function for real x, excluding the poles at 0, -1, -2, ..."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"gamma argument must be finite, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at {x}")
-    if x < 0.5:
-        # Reflection: gamma(x) * gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def kernel_moment(q: float, t, a, b, k: int):

@@ -5,7 +5,9 @@ S(u) = M u + b.  The constant term w is one vector (m,) or a batch (k, m)
 of independent problems that share K and S; solutions and residuals then
 come row by row.  For a strongly monotone S each solution is unique and
 the projected fixed-point iteration u <- P_K(u - gamma (w + S(u))) with
-gamma = mu / L^2 is a contraction, run on all rows at once.  For merely
+gamma = mu / L^2 is a contraction, run on all rows at once.  L is the
+exact spectral norm ||M||_2: the contraction holds for gamma < 2 mu / L^2,
+which an underestimate of L can break.  For merely
 monotone S the solver takes a single instance and commits to the
 least-norm element of the solution set via Tikhonov regularization
 extrapolated to zero.
@@ -23,22 +25,6 @@ from .errors import DimensionMismatch, DomainError, NonMonotoneError, NotConverg
 
 _MONOTONE_TOL = 1e-10
 _STRONG_MU = 1e-12
-
-
-def _power_iteration_norm(m: np.ndarray, steps: int = 100) -> float:
-    """Spectral norm of m via power iteration on m^T m."""
-    dim = m.shape[0]
-    if dim == 0:
-        return 0.0
-    b = m.T @ m
-    v = np.ones(dim) / np.sqrt(dim)
-    for _ in range(steps):
-        w = b @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(np.sqrt(v @ (b @ v)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +59,8 @@ class AffineOperator:
 
     @cached_property
     def lipschitz(self) -> float:
-        return _power_iteration_norm(self.M)
+        """Exact spectral norm ||M||_2, the Lipschitz constant of S."""
+        return float(np.linalg.norm(self.M, 2))
 
     def shifted(self, eps: float) -> "AffineOperator":
         return AffineOperator(self.M + eps * np.eye(self.dim), self.b)

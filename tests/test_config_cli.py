@@ -153,6 +153,7 @@ def _edited(path, value):
     (("solver", "picard_tol"), math.nan, "/solver/picard_tol"),
     (("K", "lo", 0), math.nan, "/K/lo/0"),
     (("claimed", "eta_Q"), math.nan, "/claimed/eta_Q"),
+    (("K", "hi", 0), -1.0, "/K"),  # lo > hi
 ])
 def test_config_errors_point_at_the_offending_value(path, value, pointer):
     with pytest.raises(ConfigError) as err:
@@ -243,6 +244,25 @@ def test_cli_solve_blowup_exit_code(tmp_path):
     path.write_text(json.dumps(doc))
     rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+_CYCLE4 = "3,-1,0,-1;-1,3,-1,0;0,-1,3,-1;-1,0,-1,3"  # I + the 4-cycle Laplacian: mu = 1, ||M||_2 = 5
+
+
+def test_cli_solve_cycle_operator_on_the_whole_space(tmp_path):
+    # every node VI contracts only if its step mu / L^2 uses the exact ||M||_2 = 5
+    doc = example_config()
+    doc.update(m=4, g=[["1.2*sin(t)", "-2.5*cos(y1)", "0", "0"]],
+               Q=["atan(y1) + 2*pi", "-1.4*exp(-t)", "0", "0"],
+               S={"M": [[float(v) for v in row.split(",")] for row in _CYCLE4.split(";")], "b": [0.0] * 4},
+               K={"type": "box", "lo": ["-inf"] * 4, "hi": ["inf"] * 4}, anchor_u0=[0.0] * 4)
+    doc["solver"]["N"] = 64
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    diag = json.loads((out / "solution_diagnostics.json").read_text())
+    assert diag["converged"] and diag["N"] == 64
 
 
 @pytest.mark.parametrize("override", ["solver.vi_tol=NaN", "solver.picard_tol=NaN"])
@@ -378,6 +398,14 @@ def test_cli_vi_closed_form(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["u"][0]) < 1e-12
     assert abs(payload["u"][1] - 1.4 / 3.0) < 1e-9
+    assert payload["residual"] <= 1e-10
+
+
+def test_cli_vi_cycle_operator_on_the_whole_space(capsys):
+    rc = main(["vi", "--w", "1,0,0,0", "--M", _CYCLE4, "--b", "0,0,0,0",
+               "--K-lo=-inf,-inf,-inf,-inf", "--K-hi", "inf,inf,inf,inf"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["residual"] <= 1e-10
 
 

@@ -45,6 +45,13 @@ def test_gamma_reflection_negative_arguments():
         assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-11)
 
 
+def test_gamma_is_exact_at_integers_and_finite_up_to_the_float_range():
+    # math.gamma is exact at small integers; Gamma(171.5) ~ 9.5e307 still fits a double
+    assert gamma(1.0) == 1.0
+    assert gamma(2.0) == 1.0
+    assert math.isfinite(gamma(171.5))
+
+
 def test_gamma_poles():
     for x in (0.0, -1.0, -2.0, -7.0):
         with pytest.raises(PoleError):

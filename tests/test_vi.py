@@ -8,7 +8,6 @@ from fdvi.vi import (
     AffineOperator,
     BoxSet,
     VIInstance,
-    _power_iteration_norm,
     _solve_strong,
     solve_vi,
     vi_residual,
@@ -202,19 +201,32 @@ def test_residual_positive_at_perturbed_points():
         assert vi_residual(inst, u + d) > 1e-6
 
 
-# --- spectral norm helper --------------------------------------------------
+# --- spectral norm and step size -------------------------------------------
+
+# I + the Laplacian of the 4-cycle: symmetric, mu = 1, ||M||_2 = 5.  The
+# all-ones vector is an eigenvector of eigenvalue 1, so a power iteration
+# started there reads L = 1, and gamma = mu / L^2 then exceeds 2 mu / L^2.
+CYCLE4 = np.array([[3.0, -1.0, 0.0, -1.0],
+                   [-1.0, 3.0, -1.0, 0.0],
+                   [0.0, -1.0, 3.0, -1.0],
+                   [-1.0, 0.0, -1.0, 3.0]])
 
 
-def test_power_iteration_matches_svd():
-    # 100 fixed steps: accuracy is gap-limited, and a slight underestimate of L
-    # is harmless for the step size gamma = mu / L^2 (any gamma < 2 mu / L^2 works)
+def test_lipschitz_is_the_exact_spectral_norm():
     rng = np.random.default_rng(59)
-    for _ in range(50):
-        m = rng.standard_normal((4, 4))
-        est = _power_iteration_norm(m)
-        exact = np.linalg.norm(m, 2)
-        assert est == pytest.approx(exact, rel=1e-4)
-        assert est <= exact * (1.0 + 1e-12)
+    mats = [rng.standard_normal((4, 4)) for _ in range(50)] + [CYCLE4]
+    for m in mats:
+        assert AffineOperator(m, np.zeros(4)).lipschitz == np.linalg.norm(m, 2)
+    assert AffineOperator(CYCLE4, np.zeros(4)).lipschitz == pytest.approx(5.0, rel=1e-14)
+
+
+def test_cycle_operator_unconstrained_solve():
+    w = np.array([1.0, 0.0, 0.0, 0.0])
+    inst = VIInstance(BoxSet(np.full(4, -np.inf), np.full(4, np.inf)), w, AffineOperator(CYCLE4, np.zeros(4)))
+    assert inst.s.mu == pytest.approx(1.0, rel=1e-12)
+    u = solve_vi(inst)
+    assert vi_residual(inst, u) <= 1e-10
+    np.testing.assert_allclose(u, -np.linalg.solve(CYCLE4, w), rtol=0.0, atol=1e-9)
 
 
 def test_brute_force_grid_search_small():
