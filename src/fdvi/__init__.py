@@ -17,17 +17,7 @@ from .errors import (
 )
 from .expr import Expression, parse
 from .fractional import GridFunction, UniformGrid, caputo_residual, frac_integral, frac_integral_all, trapezoid_integral
-from .fuzzy import (
-    Box,
-    FieldComponent,
-    FuzzyBoxField,
-    FuzzyIntervalNumber,
-    Interval,
-    clamp_to_box,
-    fuzzy_metric,
-    hausdorff,
-    select,
-)
+from .fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, Interval, fuzzy_metric, hausdorff
 from .hypotheses import (
     HypothesisReport,
     SamplingDomain,
@@ -43,7 +33,6 @@ from .solver import (
     SolutionBundle,
     band_envelope,
     control_map,
-    nearest_selection,
     phi_part,
     picard_solve,
     psi_part,

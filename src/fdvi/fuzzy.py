@@ -2,8 +2,10 @@
 
 Level sets are restricted to axis-aligned boxes built from per-coordinate
 scaled fuzzy interval numbers: the fuzzy field F maps (t, y) to a vector
-of intervals d_i(t,y) + e_i(t,y) * [w_i]_alpha.  Boxes keep selection,
-clamping and the Hausdorff distance exact.
+of intervals d_i(t,y) + e_i(t,y) * [w_i]_alpha.  A level is a vi.BoxSet,
+the same box class as the feasible set K, and on boxes the Hausdorff
+distance has an exact closed form.  Every base number is stored as a
+trapezoid (a, b, c, d); a triangular one repeats its peak, b = c.
 
 Distance conventions: the Hausdorff distance between boxes is computed
 under the max norm (coordinate-wise endpoint differences), for which the
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .expr import Expression, evaluate
+from .vi import BoxSet
 
 
 @dataclass(frozen=True)
@@ -36,83 +39,36 @@ class Interval:
             raise DomainError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
 
-class Box:
-    """An axis-aligned box in R^n, stored as lo/hi arrays."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch("box endpoints must be 1-d arrays of equal length")
-        if np.any(lo > hi):
-            raise DomainError("box has lo > hi in some coordinate")
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def from_intervals(cls, intervals) -> "Box":
-        return cls([iv.lo for iv in intervals], [iv.hi for iv in intervals])
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-    def __repr__(self) -> str:
-        return f"Box(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Box)
-            and self.lo.shape == other.lo.shape
-            and np.array_equal(self.lo, other.lo)
-            and np.array_equal(self.hi, other.hi)
-        )
-
-
 @dataclass(frozen=True)
 class FuzzyIntervalNumber:
-    """Triangular or trapezoidal fuzzy number on the real line."""
+    """Trapezoidal fuzzy number (a, b, c, d) on the real line; triangular ones have b = c."""
 
-    kind: str  # "triangular" | "trapezoidal"
-    params: tuple[float, ...]
+    params: tuple[float, float, float, float]
 
     @classmethod
     def triangular(cls, a: float, b: float, c: float) -> "FuzzyIntervalNumber":
         if not a <= b <= c:
             raise DomainError(f"triangular parameters must satisfy a <= b <= c, got {(a, b, c)}")
-        return cls("triangular", (float(a), float(b), float(c)))
+        return cls((float(a), float(b), float(b), float(c)))
 
     @classmethod
     def trapezoidal(cls, a: float, b: float, c: float, d: float) -> "FuzzyIntervalNumber":
         if not a <= b <= c <= d:
             raise DomainError(f"trapezoidal parameters must satisfy a <= b <= c <= d, got {(a, b, c, d)}")
-        return cls("trapezoidal", (float(a), float(b), float(c), float(d)))
+        return cls((float(a), float(b), float(c), float(d)))
 
     def level(self, alpha: float) -> Interval:
         """The alpha-level interval; alpha = 0 is the support, alpha = 1 the core."""
         _check_alpha(alpha)
-        if self.kind == "triangular":
-            a, b, c = self.params
-            lo, hi = a + alpha * (b - a), c - alpha * (c - b)
-        else:
-            a, b, c, d = self.params
-            lo, hi = a + alpha * (b - a), d - alpha * (d - c)
+        a, b, c, d = self.params
+        lo, hi = a + alpha * (b - a), d - alpha * (d - c)
         if lo > hi:  # the two endpoint formulas can cross by one ulp near alpha = 1
             lo = hi = 0.5 * (lo + hi)
         return Interval(lo, hi)
 
     def scaled(self, scale: float, shift: float) -> "FuzzyIntervalNumber":
         """Affine image shift + scale * w (endpoints re-sorted for scale < 0)."""
-        pts = sorted(shift + scale * p for p in self.params)
-        if self.kind == "triangular":
-            return FuzzyIntervalNumber("triangular", tuple(pts))
-        return FuzzyIntervalNumber("trapezoidal", tuple(pts))
+        return FuzzyIntervalNumber(tuple(sorted(shift + scale * p for p in self.params)))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -132,10 +88,10 @@ class FuzzyBox:
     def dim(self) -> int:
         return len(self.components)
 
-    def level(self, alpha: float) -> Box:
+    def level(self, alpha: float) -> BoxSet:
         _check_alpha(alpha)
         ivs = [c.level(alpha) for c in self.components]
-        return Box.from_intervals(ivs)
+        return BoxSet([iv.lo for iv in ivs], [iv.hi for iv in ivs])
 
 
 @dataclass(frozen=True)
@@ -165,7 +121,7 @@ class FuzzyBoxField:
             out.append(comp.base.scaled(e, d))
         return FuzzyBox(out)
 
-    def level(self, t: float, y, alpha: float) -> Box:
+    def level(self, t: float, y, alpha: float) -> BoxSet:
         return self.at(t, y).level(alpha)
 
     def coefficients(self, ts, ys):
@@ -202,7 +158,7 @@ class FuzzyBoxField:
         return self.levels(*self.coefficients(ts, ys), alpha)
 
 
-def hausdorff(a: Box, b: Box) -> float:
+def hausdorff(a: BoxSet, b: BoxSet) -> float:
     """Hausdorff distance between boxes under the max norm (exact closed form)."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"boxes have dimensions {a.dim} and {b.dim}")
@@ -221,21 +177,3 @@ def fuzzy_metric(w1: FuzzyBox, w2: FuzzyBox) -> float:
         raise DimensionMismatch(f"fuzzy boxes have dimensions {w1.dim} and {w2.dim}")
     return max(hausdorff(w1.level(alpha), w2.level(alpha)) for alpha in (0.0, 1.0))
 
-
-def select(box: Box, lam) -> np.ndarray:
-    """Pick the point midpoint + (lam/2) * width per coordinate; lam in [-1,1]^n."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape[0] != box.dim:
-        raise DimensionMismatch(f"selection parameter has dimension {lam.shape[0]}, box {box.dim}")
-    if np.any(np.abs(lam) > 1.0):
-        raise DomainError("selection parameter components must lie in [-1, 1]")
-    mid = 0.5 * (box.lo + box.hi)
-    return mid + 0.5 * lam * (box.hi - box.lo)
-
-
-def clamp_to_box(x, box: Box) -> np.ndarray:
-    """Nearest point of the box (Euclidean and coordinate-wise all at once)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != box.dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[0]}, box {box.dim}")
-    return np.clip(x, box.lo, box.hi)

@@ -31,7 +31,7 @@ from .fuzzy import FuzzyBoxField
 from .fuzzy import fuzzy_metric  # noqa: F401 -- perfbench/tracing.py patches this binding
 from .problem import ProblemSpec
 from .special import gamma
-from .vi import AffineOperator, BoxSet
+from .vi import MONOTONE_TOL, AffineOperator, BoxSet
 
 _MIN_PAIR_DIST = 1e-6
 # Most (time, state) rows one sampling block of estimate_constants evaluates.
@@ -287,7 +287,7 @@ def check_coercivity(s: AffineOperator, k: BoxSet, u0, dom: SamplingDomain) -> t
     if not np.allclose(k.project(u0), u0, atol=1e-9):
         raise AnchorNotFeasible(f"anchor {u0.tolist()} is not in K")
     mu_est = s.mu
-    monotone = mu_est >= -1e-10
+    monotone = mu_est >= -MONOTONE_TOL
     if k.bounded:
         return monotone, mu_est, math.inf
     rng = _stream(dom.seed, 4)
@@ -346,7 +346,8 @@ _NORMS = {
     "L_F": "euclidean", "p_sup": "euclidean", "M0": "euclidean",
     "M1": "euclidean", "M2": "euclidean",
     "eta_g": "entrywise 1-norm", "eta_Q": "1-norm",
-    "mu": "spectral (symmetric part)", "coercive_quotient": "euclidean",
+    "mu": "spectral (symmetric part)", "coercive_liminf": "euclidean",
+    "eta_S": "euclidean",
 }
 
 # verdict -> the sampled constant whose finiteness it checks

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NonMonotoneError
 from .expr import Expression
 from .fuzzy import FuzzyBoxField
-from .vi import AffineOperator, BoxSet
+from .vi import MONOTONE_TOL, STRONG_MU, AffineOperator, BoxSet
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class ProblemSpec:
             raise DimensionMismatch(f"anchor u0 must have length {self.m}")
         object.__setattr__(self, "anchor_u0", anchor)
         mu = self.S.mu
-        if mu < -1e-10:
+        if mu < -MONOTONE_TOL:
             raise NonMonotoneError(f"S is not monotone: mu = {mu:.3e}")
-        if mu <= 1e-12:
+        if mu <= STRONG_MU:
             raise DomainError("the solver path requires strongly monotone S (mu > 0)")
 
 

@@ -96,16 +96,6 @@ def selection_map(spec: ProblemSpec, y: GridFunction, policy: SelectionPolicy) -
     return GridFunction(y.grid, mid + 0.5 * policy.lam[None, :] * (hi - lo))
 
 
-def nearest_selection(spec: ProblemSpec, f1: GridFunction, y2: GridFunction) -> GridFunction:
-    """Clamp a selection onto the level boxes along another trajectory.
-
-    Node-wise this realizes the nearest measurable selection: the moved
-    distance is bounded by the Hausdorff distance between the two boxes.
-    """
-    lo, hi = spec.field.level_arrays(y2.grid.nodes, y2.values, spec.alpha)
-    return GridFunction(f1.grid, np.clip(f1.values, lo, hi))
-
-
 @dataclass
 class SolutionBundle:
     """Converged trajectories plus certificates.

@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonMonotoneError, NotConvergedError
 
-_MONOTONE_TOL = 1e-10
-_STRONG_MU = 1e-12
+# mu below -MONOTONE_TOL is not monotone; mu above STRONG_MU is strongly monotone.
+MONOTONE_TOL = 1e-10
+STRONG_MU = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,11 @@ class AffineOperator:
 
 
 class BoxSet:
-    """A box feasible set; endpoints may be +-inf (covers the orthant)."""
+    """An axis-aligned box in R^n, stored as lo/hi arrays; endpoints may be +-inf.
+
+    It is both the VI's feasible set K (the orthant is a box) and the
+    alpha-level of a fuzzy box (fdvi.fuzzy); project is the clamp onto it.
+    """
 
     __slots__ = ("lo", "hi")
 
@@ -227,10 +232,10 @@ def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, star
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
     mu = inst.s.mu
-    if mu < -_MONOTONE_TOL:
+    if mu < -MONOTONE_TOL:
         raise NonMonotoneError(f"operator is not monotone: mu = {mu:.3e}")
     u0 = inst.k.project(np.zeros(inst.s.dim) if start is None else np.asarray(start, dtype=float))
-    if mu > _STRONG_MU:
+    if mu > STRONG_MU:
         u, _ = _solve_strong(inst, mu, tol, max_iter, u0)
     elif inst.w.ndim == 1:
         u, _ = _solve_monotone(inst, tol, max_iter, u0)

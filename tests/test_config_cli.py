@@ -344,8 +344,7 @@ def test_cli_verify_report_layout(tmp_path, config_path):
         "A6_coercivity": {"pass", "monotone", "mu", "liminf_quotient"},
         "contraction": {"pass", "rho"},
     }
-    assert set(report["norms"]) == {"L_F", "p_sup", "M0", "M1", "M2", "eta_g", "eta_Q", "mu",
-                                    "coercive_quotient"}
+    assert set(report["norms"]) == set(report["constants"])
 
 
 def test_cli_band(tmp_path, config_path):
@@ -514,3 +513,16 @@ def test_cli_determinism_byte_identical(tmp_path, config_path):
     for r in (r1, r2):
         assert main(["verify", "--config", config_path, "--out", str(r)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_band_determinism_byte_identical(tmp_path, config_path):
+    outs = (tmp_path / "a", tmp_path / "b")
+    for out in outs:
+        assert main(["band", "--config", config_path, "--out", str(out), "--override", "solver.N=64",
+                     "--alpha", "0,0.5,1", "--lambda=-1,0,1"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"envelope.csv", "band_runs.json"} <= set(names)
+    assert len([n for n in names if n.startswith("band_") and n.endswith(".csv")]) == 9
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

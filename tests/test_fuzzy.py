@@ -7,17 +7,8 @@ from hypothesis import strategies as st
 
 from fdvi.errors import DimensionMismatch, DomainError
 from fdvi.expr import parse
-from fdvi.fuzzy import (
-    Box,
-    FieldComponent,
-    FuzzyBox,
-    FuzzyBoxField,
-    FuzzyIntervalNumber,
-    clamp_to_box,
-    fuzzy_metric,
-    hausdorff,
-    select,
-)
+from fdvi.fuzzy import FieldComponent, FuzzyBox, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric, hausdorff
+from fdvi.vi import BoxSet
 
 TRI = FuzzyIntervalNumber.triangular(-0.5, 0.0, 0.5)
 
@@ -64,6 +55,18 @@ def test_shape_parameter_ordering_enforced():
         FuzzyIntervalNumber.triangular(1.0, 0.0, 2.0)
     with pytest.raises(DomainError):
         FuzzyIntervalNumber.trapezoidal(0.0, 2.0, 1.0, 3.0)
+
+
+def test_triangular_is_trapezoid_with_repeated_peak():
+    tri = FuzzyIntervalNumber.triangular(-0.7, 0.2, 1.3)
+    trap = FuzzyIntervalNumber.trapezoidal(-0.7, 0.2, 0.2, 1.3)
+    assert tri == trap
+    for alpha in np.linspace(0.0, 1.0, 101):
+        lv1, lv2 = tri.level(float(alpha)), trap.level(float(alpha))
+        assert (lv1.lo.hex(), lv1.hi.hex()) == (lv2.lo.hex(), lv2.hi.hex())
+    for scale, shift in ((2.5, 0.1), (-1.75, 0.3), (0.0, -2.0), (-1e-3, 4.0)):
+        img1, img2 = tri.scaled(scale, shift), trap.scaled(scale, shift)
+        assert img1 == img2 and [p.hex() for p in img1.params] == [p.hex() for p in img2.params]
 
 
 @st.composite
@@ -128,7 +131,7 @@ def test_level_arrays_agree_with_pointwise():
 # --- Hausdorff ------------------------------------------------------------
 
 
-def brute_hausdorff(a: Box, b: Box, samples: int = 40) -> float:
+def brute_hausdorff(a: BoxSet, b: BoxSet, samples: int = 40) -> float:
     """Dense-sampling sup-inf oracle in the max norm."""
     grids = lambda box: np.stack(np.meshgrid(
         *[np.linspace(box.lo[i], box.hi[i], samples) for i in range(box.dim)],
@@ -143,13 +146,13 @@ def brute_hausdorff(a: Box, b: Box, samples: int = 40) -> float:
 
 
 def test_hausdorff_identity():
-    a = Box([-0.5, 1.0], [0.5, 2.0])
+    a = BoxSet([-0.5, 1.0], [0.5, 2.0])
     assert hausdorff(a, a) == 0.0
 
 
 def test_hausdorff_nested_intervals_against_oracle():
-    a = Box([-0.5], [0.5])
-    b = Box([-0.25], [0.25])
+    a = BoxSet([-0.5], [0.5])
+    b = BoxSet([-0.25], [0.25])
     assert hausdorff(a, b) == pytest.approx(0.25, abs=1e-12)
     assert hausdorff(a, b) == pytest.approx(brute_hausdorff(a, b, samples=2001), abs=1e-3)
 
@@ -159,7 +162,7 @@ def test_hausdorff_random_boxes_against_oracle():
     for _ in range(25):
         lo1 = rng.uniform(-2, 1, size=2); hi1 = lo1 + rng.uniform(0.1, 2, size=2)
         lo2 = rng.uniform(-2, 1, size=2); hi2 = lo2 + rng.uniform(0.1, 2, size=2)
-        a, b = Box(lo1, hi1), Box(lo2, hi2)
+        a, b = BoxSet(lo1, hi1), BoxSet(lo2, hi2)
         assert hausdorff(a, b) == pytest.approx(brute_hausdorff(a, b, 60), abs=0.08)
 
 
@@ -173,7 +176,7 @@ def test_hausdorff_of_example_field_levels():
 
 def test_hausdorff_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        hausdorff(Box([0], [1]), Box([0, 0], [1, 1]))
+        hausdorff(BoxSet([0], [1]), BoxSet([0, 0], [1, 1]))
 
 
 # --- fuzzy metric ---------------------------------------------------------
@@ -226,40 +229,13 @@ def test_fuzzy_metric_exact_against_fine_level_grid():
         assert fuzzy_metric(a, b) == brute
 
 
-# --- selection and clamping ----------------------------------------------
-
-
-def test_select_midpoint_and_corners():
-    box = Box([-1.0, 2.0], [3.0, 4.0])
-    assert np.allclose(select(box, [0.0, 0.0]), [1.0, 3.0])
-    assert np.allclose(select(box, [1.0, 1.0]), [3.0, 4.0])
-    assert np.allclose(select(box, [-1.0, -1.0]), [-1.0, 2.0])
-
-
-def test_select_on_example_support():
-    box = example_field().level(0.0, np.array([0.0]), 0.0)
-    assert select(box, [-1.0])[0] == pytest.approx(-0.5)
-
-
-def test_select_always_inside():
-    rng = np.random.default_rng(23)
-    for _ in range(500):
-        lo = rng.uniform(-3, 2, size=3)
-        hi = lo + rng.uniform(0.0, 2, size=3)
-        lam = rng.uniform(-1, 1, size=3)
-        box = Box(lo, hi)
-        assert box.contains(select(box, lam), tol=1e-12)
-
-
-def test_select_rejects_lambda_outside_cube():
-    with pytest.raises(DomainError):
-        select(Box([0.0], [1.0]), [1.5])
+# --- clamping onto a level box ------------------------------------------
 
 
 def test_clamp_idempotent_on_members():
-    box = Box([-0.5], [0.5])
-    assert clamp_to_box([0.2], box)[0] == 0.2
-    assert clamp_to_box([0.7], box)[0] == 0.5
+    box = BoxSet([-0.5], [0.5])
+    assert box.project([0.2])[0] == 0.2
+    assert box.project([0.7])[0] == 0.5
 
 
 def test_clamp_inequality_against_hausdorff():
@@ -268,9 +244,9 @@ def test_clamp_inequality_against_hausdorff():
     for _ in range(2000):
         lo1 = rng.uniform(-2, 1, size=2); hi1 = lo1 + rng.uniform(0.05, 2, size=2)
         lo2 = rng.uniform(-2, 1, size=2); hi2 = lo2 + rng.uniform(0.05, 2, size=2)
-        a, b = Box(lo1, hi1), Box(lo2, hi2)
+        a, b = BoxSet(lo1, hi1), BoxSet(lo2, hi2)
         x = lo1 + (hi1 - lo1) * rng.random(2)
-        moved = np.abs(x - clamp_to_box(x, b))
+        moved = np.abs(x - b.project(x))
         h = hausdorff(a, b)
         assert np.max(moved) <= h + 1e-12
         assert np.linalg.norm(moved) <= math.sqrt(2.0) * h + 1e-12
@@ -278,4 +254,4 @@ def test_clamp_inequality_against_hausdorff():
 
 def test_clamp_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        clamp_to_box([0.0, 0.0], Box([0.0], [1.0]))
+        BoxSet([0.0], [1.0]).project([0.0, 0.0])

@@ -13,7 +13,6 @@ from fdvi.solver import (
     _apply_operator,
     _g_times,
     control_map,
-    nearest_selection,
     phi_part,
     picard_solve,
     psi_part,
@@ -181,7 +180,7 @@ def test_control_map_factors_through_q():
     assert np.array_equal(u1.values, u2.values)
 
 
-# --- selection_map / nearest_selection ---------------------------------------
+# --- selection_map and the nearest selection ----------------------------------
 
 
 def test_selection_midpoint_is_offset():
@@ -230,6 +229,41 @@ def test_selection_membership(example_problem):
     assert np.all(f.values >= lo - 1e-15) and np.all(f.values <= hi + 1e-15)
 
 
+def nearest_selection(spec, f1, y2):
+    """Clamp a selection onto the level boxes along y2, node by node."""
+    return np.clip(f1.values, *spec.field.level_arrays(y2.grid.nodes, y2.values, spec.alpha))
+
+
+def test_selection_policy_rejects_lambda_outside_cube():
+    for lam in ([1.5], [0.0, -1.0001], [np.inf]):
+        with pytest.raises(DomainError):
+            SelectionPolicy(np.array(lam))
+
+
+def test_selection_map_midpoint_and_corners():
+    # level boxes at alpha = 0: [offset - scale/2, offset + scale/2] per coordinate
+    field = FuzzyBoxField([
+        FieldComponent(base=TRI, scale=parse("2", 2), offset=parse("t", 2)),
+        FieldComponent(base=FuzzyIntervalNumber.trapezoidal(0.0, 1.0, 2.0, 4.0),
+                       scale=parse("1", 2), offset=parse("y1", 2)),
+    ])
+    spec = ProblemSpec(
+        q=1.6, T=0.7, n=2, m=1, field=field, alpha=0.0,
+        g=((parse("0", 2),), (parse("0", 2),)), Q=(parse("1", 2),),
+        S=AffineOperator(np.eye(1), np.zeros(1)), K=BoxSet.orthant(1),
+        c1=(parse("0", 2), parse("0", 2)), c2=(parse("0", 2), parse("0", 2)), anchor_u0=np.zeros(1),
+    )
+    grid = UniformGrid(0.7, 16)
+    y = GridFunction(grid, np.column_stack([np.sin(grid.nodes), np.zeros(grid.N + 1)]))
+    ts, y1 = grid.nodes, y.values[:, 0]
+    lo = np.column_stack([ts - 1.0, y1])
+    hi = np.column_stack([ts + 1.0, y1 + 4.0])
+    for lam, expected in (((0.0, 0.0), 0.5 * (lo + hi)), ((1.0, 1.0), hi), ((-1.0, -1.0), lo),
+                          ((-1.0, 1.0), np.column_stack([lo[:, 0], hi[:, 1]]))):
+        f = selection_map(spec, y, SelectionPolicy(np.array(lam)))
+        assert np.allclose(f.values, expected, atol=1e-15)
+
+
 def test_nearest_selection_identity_and_bound(example_problem):
     from fdvi.config import build_problem, example_config
 
@@ -241,19 +275,18 @@ def test_nearest_selection_identity_and_bound(example_problem):
     y1 = GridFunction(grid, rng.uniform(-2, 2, size=grid.N + 1))
     y2 = GridFunction(grid, rng.uniform(-2, 2, size=grid.N + 1))
     f1 = selection_map(spec, y1, SelectionPolicy.constant(-0.4, 1))
-    assert np.array_equal(nearest_selection(spec, f1, y1).values, f1.values)
+    assert np.array_equal(nearest_selection(spec, f1, y1), f1.values)
     f2 = nearest_selection(spec, f1, y2)
     # per-node distance bounded by the level-box Hausdorff distance,
     # here 0.5 (1 - alpha) | |cos y1| - |cos y2| |
     bound = 0.5 * (1.0 - spec.alpha) * np.abs(
         np.abs(np.cos(y1.values[:, 0])) - np.abs(np.cos(y2.values[:, 0]))
     )
-    assert np.all(np.abs(f1.values[:, 0] - f2.values[:, 0]) <= bound + 1e-14)
+    assert np.all(np.abs(f1.values[:, 0] - f2[:, 0]) <= bound + 1e-14)
 
 
 def test_nearest_selection_random_property(example_problem):
     from fdvi.config import build_problem, example_config
-    from fdvi.fuzzy import Box
 
     doc = example_config()
     doc["alpha"] = 0.5
@@ -268,8 +301,8 @@ def test_nearest_selection_random_property(example_problem):
         lo1, hi1 = spec.field.level_arrays(grid.nodes, y1.values, spec.alpha)
         lo2, hi2 = spec.field.level_arrays(grid.nodes, y2.values, spec.alpha)
         for i in range(0, grid.N + 1, 7):
-            h = hausdorff(Box(lo1[i], hi1[i]), Box(lo2[i], hi2[i]))
-            assert abs(f1.values[i, 0] - f2.values[i, 0]) <= h + 1e-13
+            h = hausdorff(BoxSet(lo1[i], hi1[i]), BoxSet(lo2[i], hi2[i]))
+            assert abs(f1.values[i, 0] - f2[i, 0]) <= h + 1e-13
 
 
 # --- picard_solve -----------------------------------------------------------
