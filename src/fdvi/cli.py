@@ -78,8 +78,8 @@ def _write_bundle(bundle, out_dir: str, stem: str) -> None:
 
 def _load(args) -> LoadedProblem:
     doc = load_config(args.config)
-    doc = apply_overrides(doc, getattr(args, "override", None))
-    if getattr(args, "seed", None) is not None and isinstance(doc, dict):
+    doc = apply_overrides(doc, args.override)
+    if args.seed is not None and isinstance(doc, dict):
         sampling = doc.setdefault("sampling", {})
         if isinstance(sampling, dict):  # otherwise build_problem reports it at /sampling
             sampling["seed"] = args.seed
@@ -230,28 +230,25 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one instance")
-    p_solve.add_argument("--config", required=True)
+    # the options of every subcommand that loads a config
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--config", required=True)
+    problem.add_argument("--override", action="append", metavar="KEY.PATH=VALUE")
+    problem.add_argument("--seed", type=int)
+
+    p_solve = sub.add_parser("solve", parents=[problem], help="solve one instance")
     p_solve.add_argument("--out", required=True, help="output directory")
-    p_solve.add_argument("--override", action="append", metavar="KEY.PATH=VALUE")
-    p_solve.add_argument("--seed", type=int)
     p_solve.set_defaults(fn=cmd_solve)
 
-    p_band = sub.add_parser("band", help="solve a family over alpha/lambda")
-    p_band.add_argument("--config", required=True)
+    p_band = sub.add_parser("band", parents=[problem], help="solve a family over alpha/lambda")
     p_band.add_argument("--out", required=True)
     p_band.add_argument("--alpha", required=True, help="comma-separated levels, e.g. 0,0.5,1")
     p_band.add_argument("--lambda", dest="lam", required=True,
                         help="comma-separated selections, e.g. --lambda=-1,0,1")
-    p_band.add_argument("--override", action="append", metavar="KEY.PATH=VALUE")
-    p_band.add_argument("--seed", type=int)
     p_band.set_defaults(fn=cmd_band)
 
-    p_verify = sub.add_parser("verify", help="check the existence hypotheses")
-    p_verify.add_argument("--config", required=True)
+    p_verify = sub.add_parser("verify", parents=[problem], help="check the existence hypotheses")
     p_verify.add_argument("--out", required=True, help="report JSON path")
-    p_verify.add_argument("--override", action="append", metavar="KEY.PATH=VALUE")
-    p_verify.add_argument("--seed", type=int)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_vi = sub.add_parser("vi", help="solve one variational inequality")
@@ -286,10 +283,7 @@ def main(argv=None) -> int:
     except NonMonotoneError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except FdviError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (FdviError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,9 +6,11 @@ pattern search around the best sample.  All estimates are lower bounds of
 the true suprema, monotone under sample-count refinement with a fixed seed
 (counter-based streams, order-independent max reductions).
 
-Norm conventions: the field Lipschitz constant, p, M0, M1, M2 use the
-Euclidean norm; the g and Q bounds use 1-norms (entrywise sum for g),
-matching how such constants are usually tabulated for worked instances.
+CONSTANTS is the report's schema: each reported constant with its norm,
+whether it is sampled, and the verdict, if any, that checks it is finite.  The
+field Lipschitz constant, p, M0, M1, M2 use the Euclidean norm; the g and
+Q bounds use 1-norms (entrywise sum for g), matching how such constants
+are usually tabulated for worked instances.
 The field Lipschitz constant is measured in fuzzy_metric, which is exact
 from the alpha = 0 and alpha = 1 levels; _metric_over_pairs evaluates it
 for a batch of pairs from one coefficient pass per state.
@@ -21,7 +23,8 @@ polish evaluates all moves of a pattern-search sweep as one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +40,27 @@ _MIN_PAIR_DIST = 1e-6
 # Most (time, state) rows one sampling block of estimate_constants evaluates.
 _BLOCK_ROWS = 2**18
 
-# The constants estimate_constants samples: the names a claimed bound may use.
-SAMPLED_CONSTANTS = ("L_F", "p_sup", "eta_g", "eta_Q", "M0", "M1", "M2")
+
+class Constant(NamedTuple):
+    norm: str  # the report's "norms" entry
+    sampled: bool = False  # estimate_constants samples it, so a claimed bound may name it
+    verdict: str | None = None  # the A1/A3-A5 verdict that checks it is finite
+
+
+# Every constant of the report's "constants" block, keyed by its report name.
+CONSTANTS = {
+    "L_F": Constant("euclidean", sampled=True, verdict="A1_lipschitz_field"),
+    "p_sup": Constant("euclidean", sampled=True, verdict="A3_field_bound"),
+    "eta_g": Constant("entrywise 1-norm", sampled=True, verdict="A4_g_bound"),
+    "eta_Q": Constant("1-norm", sampled=True, verdict="A5_Q_bound"),
+    "M0": Constant("euclidean", sampled=True),
+    "M1": Constant("euclidean", sampled=True),
+    "M2": Constant("euclidean", sampled=True),
+    "mu": Constant("spectral (symmetric part)"),
+    "coercive_liminf": Constant("euclidean"),
+    "eta_S": Constant("euclidean"),
+}
+SAMPLED_CONSTANTS = tuple(name for name, row in CONSTANTS.items() if row.sampled)
 
 
 def _stream(seed: int, idx: int) -> np.random.Generator:
@@ -342,23 +364,6 @@ def compute_delta(
     return numerator / (1.0 - rho) + 1.0
 
 
-_NORMS = {
-    "L_F": "euclidean", "p_sup": "euclidean", "M0": "euclidean",
-    "M1": "euclidean", "M2": "euclidean",
-    "eta_g": "entrywise 1-norm", "eta_Q": "1-norm",
-    "mu": "spectral (symmetric part)", "coercive_liminf": "euclidean",
-    "eta_S": "euclidean",
-}
-
-# verdict -> the sampled constant whose finiteness it checks
-_BOUND_VERDICTS = {
-    "A1_lipschitz_field": "L_F",
-    "A3_field_bound": "p_sup",
-    "A4_g_bound": "eta_g",
-    "A5_Q_bound": "eta_Q",
-}
-
-
 @dataclass
 class HypothesisReport:
     """Constants keyed by their report names, the contraction constant, the a-priori bound, verdicts."""
@@ -373,18 +378,8 @@ class HypothesisReport:
     sampling: dict
 
     def as_dict(self) -> dict:
-        return {
-            "constants": self.constants,
-            "rho": self.rho,
-            "delta": self.delta,
-            "expected_sup_norm_bound": self.delta,
-            "verdicts": self.verdicts,
-            "overall_pass": self.overall_pass,
-            "witnesses": self.witnesses,
-            "flags": self.flags,
-            "sampling": self.sampling,
-            "norms": dict(_NORMS),
-        }
+        norms = {name: row.norm for name, row in CONSTANTS.items()}
+        return {**asdict(self), "expected_sup_norm_bound": self.delta, "norms": norms}
 
 
 def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) -> HypothesisReport:
@@ -403,7 +398,8 @@ def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) 
     eta_s = compute_eta_s(spec.S, spec.anchor_u0, mu) if mu > 0.0 else math.inf
     c = {**sampled, "mu": mu, "coercive_liminf": liminf, "eta_S": eta_s}
     rho = compute_rho(c["L_F"], spec.T, spec.q)
-    verdicts = {v: {"pass": math.isfinite(c[name]), name: c[name]} for v, name in _BOUND_VERDICTS.items()}
+    verdicts = {row.verdict: {"pass": math.isfinite(c[name]), name: c[name]}
+                for name, row in CONSTANTS.items() if row.verdict}
     verdicts["A2_measurability"] = {
         "pass": True,
         "note": "field data are continuous expressions of (t, y); measurable by construction",

@@ -8,9 +8,9 @@ the projected fixed-point iteration u <- P_K(u - gamma (w + S(u))) with
 gamma = mu / L^2 is a contraction, run on all rows at once.  L is the
 exact spectral norm ||M||_2: the contraction holds for gamma < 2 mu / L^2,
 which an underestimate of L can break.  For merely
-monotone S the solver takes a single instance and commits to the
+monotone S the solver takes a single instance and aims at the
 least-norm element of the solution set via Tikhonov regularization
-extrapolated to zero.
+extrapolated to zero, polished by semismooth Newton when that misses tol.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
 
     Quadratic extrapolation of the regularization path approximates the
     least-norm solution.  Each eps is a semismooth Newton solve, with the
-    projected iteration as the fallback.
+    projected iteration as the fallback.  A point above tol gets one Newton
+    solve of the original instance; the result must certify at tol.
     """
     sols = []
     u = u0
@@ -209,7 +210,10 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
         weights.append(np.prod([-e[j] for j in others]) / np.prod([e[i] - e[j] for j in others]))
     u_star = inst.k.project(sum(w * s for w, s in zip(weights, sols)))
     res = vi_residual(inst, u_star)
-    if res > max(tol, 1e-7) * (1.0 + float(np.linalg.norm(inst.w))):
+    if res > tol:
+        u_star = _solve_newton_box(inst, tol, 100, u_star)
+        res = vi_residual(inst, u_star)
+    if res > tol:
         raise NotConvergedError(
             "Tikhonov extrapolation did not certify a solution "
             "(the monotone problem may have an empty solution set)",
@@ -220,12 +224,12 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
 
 
 def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, start=None) -> np.ndarray:
-    """Solve the VI; unique solution for strongly monotone S, least-norm otherwise.
+    """Solve the VI: the unique solution for strongly monotone S, one near the least-norm one otherwise.
 
     A batch w of shape (k, m) is solved as k independent rows, every row
     started from P_K(start), and returns (k, m) once every row's residual is
     within tol.  Raises NonMonotoneError when the symmetric part of M has an
-    eigenvalue below -1e-10, NotConvergedError (node = the worst row) when
+    eigenvalue below -MONOTONE_TOL, NotConvergedError (node = the worst row) when
     the residual target is not met, and DimensionMismatch for a batch with
     a merely monotone S, which is solved one instance at a time.
     """

@@ -282,7 +282,7 @@ def test_cli_solve_and_band_warn_on_sampled_rho(tmp_path, config_path):
         assert main(["band", "--out", str(tmp_path / "band"), "--alpha", "1", "--lambda=0", *args]) == 0
 
 
-def test_cli_failed_write_leaves_no_temp_file(tmp_path, config_path, monkeypatch):
+def test_cli_failed_write_leaves_no_temp_file(tmp_path, config_path, monkeypatch, capsys):
     def failing_write(self, path):
         with open(path, "w") as fh:
             fh.write("t,y1\n")
@@ -290,9 +290,20 @@ def test_cli_failed_write_leaves_no_temp_file(tmp_path, config_path, monkeypatch
 
     monkeypatch.setattr(SolutionBundle, "write_csv", failing_write)
     out = tmp_path / "out"
-    with pytest.raises(OSError, match="disk full"):
-        main(["solve", "--config", config_path, "--out", str(out)])
+    assert main(["solve", "--config", config_path, "--out", str(out)]) == 1
+    assert "error: disk full" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_cli_output_path_errors_exit_1(tmp_path, config_path, capsys):
+    taken_dir = tmp_path / "taken_dir"
+    taken_dir.mkdir()
+    assert main(["verify", "--config", config_path, "--out", str(taken_dir)]) == 1
+    assert "error:" in capsys.readouterr().err
+    taken_file = tmp_path / "taken_file"
+    taken_file.write_text("")
+    assert main(["solve", "--config", config_path, "--out", str(taken_file)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_verify_pass_and_fail(tmp_path, config_path):
@@ -461,6 +472,21 @@ def test_cli_seed_with_non_object_container_is_config_error(tmp_path, capsys, do
 def test_cli_usage_error():
     assert main(["solve"]) == 1  # missing required flags
     assert main(["bogus-subcommand"]) == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", []),
+    ("band", ["--alpha", "1", "--lambda=0"]),
+    ("verify", []),
+])
+def test_cli_config_commands_take_the_shared_options(command, extra):
+    parser = fdvi.cli._build_parser()
+    args = parser.parse_args([command, "--out", "out", *extra, "--config", "c.json",
+                              "--override", "solver.N=50", "--override", "alpha=0.5", "--seed", "7"])
+    assert (args.config, args.override, args.seed) == ("c.json", ["solver.N=50", "alpha=0.5"], 7)
+    args = parser.parse_args([command, "--out", "out", *extra, "--config", "c.json"])
+    assert (args.override, args.seed) == (None, None)
+    assert main([command, "--out", "out", *extra]) == 1  # --config is required
 
 
 def test_cli_example_end_to_end(tmp_path):

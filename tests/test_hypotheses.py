@@ -9,6 +9,7 @@ from fdvi.errors import AnchorNotFeasible, DomainError
 from fdvi.expr import evaluate, parse
 from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric
 from fdvi.hypotheses import (
+    CONSTANTS,
     SAMPLED_CONSTANTS,
     SamplingDomain,
     _metric_over_pairs,
@@ -411,6 +412,20 @@ def test_verify_example_passes(example_spec):
     c = report.constants
     byhand = compute_delta(c["M0"], c["eta_g"], c["eta_S"], c["eta_Q"], c["M1"], c["M2"], 0.7, 1.6, report.rho)
     assert report.delta == pytest.approx(byhand, rel=1e-14)
+
+
+def test_report_schema_comes_from_the_constants_table(example_spec):
+    report = verify(example_spec, small_domain(pairs=2000, y_samples=64)).as_dict()
+    assert SAMPLED_CONSTANTS == ("L_F", "p_sup", "eta_g", "eta_Q", "M0", "M1", "M2")
+    assert set(report["constants"]) == set(CONSTANTS)
+    assert report["norms"] == {name: row.norm for name, row in CONSTANTS.items()}
+    # the bound verdicts are those whose only entry besides "pass" is a constant
+    bound = {verdict: set(body) - {"pass"} for verdict, body in report["verdicts"].items()
+             if len(body) == 2 and set(body) - {"pass"} <= set(CONSTANTS)}
+    assert bound == {row.verdict: {name} for name, row in CONSTANTS.items() if row.verdict}
+    assert set(bound) == {"A1_lipschitz_field", "A3_field_bound", "A4_g_bound", "A5_Q_bound"}
+    for verdict, (name,) in bound.items():
+        assert report["verdicts"][verdict] == {"pass": True, name: report["constants"][name]}
 
 
 def test_verify_rejects_claimed_names_it_does_not_sample(example_spec):

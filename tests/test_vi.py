@@ -123,6 +123,21 @@ def test_monotone_zero_operator_on_bounded_box():
     assert np.allclose(u, [0.0, 1.0], atol=1e-7)
 
 
+def test_monotone_path_certifies_at_tol():
+    # mu ~ 4e-17; the extrapolated Tikhonov point alone has residual 4.5e-9
+    m_mat = np.array([
+        [3.471065086426164, -0.48467862394704464, 1.4191247264537241, -0.06565123747667924],
+        [-0.9342436113126096, 1.3353215608466722, -0.9691641371921422, -1.0325374246403394],
+        [1.6045094115750695, 0.25766308621139355, 0.8992666882511002, -0.49074890078528366],
+        [-0.2363654570023233, -0.72314122308215, 1.1585025021461741, 1.2546392568096811],
+    ])
+    w = np.array([-2.62151867738637, -0.21655328242813687, -0.44195520338115957, -0.2261246443355395])
+    inst = VIInstance(BoxSet(-np.ones(4), np.ones(4)), w, AffineOperator(m_mat, np.zeros(4)))
+    assert abs(inst.s.mu) <= 1e-12
+    u = solve_vi(inst, tol=1e-10)
+    assert vi_residual(inst, u) <= 1e-10
+
+
 def test_non_monotone_rejected():
     s = AffineOperator(-np.eye(2), np.zeros(2))
     with pytest.raises(NonMonotoneError):
