@@ -181,6 +181,8 @@ def cmd_band(args) -> int:
 
 
 def _verify(problem: LoadedProblem, path: str) -> int:
+    if os.path.isdir(path):  # the final move would fail only after the whole verify
+        raise IsADirectoryError(f"report path {path} is a directory")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     report = verify(problem.spec, problem.sampling, claimed=problem.claimed)
     _atomic_json(path, report.as_dict())

@@ -90,12 +90,6 @@ class Expression:
     nvars: int
     source: str
 
-    def __call__(self, t, y):
-        return evaluate(self, t, y)
-
-    def __str__(self) -> str:
-        return to_source(self.root)
-
 
 # --- Tokenizer -----------------------------------------------------------
 

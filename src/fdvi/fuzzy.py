@@ -15,7 +15,8 @@ the sup over alpha of that distance between alpha-levels, is exact too:
 level endpoints are affine in alpha, so the sup sits at alpha = 0 or 1.
 FuzzyBoxField.levels is the one vectorised level-endpoint formula; it
 takes the scale/offset coefficients that FuzzyBoxField.coefficients
-evaluates once per state, and level_arrays composes the two.
+evaluates once per state.  level_arrays composes the two, and so does
+FuzzyBoxField.metric, the batched fuzzy metric over pairs of states.
 """
 
 from __future__ import annotations
@@ -156,6 +157,17 @@ class FuzzyBoxField:
         """Vectorized levels over nodes: (lo, hi) of shape (k, n) for (k,) times and (k, n) states."""
         _check_alpha(alpha)
         return self.levels(*self.coefficients(ts, ys), alpha)
+
+    def metric(self, ts, y1s, y2s) -> np.ndarray:
+        """fuzzy_metric of the field at (ts, y1s) and (ts, y2s), from the alpha = 0 and 1 levels."""
+        e1, d1 = self.coefficients(ts, y1s)
+        e2, d2 = self.coefficients(ts, y2s)
+        out = np.zeros(ts.shape[0])
+        for alpha in (0.0, 1.0):
+            lo1, hi1 = self.levels(e1, d1, alpha)
+            lo2, hi2 = self.levels(e2, d2, alpha)
+            out = np.maximum(out, np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2)), axis=1))
+        return out
 
 
 def hausdorff(a: BoxSet, b: BoxSet) -> float:

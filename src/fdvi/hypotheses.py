@@ -11,9 +11,9 @@ whether it is sampled, and the verdict, if any, that checks it is finite.  The
 field Lipschitz constant, p, M0, M1, M2 use the Euclidean norm; the g and
 Q bounds use 1-norms (entrywise sum for g), matching how such constants
 are usually tabulated for worked instances.
-The field Lipschitz constant is measured in fuzzy_metric, which is exact
-from the alpha = 0 and alpha = 1 levels; _metric_over_pairs evaluates it
-for a batch of pairs from one coefficient pass per state.
+The field Lipschitz constant is measured in the fuzzy metric, batched by
+FuzzyBoxField.metric.  S's monotonicity is read from AffineOperator and
+the anchor's membership in K from BoxSet.contains.
 
 Every objective is batch-native.  Sampling evaluates each constant's
 objective over the whole (time, state) grid, in blocks of times; the
@@ -34,7 +34,7 @@ from .fuzzy import FuzzyBoxField
 from .fuzzy import fuzzy_metric  # noqa: F401 -- perfbench/tracing.py patches this binding
 from .problem import ProblemSpec
 from .special import gamma
-from .vi import MONOTONE_TOL, AffineOperator, BoxSet
+from .vi import AffineOperator, BoxSet
 
 _MIN_PAIR_DIST = 1e-6
 # Most (time, state) rows one sampling block of estimate_constants evaluates.
@@ -139,22 +139,6 @@ def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.
     return np.concatenate(([0.0, t_horizon], extra))
 
 
-def _metric_over_pairs(field: FuzzyBoxField, ts, y1s, y2s) -> np.ndarray:
-    """Vectorized fuzzy_metric between the field values at two states.
-
-    The sup over levels is attained at alpha = 0 or 1 (see fuzzy_metric);
-    both levels come from one coefficient evaluation per state.
-    """
-    e1, d1 = field.coefficients(ts, y1s)
-    e2, d2 = field.coefficients(ts, y2s)
-    out = np.zeros(ts.shape[0])
-    for alpha in (0.0, 1.0):
-        lo1, hi1 = field.levels(e1, d1, alpha)
-        lo2, hi2 = field.levels(e2, d2, alpha)
-        out = np.maximum(out, np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2)), axis=1))
-    return out
-
-
 def estimate_field_lipschitz(
     field: FuzzyBoxField,
     box_lo,
@@ -187,7 +171,7 @@ def estimate_field_lipschitz(
     if not np.any(mask):
         return 0.0
     quot = np.zeros(pairs)
-    quot[mask] = _metric_over_pairs(field, ts[mask], y1[mask], y2[mask]) / dist[mask]
+    quot[mask] = field.metric(ts[mask], y1[mask], y2[mask]) / dist[mask]
     best_idx = int(np.argmax(quot))
     best = float(quot[best_idx])
     if not polish:
@@ -199,7 +183,7 @@ def estimate_field_lipschitz(
         d = np.linalg.norm(a - b, axis=1)
         ok = d >= _MIN_PAIR_DIST
         out = np.full(x.shape[0], -math.inf)
-        out[ok] = _metric_over_pairs(field, x[ok, 0], a[ok], b[ok]) / d[ok]
+        out[ok] = field.metric(x[ok, 0], a[ok], b[ok]) / d[ok]
         return out
 
     x0 = np.concatenate(([ts[best_idx]], y1[best_idx], y2[best_idx]))
@@ -301,17 +285,15 @@ _COERCIVITY_RADII = (1e2, 1e3, 1e4)
 def check_coercivity(s: AffineOperator, k: BoxSet, u0, dom: SamplingDomain) -> tuple[bool, float, float]:
     """(monotone, mu_est, liminf_est) for assumption A6.
 
-    mu_est is the exact smallest eigenvalue of the symmetric part; the
+    monotone and mu_est are S's own, exact from the symmetric part; the
     liminf quotient <S(u), u - u0> / ||u||^2 is sampled at large radii.
     A bounded feasible box makes the liminf vacuous (+inf).
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if not np.allclose(k.project(u0), u0, atol=1e-9):
+    if not k.contains(u0, tol=1e-9):
         raise AnchorNotFeasible(f"anchor {u0.tolist()} is not in K")
-    mu_est = s.mu
-    monotone = mu_est >= -MONOTONE_TOL
     if k.bounded:
-        return monotone, mu_est, math.inf
+        return s.monotone, s.mu, math.inf
     rng = _stream(dom.seed, 4)
     dirs = rng.standard_normal((min(dom.y_samples, 2048), s.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
@@ -325,7 +307,7 @@ def check_coercivity(s: AffineOperator, k: BoxSet, u0, dom: SamplingDomain) -> t
         kept = pts[keep]
         quot = np.einsum("ij,ij->i", s(kept), kept - u0) / norms[keep] ** 2
         liminf = min(liminf, float(np.min(quot)))
-    return monotone, mu_est, liminf
+    return s.monotone, s.mu, liminf
 
 
 def compute_rho(l_f: float, t_horizon: float, q: float) -> float:
@@ -339,14 +321,14 @@ def compute_rho(l_f: float, t_horizon: float, q: float) -> float:
     return 2.0 * l_f * t_horizon**q / gamma(q + 1.0)
 
 
-def compute_eta_s(s: AffineOperator, u0, mu: float) -> float:
+def compute_eta_s(s: AffineOperator, u0) -> float:
     """Bound eta_S with ||u*|| <= eta_S (1 + ||w||) for every VI solution u*.
 
-    From <w + S(u*), u0 - u*> >= 0 and strong monotonicity,
-    ||u* - u0|| <= (||w|| + ||S(u0)||) / mu, hence
+    From <w + S(u*), u0 - u*> >= 0 and strong monotonicity with modulus
+    mu = s.mu, ||u* - u0|| <= (||w|| + ||S(u0)||) / mu, hence
     eta_S = max(1/mu, ||u0|| + ||S(u0)||/mu) works.
     """
-    if mu <= 0.0:
+    if (mu := s.mu) <= 0.0:
         raise DomainError(f"eta_S needs strong monotonicity (mu > 0), got mu = {mu}")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     return max(1.0 / mu, float(np.linalg.norm(u0)) + float(np.linalg.norm(s(u0))) / mu)
@@ -395,7 +377,7 @@ def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) 
     sampled = estimate_constants(spec, dom)
     witnesses = sampled.pop("witnesses")
     monotone, mu, liminf = check_coercivity(spec.S, spec.K, spec.anchor_u0, dom)
-    eta_s = compute_eta_s(spec.S, spec.anchor_u0, mu) if mu > 0.0 else math.inf
+    eta_s = compute_eta_s(spec.S, spec.anchor_u0)
     c = {**sampled, "mu": mu, "coercive_liminf": liminf, "eta_S": eta_s}
     rho = compute_rho(c["L_F"], spec.T, spec.q)
     verdicts = {row.verdict: {"pass": math.isfinite(c[name]), name: c[name]}
@@ -411,11 +393,9 @@ def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) 
         "liminf_quotient": liminf,
     }
     verdicts["contraction"] = {"pass": bool(rho < 1.0), "rho": rho}
-    delta = None
-    if rho < 1.0 and math.isfinite(eta_s):
-        delta = compute_delta(
-            c["M0"], c["eta_g"], c["eta_S"], c["eta_Q"], c["M1"], c["M2"], spec.T, spec.q, rho,
-        )
+    delta = compute_delta(
+        c["M0"], c["eta_g"], c["eta_S"], c["eta_Q"], c["M1"], c["M2"], spec.T, spec.q, rho,
+    ) if rho < 1.0 else None
     flags = [
         f"sampled {name} = {sampled[name]:.6g} exceeds the declared bound {declared:.6g}"
         for name, declared in (claimed or {}).items()

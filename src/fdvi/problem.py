@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NonMonotoneError
 from .expr import Expression
 from .fuzzy import FuzzyBoxField
-from .vi import MONOTONE_TOL, STRONG_MU, AffineOperator, BoxSet
+from .vi import AffineOperator, BoxSet
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,9 @@ class ProblemSpec:
         if anchor.shape != (self.m,):
             raise DimensionMismatch(f"anchor u0 must have length {self.m}")
         object.__setattr__(self, "anchor_u0", anchor)
-        mu = self.S.mu
-        if mu < -MONOTONE_TOL:
-            raise NonMonotoneError(f"S is not monotone: mu = {mu:.3e}")
-        if mu <= STRONG_MU:
+        if not self.S.monotone:
+            raise NonMonotoneError(f"S is not monotone: mu = {self.S.mu:.3e}")
+        if not self.S.strongly_monotone:
             raise DomainError("the solver path requires strongly monotone S (mu > 0)")
 
 

@@ -1,16 +1,17 @@
 """Node-level variational inequality: find u in K with <w + S(u), v - u> >= 0.
 
-K is a box (endpoints may be infinite) and S is affine monotone,
-S(u) = M u + b.  The constant term w is one vector (m,) or a batch (k, m)
-of independent problems that share K and S; solutions and residuals then
-come row by row.  For a strongly monotone S each solution is unique and
-the projected fixed-point iteration u <- P_K(u - gamma (w + S(u))) with
-gamma = mu / L^2 is a contraction, run on all rows at once.  L is the
-exact spectral norm ||M||_2: the contraction holds for gamma < 2 mu / L^2,
-which an underestimate of L can break.  For merely
-monotone S the solver takes a single instance and aims at the
-least-norm element of the solution set via Tikhonov regularization
-extrapolated to zero, polished by semismooth Newton when that misses tol.
+K is a box (endpoints may be infinite) and S(u) = M u + b is affine;
+AffineOperator.monotone and .strongly_monotone classify S for every caller.
+The constant term w is one vector (m,) or a batch (k, m) of independent
+problems that share K and S; solutions and residuals then come row by row.
+For a strongly monotone S each solution is unique and the projected
+fixed-point iteration u <- P_K(u - gamma (w + S(u))) with gamma = mu / L^2
+is a contraction, run on all rows at once.  L is the exact spectral norm
+||M||_2: the contraction holds for gamma < 2 mu / L^2, which an
+underestimate of L can break.  For merely monotone S the solver takes a
+single instance and aims at the least-norm element of the solution set via
+Tikhonov regularization extrapolated to zero, polished by semismooth Newton
+when that misses tol.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonMonotoneError, NotConvergedError
 
-# mu below -MONOTONE_TOL is not monotone; mu above STRONG_MU is strongly monotone.
 MONOTONE_TOL = 1e-10
 STRONG_MU = 1e-12
 
@@ -57,6 +57,16 @@ class AffineOperator:
         """Smallest eigenvalue of the symmetric part (strong monotonicity modulus)."""
         sym = 0.5 * (self.M + self.M.T)
         return float(np.linalg.eigvalsh(sym)[0])
+
+    @property
+    def monotone(self) -> bool:
+        """<S(u) - S(v), u - v> >= 0 up to MONOTONE_TOL: the VI is solvable as posed."""
+        return self.mu >= -MONOTONE_TOL
+
+    @property
+    def strongly_monotone(self) -> bool:
+        """mu > STRONG_MU: every VI with this S has exactly one solution."""
+        return self.mu > STRONG_MU
 
     @cached_property
     def lipschitz(self) -> float:
@@ -106,6 +116,8 @@ class BoxSet:
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.dim:
+            raise DimensionMismatch(f"point has dimension {x.shape[-1]}, set {self.dim}")
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
 
@@ -228,18 +240,18 @@ def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, star
 
     A batch w of shape (k, m) is solved as k independent rows, every row
     started from P_K(start), and returns (k, m) once every row's residual is
-    within tol.  Raises NonMonotoneError when the symmetric part of M has an
-    eigenvalue below -MONOTONE_TOL, NotConvergedError (node = the worst row) when
-    the residual target is not met, and DimensionMismatch for a batch with
-    a merely monotone S, which is solved one instance at a time.
+    within tol.  Raises NonMonotoneError unless S.monotone, NotConvergedError
+    (node = the worst row) when the residual target is not met, and
+    DimensionMismatch for a batch when S is not S.strongly_monotone, since
+    that path solves one instance at a time.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
     mu = inst.s.mu
-    if mu < -MONOTONE_TOL:
+    if not inst.s.monotone:
         raise NonMonotoneError(f"operator is not monotone: mu = {mu:.3e}")
     u0 = inst.k.project(np.zeros(inst.s.dim) if start is None else np.asarray(start, dtype=float))
-    if mu > STRONG_MU:
+    if inst.s.strongly_monotone:
         u, _ = _solve_strong(inst, mu, tol, max_iter, u0)
     elif inst.w.ndim == 1:
         u, _ = _solve_monotone(inst, tol, max_iter, u0)

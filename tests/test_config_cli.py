@@ -306,6 +306,18 @@ def test_cli_output_path_errors_exit_1(tmp_path, config_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_verify_into_a_directory_fails_before_sampling(tmp_path, config_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("verify ran although its report path is a directory")
+
+    monkeypatch.setattr(fdvi.cli, "verify", must_not_run)
+    taken_dir = tmp_path / "taken_dir"
+    taken_dir.mkdir()
+    assert main(["verify", "--config", config_path, "--out", str(taken_dir)]) == 1
+    err = capsys.readouterr().err
+    assert str(taken_dir) in err and ".tmp-" not in err
+
+
 def test_cli_verify_pass_and_fail(tmp_path, config_path):
     report_path = tmp_path / "report.json"
     rc = main(["verify", "--config", config_path, "--out", str(report_path)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,13 @@ import pytest
 
 import fdvi.hypotheses
 from fdvi.config import build_problem, example_config
-from fdvi.errors import AnchorNotFeasible, DomainError
+from fdvi.errors import AnchorNotFeasible, DimensionMismatch, DomainError, NonMonotoneError
 from fdvi.expr import evaluate, parse
 from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric
 from fdvi.hypotheses import (
     CONSTANTS,
     SAMPLED_CONSTANTS,
     SamplingDomain,
-    _metric_over_pairs,
     _pattern_maximize,
     _sample_times,
     _stream,
@@ -25,7 +25,7 @@ from fdvi.hypotheses import (
     verify,
 )
 from fdvi.special import gamma
-from fdvi.vi import AffineOperator, BoxSet, VIInstance, solve_vi
+from fdvi.vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
 
 
 def small_domain(seed=20260809, pairs=20_000, y_samples=1024):
@@ -140,18 +140,18 @@ def test_rho_domain_errors():
 
 def test_eta_s_scaled_identity():
     s = AffineOperator(3.0 * np.eye(2), np.zeros(2))
-    assert compute_eta_s(s, np.zeros(2), 3.0) == pytest.approx(1.0 / 3.0)
+    assert compute_eta_s(s, np.zeros(2)) == pytest.approx(1.0 / 3.0)
 
 
 def test_eta_s_identity():
     s = AffineOperator(np.eye(2), np.zeros(2))
-    assert compute_eta_s(s, np.zeros(2), 1.0) == pytest.approx(1.0)
+    assert compute_eta_s(s, np.zeros(2)) == pytest.approx(1.0)
 
 
 def test_eta_s_requires_positive_mu():
     s = AffineOperator(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(DomainError):
-        compute_eta_s(s, np.zeros(2), 0.0)
+        compute_eta_s(s, np.zeros(2))
 
 
 def test_eta_s_soundness_on_random_instances():
@@ -166,7 +166,7 @@ def test_eta_s_soundness_on_random_instances():
         u0 = k.project(rng.uniform(-1, 1, size=m))
         w = rng.uniform(-4, 4, size=m)
         u = solve_vi(VIInstance(k, w, s), start=u0)
-        eta = compute_eta_s(s, u0, s.mu)
+        eta = compute_eta_s(s, u0)
         assert np.linalg.norm(u) <= eta * (1.0 + np.linalg.norm(w)) + 1e-8
 
 
@@ -225,8 +225,39 @@ def test_coercivity_bounded_box_is_vacuous():
 
 def test_coercivity_anchor_must_be_feasible():
     s = AffineOperator(np.eye(2), np.zeros(2))
-    with pytest.raises(AnchorNotFeasible):
-        check_coercivity(s, BoxSet.orthant(2), np.array([-1.0, 0.0]), small_domain())
+    # the second anchor is 1e-3 outside K, though within 1e-5 of it relative to its size
+    for k, u0 in ((BoxSet.orthant(2), [-1.0, 0.0]),
+                  (BoxSet([0.0, 0.0], [1000.0, 1000.0]), [1000.001, 0.0])):
+        with pytest.raises(AnchorNotFeasible):
+            check_coercivity(s, k, np.array(u0), small_domain())
+
+
+@pytest.mark.parametrize("m_mat, monotone, strong", [
+    (3.0 * np.eye(2), True, True),
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), True, False),
+    (np.diag([1.0, -1.0]), False, False),
+], ids=["3I", "rotation", "indefinite"])
+def test_every_consumer_reads_the_operators_monotonicity(example_spec, m_mat, monotone, strong):
+    s = AffineOperator(m_mat, np.zeros(2))
+    assert (s.monotone, s.strongly_monotone) == (monotone, strong)
+    k = BoxSet([-1.0, -1.0], [1.0, 1.0])
+    single = VIInstance(k, np.array([1.0, -1.0]), s)
+    batch = VIInstance(k, np.array([[1.0, -1.0], [0.5, 2.0], [-3.0, 0.0]]), s)
+    if strong:
+        assert np.max(vi_residual(batch, solve_vi(batch))) <= 1e-10
+        assert dataclasses.replace(example_spec, S=s).S is s
+    elif monotone:
+        assert vi_residual(single, solve_vi(single)) <= 1e-10
+        with pytest.raises(DimensionMismatch):
+            solve_vi(batch)
+        with pytest.raises(DomainError, match="strongly monotone"):
+            dataclasses.replace(example_spec, S=s)
+    else:
+        with pytest.raises(NonMonotoneError):
+            solve_vi(single)
+        with pytest.raises(NonMonotoneError):
+            dataclasses.replace(example_spec, S=s)
+    assert check_coercivity(s, BoxSet.orthant(2), np.zeros(2), small_domain())[0] is monotone
 
 
 # --- estimate_constants --------------------------------------------------------
@@ -273,7 +304,7 @@ def test_metric_over_pairs_matches_scalar_fuzzy_metric():
     y1s = rng.uniform(-4.0, 4.0, (400, 2))
     y2s = rng.uniform(-4.0, 4.0, (400, 2))
     assert np.any(np.sin(y1s[:, 0]) * np.sin(y2s[:, 0]) < 0.0)
-    batch = _metric_over_pairs(field, ts, y1s, y2s)
+    batch = field.metric(ts, y1s, y2s)
     scalar = [fuzzy_metric(field.at(t, a), field.at(t, b)) for t, a, b in zip(ts, y1s, y2s)]
     np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-15)
 

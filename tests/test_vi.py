@@ -33,6 +33,14 @@ def test_project_orthant_clamp():
     assert np.allclose(BoxSet.orthant(2).project([1.5, -0.3]), [1.5, 0.0])
 
 
+def test_contains_takes_a_tolerance_and_checks_the_dimension():
+    k = BoxSet.orthant(2)
+    assert k.contains([0.0, 1.0]) and not k.contains([-1e-9, 0.0])
+    assert k.contains([-1e-9, 0.0], tol=1e-9)
+    with pytest.raises(DimensionMismatch):
+        k.contains([0.5])  # would broadcast against both bounds
+
+
 def test_project_idempotent():
     k = BoxSet([-1.0, 0.0], [2.0, np.inf])
     rng = np.random.default_rng(3)
