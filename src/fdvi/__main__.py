@@ -1,0 +1,7 @@
+"""`python -m fdvi ...` runs the command-line front door."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

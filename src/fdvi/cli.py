@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage/config error, 2 non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ def _atomic_write(path: str, write) -> None:
 
     The file gets the mode a plain open() would give it under the current
     umask (mkstemp creates it owner-only).  The temporary file is removed
-    if the write or the move fails.
+    if the write or the move fails, and an OSError about it names path.
     """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-",
                                suffix=os.path.basename(path))
@@ -60,10 +61,19 @@ def _atomic_write(path: str, write) -> None:
         write(tmp)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def _check_outputs(paths) -> None:
+    """Fail before any work if an output name is a directory; the final move would fail only after it."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path} is a directory")
 
 
 def _atomic_json(path: str, payload) -> None:
@@ -71,9 +81,15 @@ def _atomic_json(path: str, payload) -> None:
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def _bundle_paths(out_dir: str, stem: str) -> tuple[str, str]:
+    """The trajectory CSV and diagnostics JSON one solve writes under stem."""
+    return os.path.join(out_dir, f"{stem}.csv"), os.path.join(out_dir, f"{stem}_diagnostics.json")
+
+
 def _write_bundle(bundle, out_dir: str, stem: str) -> None:
-    _atomic_write(os.path.join(out_dir, f"{stem}.csv"), bundle.write_csv)
-    _atomic_json(os.path.join(out_dir, f"{stem}_diagnostics.json"), bundle.diagnostics)
+    csv_path, json_path = _bundle_paths(out_dir, stem)
+    _atomic_write(csv_path, bundle.write_csv)
+    _atomic_json(json_path, bundle.diagnostics)
 
 
 def _load(args) -> LoadedProblem:
@@ -112,6 +128,7 @@ def _warn_if_rho_large(problem: LoadedProblem) -> None:
 
 
 def _solve(problem: LoadedProblem, out_dir: str) -> int:
+    _check_outputs(_bundle_paths(out_dir, "solution"))
     _warn_if_rho_large(problem)
     os.makedirs(out_dir, exist_ok=True)
     bundle = picard_solve(problem.spec, problem.solver, problem.selection)
@@ -139,8 +156,15 @@ def _band_stems(alphas, lambdas) -> list[str]:
     return list(stems)
 
 
+def _band_paths(out_dir: str, stems) -> list[str]:
+    """Every file a band sweep may write: each run's bundle, the envelope, the run status."""
+    paths = [path for stem in stems for path in _bundle_paths(out_dir, stem)]
+    return paths + [os.path.join(out_dir, name) for name in ("envelope.csv", "band_runs.json")]
+
+
 def _run_band(problem: LoadedProblem, alphas, lambdas, out_dir: str) -> int:
     stems = _band_stems(alphas, lambdas)
+    _check_outputs(_band_paths(out_dir, stems))
     os.makedirs(out_dir, exist_ok=True)
     runs = solve_band(problem.spec, problem.solver, alphas, lambdas)
     status = []
@@ -181,8 +205,7 @@ def cmd_band(args) -> int:
 
 
 def _verify(problem: LoadedProblem, path: str) -> int:
-    if os.path.isdir(path):  # the final move would fail only after the whole verify
-        raise IsADirectoryError(f"report path {path} is a directory")
+    _check_outputs([path])
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     report = verify(problem.spec, problem.sampling, claimed=problem.claimed)
     _atomic_json(path, report.as_dict())
@@ -216,17 +239,24 @@ def cmd_vi(args) -> int:
 
 
 def cmd_example(args) -> int:
+    config_path, report_path = (os.path.join(args.out, name) for name in ("config.json", "report.json"))
+    band_dir = os.path.join(args.out, "band")
+    alphas, lambdas = [0.0, 0.5, 1.0], [-1.0, 0.0, 1.0]
+    # every output name, before the verify and the solves start
+    _check_outputs([config_path, report_path, *_bundle_paths(args.out, "solution"),
+                    *_band_paths(band_dir, _band_stems(alphas, lambdas))])
     os.makedirs(args.out, exist_ok=True)
     doc = example_config()
-    _atomic_json(os.path.join(args.out, "config.json"), doc)
+    _atomic_json(config_path, doc)
     problem = build_problem(doc)
-    verify_rc = _verify(problem, os.path.join(args.out, "report.json"))
+    verify_rc = _verify(problem, report_path)
     _solve(problem, args.out)
     # solve and band run even when the hypotheses fail; that failure decides the exit code
-    band_rc = _run_band(problem, [0.0, 0.5, 1.0], [-1.0, 0.0, 1.0], os.path.join(args.out, "band"))
+    band_rc = _run_band(problem, alphas, lambdas, band_dir)
     return verify_rc or band_rc
 
 
+@functools.cache  # one parser per process: building it costs about a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fdvi", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

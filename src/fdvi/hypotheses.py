@@ -16,8 +16,12 @@ FuzzyBoxField.metric.  S's monotonicity is read from AffineOperator and
 the anchor's membership in K from BoxSet.contains.
 
 Every objective is batch-native.  Sampling evaluates each constant's
-objective over the whole (time, state) grid, in blocks of times; the
-polish evaluates all moves of a pattern-search sweep as one batch.
+objective over the whole (time, state) grid, and the L_F quotient over all
+sampled pairs, in cache-sized blocks of at most _BLOCK_ROWS rows.  The
+polish evaluates speculatively: one batch holds the rest of the current
+pattern-search sweep and every later sweep at the step it would use if
+no move improved, so it makes one objective call per accepted move, plus
+the start and the final batch.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ from .special import gamma
 from .vi import AffineOperator, BoxSet
 
 _MIN_PAIR_DIST = 1e-6
-# Most (time, state) rows one sampling block of estimate_constants evaluates.
-_BLOCK_ROWS = 2**18
+# Most rows one sampling block evaluates: (time, state) rows of a constant's
+# grid, or state pairs of the L_F pass.  Blocks this size stay in cache.
+_BLOCK_ROWS = 2**15
 
 
 class Constant(NamedTuple):
@@ -100,37 +105,50 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     """Deterministic coordinate pattern search; fn maps (k, d) points to (k,) values.
 
     A sweep tries the moves +step_i, -step_i for each coordinate i in turn
-    and accepts each one that beats the best value so far.  The moves are
-    evaluated as one batch from the current point; after an accepted move
-    the remaining ones are re-batched from the new point, so the search
-    path is exactly that of trying the moves one at a time.  fn may return
-    -inf to veto a point.
+    and accepts each one that beats the best value so far.  A sweep that
+    accepts no move halves the step; the search stops after `sweeps` sweeps
+    or once the step falls below 1e-14 of the box.  The moves are evaluated
+    speculatively: one batch holds the rest of the current sweep and then
+    each later sweep at the step it would use if no move improved.  The
+    first row of the batch that beats the best value is the move the
+    one-at-a-time search accepts; the search takes that row's sweep and
+    step and re-batches from the new point.  So its path is exactly that of
+    trying the moves one at a time, and fn is called at most twice more
+    than the number of accepted moves.  fn may return -inf to veto a point.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     best = float(fn(x[None])[0])
-    step = (hi - lo) / 8.0
+    moves = 2 * x.shape[0]
     axis = np.repeat(np.arange(x.shape[0]), 2)  # move m changes coordinate axis[m]
     sign = np.tile([1.0, -1.0], x.shape[0])
-    for _ in range(sweeps):
-        improved = False
-        first = 0
-        while first < axis.shape[0]:
-            ax = axis[first:]
-            trials = np.repeat(x[None], ax.shape[0], axis=0)
-            trials[np.arange(ax.shape[0]), ax] = np.minimum(
-                np.maximum(x[ax] + sign[first:] * step[ax], lo[ax]), hi[ax])
-            vals = fn(trials)
-            better = np.flatnonzero(vals > best)
-            if better.size == 0:
-                break
-            k = int(better[0])
-            best, x, improved = float(vals[k]), trials[k], True
-            first += k + 1
-        if not improved:
-            step *= 0.5
-            if np.max(step) < 1e-14 * max(1.0, float(np.max(hi - lo))):
-                break
-    return best, x
+    floor = 1e-14 * max(1.0, float(np.max(hi - lo)))
+    sweep, first, step, improved = 0, 0, (hi - lo) / 8.0, False
+    while True:
+        # the step of each sweep from `sweep` on, if no move from `first` on improves
+        steps, h, keep = [], step, improved
+        while sweep + len(steps) < sweeps:
+            steps.append(h)
+            if not keep:
+                h = h * 0.5
+                if np.max(h) < floor:
+                    break
+            keep = False
+        rows = len(steps) * moves - first
+        if rows <= 0:
+            return best, x
+        ax = np.tile(axis, len(steps))[first:]
+        row_step = np.array(steps)[:, axis].ravel()[first:]
+        trials = np.repeat(x[None], rows, axis=0)
+        trials[np.arange(rows), ax] = np.minimum(
+            np.maximum(x[ax] + np.tile(sign, len(steps))[first:] * row_step, lo[ax]), hi[ax])
+        vals = fn(trials)
+        better = np.flatnonzero(vals > best)
+        if better.size == 0:
+            return best, x
+        k = int(better[0])
+        level, move = divmod(first + k, moves)
+        best, x = float(vals[k]), trials[k]
+        sweep, first, step, improved = sweep + level, move + 1, steps[level], True
 
 
 def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,11 +185,13 @@ def estimate_field_lipschitz(
     del dirs, radii  # keep them out of the metric's peak memory
     ts = _sample_times(t_horizon, pairs, rng)
     dist = np.linalg.norm(y1 - y2, axis=1)
-    mask = dist >= _MIN_PAIR_DIST
-    if not np.any(mask):
+    kept = np.flatnonzero(dist >= _MIN_PAIR_DIST)
+    if kept.shape[0] == 0:
         return 0.0
     quot = np.zeros(pairs)
-    quot[mask] = field.metric(ts[mask], y1[mask], y2[mask]) / dist[mask]
+    for start in range(0, kept.shape[0], _BLOCK_ROWS):
+        rows = kept[start : start + _BLOCK_ROWS]
+        quot[rows] = field.metric(ts[rows], y1[rows], y2[rows]) / dist[rows]
     best_idx = int(np.argmax(quot))
     best = float(quot[best_idx])
     if not polish:

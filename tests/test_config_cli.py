@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -316,6 +318,51 @@ def test_cli_verify_into_a_directory_fails_before_sampling(tmp_path, config_path
     assert main(["verify", "--config", config_path, "--out", str(taken_dir)]) == 1
     err = capsys.readouterr().err
     assert str(taken_dir) in err and ".tmp-" not in err
+
+
+_BAND = ["band", "--alpha", "0,1", "--lambda=0"]
+
+
+@pytest.mark.parametrize("command, taken", [
+    (["solve"], "solution.csv"),
+    (["solve"], "solution_diagnostics.json"),
+    (_BAND, "band_alpha1_lambda0.csv"),
+    (_BAND, "band_alpha0_lambda0_diagnostics.json"),
+    (_BAND, "envelope.csv"),
+    (_BAND, "band_runs.json"),
+    (["example"], "solution.csv"),
+    (["example"], "band/envelope.csv"),
+])
+def test_cli_output_name_that_is_a_directory_fails_before_solving(tmp_path, config_path, monkeypatch,
+                                                                  capsys, command, taken):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the work ran although an output name is a directory")
+
+    for name in ("picard_solve", "solve_band", "verify"):
+        monkeypatch.setattr(fdvi.cli, name, must_not_run)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    config = [] if command == ["example"] else ["--config", config_path]
+    assert main([*command, *config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out / taken) in err and ".tmp-" not in err
+
+
+def test_atomic_write_names_the_target_path(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:  # the move onto a directory fails
+        fdvi.cli._atomic_write(str(target), lambda tmp: open(tmp, "w").close())
+    assert info.value.filename == str(target) and ".tmp-" not in str(info.value)
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(fdvi.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "fdvi", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "usage: fdvi" in done.stdout
 
 
 def test_cli_verify_pass_and_fail(tmp_path, config_path):

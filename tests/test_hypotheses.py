@@ -40,9 +40,9 @@ def one_at_a_time_maximize(fn, x0, lo, hi, sweeps=80):
     """The pattern search evaluated one move at a time: the oracle for the batched one.
 
     fn maps (k, d) points to (k,) values and is called on one point at a time.
-    Returns (best, arg, number of fn calls).
+    Returns (best, arg, number of fn calls, number of accepted moves).
     """
-    calls = 0
+    calls = accepted = 0
 
     def one(x):
         nonlocal calls
@@ -61,15 +61,19 @@ def one_at_a_time_maximize(fn, x0, lo, hi, sweeps=80):
                 val = one(trial)
                 if val > best:
                     best, x, improved = val, trial, True
+                    accepted += 1
         if not improved:
             step *= 0.5
             if np.max(step) < 1e-14 * max(1.0, float(np.max(hi - lo))):
                 break
-    return best, x, calls
+    return best, x, calls, accepted
 
 
-def random_objective(rng, d):
-    """A smooth multimodal objective of (k, d) points with a -inf veto half-space."""
+def random_objective(rng, d, plateau=False):
+    """A smooth multimodal objective of (k, d) points with a -inf veto half-space.
+
+    With plateau, the values are rounded to one decimal, so most moves tie.
+    """
     centre = rng.uniform(-3.0, 3.0, d)
     weight = rng.uniform(0.2, 2.0, d)
     freq = rng.uniform(0.5, 4.0, d)
@@ -78,6 +82,7 @@ def random_objective(rng, d):
 
     def fn(x):
         vals = -np.sum(weight * (x - centre) ** 2, axis=1) + np.sum(np.sin(freq * x), axis=1)
+        vals = np.round(vals, 1) if plateau else vals
         return np.where(x @ veto_dir > veto_at, -math.inf, vals)
 
     return fn
@@ -86,28 +91,58 @@ def random_objective(rng, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_batched_polish_follows_the_one_at_a_time_path(d):
     rng = np.random.default_rng(100 + d)
-    saved = total = 0
-    for _ in range(25):
-        fn = random_objective(rng, d)
-        # boxes that often cut the optimum off, starts that often need clipping
-        lo = rng.uniform(-2.5, 0.0, d)
-        hi = lo + rng.uniform(0.1, 3.0, d)
-        x0 = rng.uniform(-3.0, 3.0, d)
-        calls = 0
+    for sweeps in (80, 1, 2, 5):
+        for kind in ("smooth", "plateau", "zero_width"):
+            saved = total = 0
+            for _ in range(25):
+                fn = random_objective(rng, d, plateau=kind == "plateau")
+                # boxes that often cut the optimum off, starts that often need clipping
+                lo = rng.uniform(-2.5, 0.0, d)
+                hi = lo + rng.uniform(0.1, 3.0, d)
+                if kind == "zero_width":  # some coordinates fixed, as the state in M0's polish
+                    fixed = rng.random(d) < 0.5
+                    fixed[rng.integers(d)] = True
+                    hi[fixed] = lo[fixed]
+                x0 = rng.uniform(-3.0, 3.0, d)
+                calls = 0
 
+                def counted(x):
+                    nonlocal calls
+                    calls += 1
+                    return fn(x)
+
+                best, arg = _pattern_maximize(counted, x0, lo, hi, sweeps=sweeps)
+                ref_best, ref_arg, ref_calls, accepted = one_at_a_time_maximize(fn, x0, lo, hi, sweeps)
+                assert best == ref_best
+                assert np.array_equal(arg, ref_arg)
+                # one call for the start, one per accepted move, one that finds no better move
+                assert calls <= accepted + 2
+                if sweeps == 80:
+                    assert calls < ref_calls
+                else:  # a capped search may accept every move it tries
+                    assert calls <= ref_calls
+                saved += ref_calls - calls
+                total += ref_calls
+            if sweeps == 80 and kind != "zero_width":  # at d = 1 a zero-width box has no moves to save
+                assert saved > total // 3
+
+
+def test_example_verify_polish_calls(example_problem, monkeypatch):
+    calls = 0
+    search = fdvi.hypotheses._pattern_maximize
+
+    def counted_search(fn, *args, **kwargs):
         def counted(x):
             nonlocal calls
             calls += 1
             return fn(x)
 
-        best, arg = _pattern_maximize(counted, x0, lo, hi)
-        ref_best, ref_arg, ref_calls = one_at_a_time_maximize(fn, x0, lo, hi)
-        assert best == ref_best
-        assert np.array_equal(arg, ref_arg)
-        assert calls < ref_calls
-        saved += ref_calls - calls
-        total += ref_calls
-    assert saved > total // 3
+        return search(counted, *args, **kwargs)
+
+    monkeypatch.setattr(fdvi.hypotheses, "_pattern_maximize", counted_search)
+    verify(example_problem.spec, example_problem.sampling, claimed=example_problem.claimed)
+    # 7 polishes (six constants and L_F); one batch per sweep would take about 400 calls
+    assert calls <= 100
 
 
 # --- compute_rho -------------------------------------------------------------
@@ -343,7 +378,7 @@ def per_time_constants(spec, dom):
             if vals[idx] > best:
                 best, wt, wy = float(vals[idx]), float(t), states[idx]
         box_lo, box_hi = (lo, hi) if boxed else (wy, wy)
-        val, arg, _ = one_at_a_time_maximize(
+        val, arg, *_ = one_at_a_time_maximize(
             lambda x: fn(float(x[0, 0]), x[:, 1:]),
             np.concatenate(([wt], wy)),
             np.concatenate(([0.0], box_lo)),
@@ -409,6 +444,22 @@ def test_blocked_sampling_matches_per_time_loop(case, example_problem):
         ys = dom.y_box_lo + (dom.y_box_hi - dom.y_box_lo) * _stream(dom.seed, 2).random((dom.y_samples, 1))
         assert witnesses["eta_Q"] == {"t": 0.0, "y": ys[0].tolist()}
         assert consts["eta_Q"] == 3.0
+
+
+def test_sampling_block_size_does_not_change_the_results(example_problem, monkeypatch):
+    spec, dom = example_problem.spec, example_problem.sampling
+    # more pairs than one 2**15 block, and a grid of 64 x 4096 rows
+    dom = SamplingDomain(dom.y_box_lo, dom.y_box_hi, t_samples=dom.t_samples, y_samples=dom.y_samples,
+                         pair_samples=40_000, seed=dom.seed)
+    results = []
+    for block_rows in (2**18, 2**15, 1000, 7):
+        monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
+        results.append([
+            estimate_field_lipschitz(spec.field, dom.y_box_lo, dom.y_box_hi, spec.T,
+                                     pairs=dom.pair_samples, seed=dom.seed, polish=polish)
+            for polish in (False, True)
+        ] + [estimate_constants(spec, dom)])
+    assert all(result == results[0] for result in results[1:])
 
 
 def test_lipschitz_estimate_never_exceeds_true_constant(example_spec):
