@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage/config error, 2 non-convergence,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -256,7 +255,6 @@ def cmd_example(args) -> int:
     return verify_rc or band_rc
 
 
-@functools.cache  # one parser per process: building it costs about a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fdvi", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

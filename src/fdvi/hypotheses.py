@@ -19,9 +19,9 @@ Every objective is batch-native.  Sampling evaluates each constant's
 objective over the whole (time, state) grid, and the L_F quotient over all
 sampled pairs, in cache-sized blocks of at most _BLOCK_ROWS rows.  The
 polish evaluates speculatively: one batch holds the rest of the current
-pattern-search sweep and every later sweep at the step it would use if
-no move improved, so it makes one objective call per accepted move, plus
-the start and the final batch.
+pattern-search sweep and later sweeps at the step each would use if no
+move improved, so the halvings that end a search take a few objective
+calls instead of one per sweep (see _pattern_maximize).
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ _MIN_PAIR_DIST = 1e-6
 # Most rows one sampling block evaluates: (time, state) rows of a constant's
 # grid, or state pairs of the L_F pass.  Blocks this size stay in cache.
 _BLOCK_ROWS = 2**15
+# Rows a polish batch spans after an accepted move.  Below a few hundred rows
+# an objective call costs about its fixed overhead, so speculating that far
+# costs little even when the next row improves.
+_POLISH_ROWS = 256
 
 
 class Constant(NamedTuple):
@@ -113,8 +117,13 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     first row of the batch that beats the best value is the move the
     one-at-a-time search accepts; the search takes that row's sweep and
     step and re-batches from the new point.  So its path is exactly that of
-    trying the moves one at a time, and fn is called at most twice more
-    than the number of accepted moves.  fn may return -inf to veto a point.
+    trying the moves one at a time.  fn may return -inf to veto a point.
+
+    The batch after an accepted move spans about _POLISH_ROWS rows (at least
+    the rest of the sweep), and each batch in which no move improves doubles
+    the next one, up to _BLOCK_ROWS rows.  The halvings that end a search
+    then take a few calls, while each accepted move discards at most about
+    _POLISH_ROWS rows plus as many as were evaluated since the last one.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     best = float(fn(x[None])[0])
@@ -122,20 +131,25 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     axis = np.repeat(np.arange(x.shape[0]), 2)  # move m changes coordinate axis[m]
     sign = np.tile([1.0, -1.0], x.shape[0])
     floor = 1e-14 * max(1.0, float(np.max(hi - lo)))
-    sweep, first, step, improved = 0, 0, (hi - lo) / 8.0, False
+    max_levels = max(1, _BLOCK_ROWS // moves)
+    start_levels = min(max(1, _POLISH_ROWS // moves), max_levels)
+    sweep, first, step, improved, levels = 0, 0, (hi - lo) / 8.0, False, start_levels
     while True:
-        # the step of each sweep from `sweep` on, if no move from `first` on improves
-        steps, h, keep = [], step, improved
-        while sweep + len(steps) < sweeps:
+        if first == moves:  # the accepted move ended its sweep, which keeps its step
+            sweep, first, improved = sweep + 1, 0, False
+        if sweep >= sweeps:
+            return best, x
+        # the step of each of the next `levels` sweeps if no move from `first` on
+        # improves; `last` if the search stops after them
+        steps, h, keep, last = [], step, improved, False
+        while len(steps) < levels and not last:
             steps.append(h)
             if not keep:
                 h = h * 0.5
-                if np.max(h) < floor:
-                    break
+                last = bool(np.max(h) < floor)
             keep = False
+            last = last or sweep + len(steps) >= sweeps
         rows = len(steps) * moves - first
-        if rows <= 0:
-            return best, x
         ax = np.tile(axis, len(steps))[first:]
         row_step = np.array(steps)[:, axis].ravel()[first:]
         trials = np.repeat(x[None], rows, axis=0)
@@ -144,11 +158,15 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
         vals = fn(trials)
         better = np.flatnonzero(vals > best)
         if better.size == 0:
-            return best, x
+            if last:
+                return best, x
+            sweep, first, step, improved = sweep + len(steps), 0, h, False
+            levels = min(2 * levels, max_levels)
+            continue
         k = int(better[0])
         level, move = divmod(first + k, moves)
         best, x = float(vals[k]), trials[k]
-        sweep, first, step, improved = sweep + level, move + 1, steps[level], True
+        sweep, first, step, improved, levels = sweep + level, move + 1, steps[level], True, start_levels
 
 
 def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.ndarray:

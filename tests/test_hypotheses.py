@@ -89,8 +89,10 @@ def random_objective(rng, d, plateau=False):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_batched_polish_follows_the_one_at_a_time_path(d):
+def test_batched_polish_follows_the_one_at_a_time_path(d, monkeypatch):
     rng = np.random.default_rng(100 + d)
+    # the default batch after an accepted move, one sweep's rest, every level at once
+    budgets = (fdvi.hypotheses._POLISH_ROWS, 1, 2**15)
     for sweeps in (80, 1, 2, 5):
         for kind in ("smooth", "plateau", "zero_width"):
             saved = total = 0
@@ -104,27 +106,73 @@ def test_batched_polish_follows_the_one_at_a_time_path(d):
                     fixed[rng.integers(d)] = True
                     hi[fixed] = lo[fixed]
                 x0 = rng.uniform(-3.0, 3.0, d)
-                calls = 0
-
-                def counted(x):
-                    nonlocal calls
-                    calls += 1
-                    return fn(x)
-
-                best, arg = _pattern_maximize(counted, x0, lo, hi, sweeps=sweeps)
                 ref_best, ref_arg, ref_calls, accepted = one_at_a_time_maximize(fn, x0, lo, hi, sweeps)
-                assert best == ref_best
-                assert np.array_equal(arg, ref_arg)
-                # one call for the start, one per accepted move, one that finds no better move
-                assert calls <= accepted + 2
-                if sweeps == 80:
-                    assert calls < ref_calls
-                else:  # a capped search may accept every move it tries
-                    assert calls <= ref_calls
-                saved += ref_calls - calls
-                total += ref_calls
+                for polish_rows in budgets:
+                    monkeypatch.setattr(fdvi.hypotheses, "_POLISH_ROWS", polish_rows)
+                    calls = rows = 0
+
+                    def counted(x):
+                        nonlocal calls, rows
+                        calls += 1
+                        rows += x.shape[0]
+                        return fn(x)
+
+                    best, arg = _pattern_maximize(counted, x0, lo, hi, sweeps=sweeps)
+                    assert best == ref_best
+                    assert np.array_equal(arg, ref_arg)
+                    # a batch that finds a move discards at most one batch after an
+                    # accepted move, one sweep, and as many rows as the batches before it
+                    assert rows <= 2 * ref_calls + accepted * (max(polish_rows, 2 * d) + 2 * d)
+                    if polish_rows == 2**15:
+                        # one call for the start, one per accepted move, one that finds no better move
+                        assert calls <= accepted + 2
+                    if sweeps == 80:
+                        assert calls < ref_calls
+                    else:  # a capped search may accept every move it tries
+                        assert calls <= ref_calls
+                    if polish_rows == budgets[0]:
+                        saved += ref_calls - calls
+                        total += ref_calls
             if sweeps == 80 and kind != "zero_width":  # at d = 1 a zero-width box has no moves to save
                 assert saved > total // 3
+
+
+@pytest.mark.parametrize("block_rows", [100, 500])
+def test_polish_batches_stay_within_the_block_rows(block_rows, monkeypatch):
+    monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
+    d = 40
+    rng = np.random.default_rng(7)
+    fn = random_objective(rng, d)
+    lo, hi = np.full(d, -2.0), np.full(d, 2.0)
+    x0 = rng.uniform(-2.0, 2.0, d)
+    batches = []
+
+    def counted(x):
+        batches.append(x.shape[0])
+        return fn(x)
+
+    best, arg = _pattern_maximize(counted, x0, lo, hi)
+    ref_best, ref_arg, *_ = one_at_a_time_maximize(fn, x0, lo, hi)
+    assert best == ref_best
+    assert np.array_equal(arg, ref_arg)
+    assert max(batches) <= max(2 * d, block_rows)
+    if block_rows >= 4 * d:  # the cap leaves room for the halvings to batch several sweeps
+        assert max(batches) > 2 * d
+
+
+def test_polish_halvings_take_few_calls():
+    d = 40
+    calls = 0
+
+    def flat(x):
+        nonlocal calls
+        calls += 1
+        return np.zeros(x.shape[0])
+
+    lo, hi = np.full(d, -2.0), np.full(d, 2.0)
+    best, arg = _pattern_maximize(flat, np.zeros(d), lo, hi)
+    assert (best, calls - 1) == (0.0, 4)  # 44 halvings in batches of 3, 6, 12 and 23 sweeps
+    assert one_at_a_time_maximize(flat, np.zeros(d), lo, hi)[2] == 1 + 44 * 2 * d
 
 
 def test_example_verify_polish_calls(example_problem, monkeypatch):
