@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage/config error, 2 non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -114,10 +115,16 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 
 def _warn_if_rho_large(problem: LoadedProblem) -> None:
-    """Warn before a solve when a cheap sampled rho over the sampling box is >= 1."""
+    """Warn before a solve when a cheap sampled rho over the sampling box is >= 1.
+
+    The estimate is the verifier's, unpolished, on at most 2048 points of
+    its grid (up to 8 times by 2048 // that many states): the first draws
+    of the same streams.
+    """
     spec, dom = problem.spec, problem.sampling
-    l_f = estimate_field_lipschitz(spec.field, dom.y_box_lo, dom.y_box_hi, spec.T,
-                                   pairs=2048, seed=dom.seed, polish=False)
+    t_samples = min(dom.t_samples, 8)
+    coarse = dataclasses.replace(dom, t_samples=t_samples, y_samples=min(dom.y_samples, 2048 // t_samples))
+    l_f = estimate_field_lipschitz(spec.field, coarse, spec.T, polish=False)
     rho = compute_rho(l_f, spec.T, spec.q)
     if rho >= 1.0:
         warnings.warn(

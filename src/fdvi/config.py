@@ -252,6 +252,7 @@ def build_problem(doc: dict) -> LoadedProblem:
         "y_box": lambda value, pointer: _y_box(value, n, pointer),
         "t_samples": _integer, "y_samples": _integer, "pair_samples": _integer, "seed": _integer,
     })
+    sampling.pop("pair_samples", None)  # retired: L_F samples no pairs; accepted and ignored
     y_box = sampling.pop("y_box", (np.full(n, -10.0), np.full(n, 10.0)))
     sampling = _build("/sampling", SamplingDomain, *y_box, **sampling)
     lam = _section(doc, "selection", {"lambda": vector}).get("lambda", np.zeros(n))
@@ -288,8 +289,7 @@ def example_config() -> dict:
         "solver": {"N": 1000, "picard_tol": 1e-9, "max_picard": 500,
                    "damping": 1.0, "vi_tol": 1e-10},
         "sampling": {"y_box": {"lo": [-1000.0], "hi": [1000.0]},
-                     "t_samples": 64, "y_samples": 4096,
-                     "pair_samples": 100000, "seed": 20260809},
+                     "t_samples": 64, "y_samples": 4096, "seed": 20260809},
         "selection": {"lambda": [0.0]},
         # Declared bound for the Q norm as usually tabulated for this instance;
         # the sampled supremum exceeds it and the verifier flags that.

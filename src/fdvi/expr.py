@@ -13,6 +13,12 @@ Variables are t and y1..yn where n is fixed at parse time.  Evaluation
 works on scalars or numpy arrays (t of shape (k,), y of shape (k, n))
 and raises instead of propagating NaN/inf: the whole tree walk runs under
 one numpy errstate that turns overflow into EvalOverflowError.
+
+value_and_gradient walks the same tree in forward mode: next to each value
+it carries the y-gradient as a sparse map {coordinate: partial} over the
+coordinates the subexpression reads, with one derivative rule per operator
+and per function.  The verifier's field slope (FuzzyBoxField.slope) is
+built on it.
 """
 
 from __future__ import annotations
@@ -243,6 +249,36 @@ def parse(source: str, n: int) -> Expression:
 # --- Evaluation ----------------------------------------------------------
 
 
+def _binop(node: BinOp, a, b):
+    """The value of node from its operands' values; domain violations raise EvalDomainError."""
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        if np.any(np.asarray(b) == 0.0):
+            raise EvalDomainError(to_source(node), "division by zero")
+        return a / b
+    # power
+    if np.any((a < 0.0) & (b != np.floor(b))):
+        raise EvalDomainError(to_source(node), "negative base with non-integer exponent")
+    if np.any((a == 0.0) & (b < 0.0)):
+        raise EvalDomainError(to_source(node), "zero base with negative exponent")
+    return np.power(a, b)
+
+
+def _call(node: Call, args):
+    """The value of node from its arguments' values; domain violations raise EvalDomainError."""
+    name = node.name
+    if name == "log" and np.any(np.asarray(args[0]) <= 0.0):
+        raise EvalDomainError(to_source(node), "log of a nonpositive value")
+    if name == "sqrt" and np.any(np.asarray(args[0]) < 0.0):
+        raise EvalDomainError(to_source(node), "sqrt of a negative value")
+    return _FUNCTIONS[name][1](*args)
+
+
 def _ev(node: Node, t, y):
     if isinstance(node, Num):
         return np.float64(node.value)  # numpy arithmetic, so overflow trips the errstate
@@ -255,32 +291,96 @@ def _ev(node: Node, t, y):
     if isinstance(node, Neg):
         return -_ev(node.operand, t, y)
     if isinstance(node, BinOp):
-        a = _ev(node.left, t, y)
-        b = _ev(node.right, t, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalDomainError(to_source(node), "division by zero")
-            return a / b
-        # power
-        if np.any((a < 0.0) & (b != np.floor(b))):
-            raise EvalDomainError(to_source(node), "negative base with non-integer exponent")
-        if np.any((a == 0.0) & (b < 0.0)):
-            raise EvalDomainError(to_source(node), "zero base with negative exponent")
-        return np.power(a, b)
-    # Call
-    name = node.name
-    args = [_ev(a, t, y) for a in node.args]
-    if name == "log" and np.any(np.asarray(args[0]) <= 0.0):
-        raise EvalDomainError(to_source(node), "log of a nonpositive value")
-    if name == "sqrt" and np.any(np.asarray(args[0]) < 0.0):
-        raise EvalDomainError(to_source(node), "sqrt of a negative value")
-    return _FUNCTIONS[name][1](*args)
+        return _binop(node, _ev(node.left, t, y), _ev(node.right, t, y))
+    return _call(node, [_ev(a, t, y) for a in node.args])
+
+
+# --- Forward-mode derivatives ----------------------------------------------
+#
+# A gradient is a dict {0-based y coordinate: partial derivative}, holding
+# exactly the coordinates the subexpression reads, so a row costs work in the
+# number of coordinates read, not in n.  A partial broadcasts against the
+# value; the partial of y_k itself is the scalar 1.
+
+_ONE = np.float64(1.0)
+
+
+def _linear(*terms) -> dict:
+    """sum of coef * grad over the (coef, grad) terms, per coordinate, in term order."""
+    out: dict = {}
+    for coef, grad in terms:
+        for k, g in grad.items():
+            term = g if coef is _ONE else coef * g
+            out[k] = out[k] + term if k in out else term
+    return out
+
+
+def _binop_grad(op: str, a, da: dict, b, db: dict, value) -> dict:
+    if op == "+":
+        return _linear((_ONE, da), (_ONE, db))
+    if op == "-":
+        return _linear((_ONE, da), (-_ONE, db))
+    if op == "*":
+        return _linear((b, da), (a, db))
+    if op == "/":
+        return _linear((1.0 / b, da), (-value / b, db))
+    # power: d(a^b) = b a^(b-1) da + a^b log(a) db; the log term only when b reads y
+    coef = b * np.power(a, b - 1.0)
+    if np.any(b == 0.0):  # a^0 is constant, also at a = 0
+        coef = np.where(b == 0.0, 0.0, coef)
+    if not db:
+        return _linear((coef, da))
+    return _linear((coef, da), (value * np.log(a), db))
+
+
+def _call_grad(name: str, args, value) -> dict:
+    if name in ("min", "max"):
+        (a, da), (b, db) = args
+        left = a <= b if name == "min" else a >= b  # ties take the left
+        return {k: np.where(left, da.get(k, 0.0), db.get(k, 0.0)) for k in da.keys() | db.keys()}
+    a, da = args[0]
+    if name == "sin":
+        coef = np.cos(a)
+    elif name == "cos":
+        coef = -np.sin(a)
+    elif name == "tan":
+        coef = 1.0 + value * value
+    elif name == "atan":
+        coef = 1.0 / (1.0 + a * a)
+    elif name == "exp":
+        coef = value
+    elif name == "log":
+        coef = 1.0 / a
+    elif name == "abs":
+        coef = np.sign(a)  # sign(0) = 0
+    else:  # sqrt
+        coef = 0.5 / value
+    return _linear((coef, da))
+
+
+def _dv(node: Node, t, y):
+    """(value, gradient) of node at (t, y); values check their domain as _ev's do."""
+    if isinstance(node, Var) and node.index > 0:
+        return y[..., node.index - 1], {node.index - 1: _ONE}
+    if isinstance(node, (Num, Const, Var)):
+        return _ev(node, t, y), {}
+    if isinstance(node, Neg):
+        a, da = _dv(node.operand, t, y)
+        return -a, _linear((-_ONE, da))
+    if isinstance(node, BinOp):
+        a, da = _dv(node.left, t, y)
+        b, db = _dv(node.right, t, y)
+        value = _binop(node, a, b)
+        if not (da or db):
+            return value, {}
+        with np.errstate(all="ignore"):  # a partial may be inf or nan where the value is finite
+            return value, _binop_grad(node.op, a, da, b, db, value)
+    args = [_dv(arg, t, y) for arg in node.args]
+    value = _call(node, [a for a, _ in args])
+    if not any(grad for _, grad in args):
+        return value, {}
+    with np.errstate(all="ignore"):
+        return value, _call_grad(node.name, args, value)
 
 
 def _operands(node: Node) -> tuple:
@@ -302,6 +402,22 @@ def _nonfinite_site(node: Node, t, y) -> Node | None:
     return None if np.all(np.isfinite(_ev(node, t, y))) else node
 
 
+def _walk(walk, e: Expression, t, y):
+    """walk(e.root, t, y) on validated inputs, with value overflow raised as EvalOverflowError."""
+    y = np.asarray(y, dtype=float)
+    if e.nvars > 0 and y.shape[-1] != e.nvars:
+        raise EvalDomainError(e.source, f"state has {y.shape[-1]} coordinates, expression expects {e.nvars}")
+    t = np.asarray(t, dtype=float)[()]  # a 0-d t becomes a numpy scalar
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return walk(e.root, t, y)
+    except FloatingPointError as exc:
+        # Only the failing call pays for locating the subexpression.
+        with np.errstate(all="ignore"):
+            site = _nonfinite_site(e.root, t, y) or e.root
+        raise EvalOverflowError(to_source(site), str(exc)) from None
+
+
 def evaluate(e: Expression, t, y):
     """Evaluate ``e`` at time t and state y.
 
@@ -311,18 +427,21 @@ def evaluate(e: Expression, t, y):
     finite input whose value overflows raises EvalOverflowError naming
     the innermost offending subexpression.
     """
-    y = np.asarray(y, dtype=float)
-    if e.nvars > 0 and y.shape[-1] != e.nvars:
-        raise EvalDomainError(e.source, f"state has {y.shape[-1]} coordinates, expression expects {e.nvars}")
-    t = np.asarray(t, dtype=float)[()]  # a 0-d t becomes a numpy scalar
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            return _ev(e.root, t, y)
-    except FloatingPointError as exc:
-        # Only the failing call pays for locating the subexpression.
-        with np.errstate(all="ignore"):
-            site = _nonfinite_site(e.root, t, y) or e.root
-        raise EvalOverflowError(to_source(site), str(exc)) from None
+    return _walk(_ev, e, t, y)
+
+
+def value_and_gradient(e: Expression, t, y):
+    """``e``'s value and its gradient in y at (t, y), by forward-mode derivatives.
+
+    The value is evaluate's, and raises as evaluate does.  The gradient is a
+    dict {0-based coordinate k: d e / d y_(k+1)} over exactly the
+    coordinates e reads, so its keys are e's coordinate set.  Each partial
+    broadcasts against the value (a coordinate read affinely has a scalar
+    partial).  At a kink, abs, min and max take one branch: sign(0) = 0,
+    and a tie takes the left argument.  A partial may be inf or nan where
+    the derivative does not exist, e.g. sqrt or a fractional power at 0.
+    """
+    return _walk(_dv, e, t, y)
 
 
 # --- Pretty printer ------------------------------------------------------

@@ -15,8 +15,10 @@ the sup over alpha of that distance between alpha-levels, is exact too:
 level endpoints are affine in alpha, so the sup sits at alpha = 0 or 1.
 FuzzyBoxField.levels is the one vectorised level-endpoint formula; it
 takes the scale/offset coefficients that FuzzyBoxField.coefficients
-evaluates once per state.  level_arrays composes the two, and so does
-FuzzyBoxField.metric, the batched fuzzy metric over pairs of states.
+evaluates once per state, and level_arrays composes the two.
+FuzzyBoxField.slope is the field's local slope in that metric, from the
+forward-mode y-gradients of the scale and offset expressions; its sup is
+the Lipschitz constant L_F the verifier reports.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .expr import Expression, evaluate
+from .expr import Expression, evaluate, value_and_gradient
 from .vi import BoxSet
 
 
@@ -158,15 +160,28 @@ class FuzzyBoxField:
         _check_alpha(alpha)
         return self.levels(*self.coefficients(ts, ys), alpha)
 
-    def metric(self, ts, y1s, y2s) -> np.ndarray:
-        """fuzzy_metric of the field at (ts, y1s) and (ts, y2s), from the alpha = 0 and 1 levels."""
-        e1, d1 = self.coefficients(ts, y1s)
-        e2, d2 = self.coefficients(ts, y2s)
-        out = np.zeros(ts.shape[0])
-        for alpha in (0.0, 1.0):
-            lo1, hi1 = self.levels(e1, d1, alpha)
-            lo2, hi2 = self.levels(e2, d2, alpha)
-            out = np.maximum(out, np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2)), axis=1))
+    def slope(self, ts, ys) -> np.ndarray:
+        """The field's local slope in the fuzzy metric at the nodes, shaped like coefficients' rows.
+
+        max_i max_{c in (a_i, d_i)} ||grad_y d_i + c grad_y e_i||_2 for
+        component i with support [a_i, d_i].  Every level endpoint of
+        component i is d_i + c e_i with c in [a_i, d_i], and the norm is
+        convex in c, so the support ends bound every level.  Its sup over a
+        convex box is the field's Lipschitz constant there.  A row whose
+        partials are not all finite (sqrt at 0, say) has slope inf.
+        """
+        ts = np.asarray(ts, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        out = np.zeros(np.broadcast_shapes(ts.shape, ys.shape[:-1]))
+        with np.errstate(all="ignore"):
+            for comp in self.components:
+                _, de = value_and_gradient(comp.scale, ts, ys)
+                _, dd = value_and_gradient(comp.offset, ts, ys)
+                coords = sorted(de.keys() | dd.keys())
+                for c in (comp.base.params[0], comp.base.params[3]):
+                    sq = sum(np.square(dd.get(k, 0.0) + c * de.get(k, 0.0)) for k in coords)
+                    np.maximum(out, np.sqrt(sq), out=out)
+        out[~np.isfinite(out)] = np.inf  # nan too
         return out
 
 

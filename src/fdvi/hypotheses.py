@@ -11,17 +11,21 @@ whether it is sampled, and the verdict, if any, that checks it is finite.  The
 field Lipschitz constant, p, M0, M1, M2 use the Euclidean norm; the g and
 Q bounds use 1-norms (entrywise sum for g), matching how such constants
 are usually tabulated for worked instances.
-The field Lipschitz constant is measured in the fuzzy metric, batched by
-FuzzyBoxField.metric.  S's monotonicity is read from AffineOperator and
-the anchor's membership in K from BoxSet.contains.
+The field Lipschitz constant L_F is measured in the fuzzy metric.  On a
+convex box it is the sup over points of the field's local slope, which
+FuzzyBoxField.slope computes from forward-mode derivatives of the field's
+expressions, so L_F is sampled and polished over (time, state) points like
+every other constant, with no pairs of states.  A slope that is not finite
+(sqrt at 0, say) makes L_F inf: the field is not Lipschitz on the box, and
+A1 and the contraction verdict fail.  S's monotonicity is read from
+AffineOperator and the anchor's membership in K from BoxSet.contains.
 
 Every objective is batch-native.  Sampling evaluates each constant's
-objective over the whole (time, state) grid, and the L_F quotient over all
-sampled pairs, in cache-sized blocks of at most _BLOCK_ROWS rows.  The
-polish evaluates speculatively: one batch holds the rest of the current
-pattern-search sweep and later sweeps at the step each would use if no
-move improved, so the halvings that end a search take a few objective
-calls instead of one per sweep (see _pattern_maximize).
+objective over the whole (time, state) grid in cache-sized blocks of at
+most _BLOCK_ROWS rows.  The polish evaluates speculatively: one batch holds
+the rest of the current pattern-search sweep and later sweeps at the step
+each would use if no move improved, so the halvings that end a search take
+a few objective calls instead of one per sweep (see _pattern_maximize).
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ from .problem import ProblemSpec
 from .special import gamma
 from .vi import AffineOperator, BoxSet
 
-_MIN_PAIR_DIST = 1e-6
-# Most rows one sampling block evaluates: (time, state) rows of a constant's
-# grid, or state pairs of the L_F pass.  Blocks this size stay in cache.
+# Most (time, state) rows one sampling block evaluates.  Blocks this size
+# stay in cache.
 _BLOCK_ROWS = 2**15
 # Rows a polish batch spans after an accepted move.  Below a few hundred rows
 # an objective call costs about its fixed overhead, so speculating that far
@@ -85,7 +88,6 @@ class SamplingDomain:
     y_box_hi: np.ndarray
     t_samples: int = 64
     y_samples: int = 4096
-    pair_samples: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
@@ -95,7 +97,7 @@ class SamplingDomain:
             raise DomainError("sampling box endpoints must have equal length")
         if np.any(hi <= lo):
             raise DomainError("sampling box must be nondegenerate (lo < hi)")
-        if self.t_samples < 2 or self.y_samples < 2 or self.pair_samples < 2:
+        if self.t_samples < 2 or self.y_samples < 2:
             raise DomainError("sample counts must be at least 2")
         object.__setattr__(self, "y_box_lo", lo)
         object.__setattr__(self, "y_box_hi", hi)
@@ -175,62 +177,6 @@ def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.
     return np.concatenate(([0.0, t_horizon], extra))
 
 
-def estimate_field_lipschitz(
-    field: FuzzyBoxField,
-    box_lo,
-    box_hi,
-    t_horizon: float,
-    pairs: int = 100_000,
-    seed: int = 0,
-    polish: bool = True,
-) -> float:
-    """Largest sampled quotient metric(F(t,y1), F(t,y2)) / ||y1 - y2||.
-
-    Pairs are drawn as log-uniform-radius perturbations so short segments
-    near steep regions are well represented; pairs closer than 1e-6 are
-    discarded to avoid 0/0.
-    """
-    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
-    n = lo.shape[0]
-    rng = _stream(seed, 3)
-    y1 = lo + (hi - lo) * rng.random((pairs, n))
-    dirs = rng.standard_normal((pairs, n))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    rmax = 0.5 * float(np.max(hi - lo))
-    radii = np.exp(rng.uniform(math.log(1e-5), math.log(max(rmax, 2e-5)), size=pairs))
-    y2 = np.clip(y1 + radii[:, None] * dirs, lo, hi)
-    del dirs, radii  # keep them out of the metric's peak memory
-    ts = _sample_times(t_horizon, pairs, rng)
-    dist = np.linalg.norm(y1 - y2, axis=1)
-    kept = np.flatnonzero(dist >= _MIN_PAIR_DIST)
-    if kept.shape[0] == 0:
-        return 0.0
-    quot = np.zeros(pairs)
-    for start in range(0, kept.shape[0], _BLOCK_ROWS):
-        rows = kept[start : start + _BLOCK_ROWS]
-        quot[rows] = field.metric(ts[rows], y1[rows], y2[rows]) / dist[rows]
-    best_idx = int(np.argmax(quot))
-    best = float(quot[best_idx])
-    if not polish:
-        return best
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        """The quotient at rows (t, y1, y2) of x; -inf where y1 and y2 nearly coincide."""
-        a, b = x[:, 1 : 1 + n], x[:, 1 + n :]
-        d = np.linalg.norm(a - b, axis=1)
-        ok = d >= _MIN_PAIR_DIST
-        out = np.full(x.shape[0], -math.inf)
-        out[ok] = field.metric(x[ok, 0], a[ok], b[ok]) / d[ok]
-        return out
-
-    x0 = np.concatenate(([ts[best_idx]], y1[best_idx], y2[best_idx]))
-    plo = np.concatenate(([0.0], lo, lo))
-    phi = np.concatenate(([t_horizon], hi, hi))
-    polished, _ = _pattern_maximize(objective, x0, plo, phi)
-    return max(best, polished)
-
-
 def _row_sum(exprs, ts, ys, fn) -> np.ndarray:
     """Sum over exprs of fn(expr at (ts, ys)), left to right, in their broadcast shape.
 
@@ -241,6 +187,13 @@ def _row_sum(exprs, ts, ys, fn) -> np.ndarray:
     for e in exprs:
         acc += fn(evaluate(e, ts, ys))
     return acc
+
+
+def _sample_grid(dom: SamplingDomain, t_horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled times (stream 1) and states (stream 2) every grid constant is maximised over."""
+    ts = _sample_times(t_horizon, dom.t_samples, _stream(dom.seed, 1))
+    ys = dom.y_box_lo + (dom.y_box_hi - dom.y_box_lo) * _stream(dom.seed, 2).random((dom.y_samples, dom.dim))
+    return ts, ys
 
 
 def _grid_max(fn, ts: np.ndarray, states: np.ndarray):
@@ -260,19 +213,58 @@ def _grid_max(fn, ts: np.ndarray, states: np.ndarray):
     return best, wt, wy
 
 
+def _polished_max(fn, ts: np.ndarray, states: np.ndarray, t_horizon: float, box):
+    """_grid_max of fn, refined by pattern search from its witness over [0, t_horizon] x box.
+
+    Without a box the state stays put and only the time moves.
+    """
+    best, wt, wy = _grid_max(fn, ts, states)
+    box_lo, box_hi = box or (wy, wy)
+    val, arg = _pattern_maximize(
+        lambda x: fn(x[:, 0], x[:, 1:]),
+        np.concatenate(([wt], wy)),
+        np.concatenate(([0.0], box_lo)),
+        np.concatenate(([t_horizon], box_hi)),
+    )
+    if val > best:
+        best, wt, wy = val, float(arg[0]), arg[1:]
+    return best, wt, wy
+
+
+def estimate_field_lipschitz(
+    field: FuzzyBoxField, dom: SamplingDomain, t_horizon: float, polish: bool = True,
+    witness: dict | None = None,
+) -> float:
+    """Largest sampled local slope of the field (FuzzyBoxField.slope): the sampled L_F.
+
+    The slope is maximised over the same (time, state) grid as every other
+    constant and, with polish, refined by pattern search over [0, t_horizon]
+    x the sampling box.  A given witness dict receives the point
+    {"t", "y"} where the estimate is attained.  inf means the field is not
+    Lipschitz on the box.
+    """
+    ts, ys = _sample_grid(dom, t_horizon)
+    box = (dom.y_box_lo, dom.y_box_hi)
+    if polish:
+        best, wt, wy = _polished_max(field.slope, ts, ys, t_horizon, box)
+    else:
+        best, wt, wy = _grid_max(field.slope, ts, ys)
+    if witness is not None:
+        witness.update(t=wt, y=wy.tolist())
+    return best
+
+
 def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     """Sampled suprema for the hypotheses' constants, keyed by their report names.
 
-    Each constant but L_F is the max of its objective over the sampled
-    (t, state) grid, refined by pattern search from the first point where
-    it is attained, with the point where it is attained kept in
-    "witnesses".
+    Each constant is the max of its objective over the sampled (t, state)
+    grid, refined by pattern search from the first point where it is
+    attained, with the point where it is attained kept in "witnesses".
     """
     if dom.dim != spec.n:
         raise DomainError(f"sampling box has dimension {dom.dim}, problem n = {spec.n}")
     lo, hi = dom.y_box_lo, dom.y_box_hi
-    ts = _sample_times(spec.T, dom.t_samples, _stream(dom.seed, 1))
-    ys = lo + (hi - lo) * _stream(dom.seed, 2).random((dom.y_samples, spec.n))
+    ts, ys = _sample_grid(dom, spec.T)
 
     def field_norm(t, states):
         """||F(t,y)|| as the Euclidean norm of the farthest support corner."""
@@ -296,23 +288,13 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
         "M2": (c_norm(spec.c2), ys, (lo, hi)),
         "M0": (field_norm, np.zeros((1, spec.n)), None),
     }
-    consts, witnesses = {}, {}
+    consts, witnesses = {}, {"L_F": {}}
     for name, (fn, states, box) in table.items():
-        best, wt, wy = _grid_max(fn, ts, states)
-        box_lo, box_hi = box or (wy, wy)
-        val, arg = _pattern_maximize(
-            lambda x: fn(x[:, 0], x[:, 1:]),
-            np.concatenate(([wt], wy)),
-            np.concatenate(([0.0], box_lo)),
-            np.concatenate(([spec.T], box_hi)),
-        )
-        if val > best:
-            best, wt, wy = val, float(arg[0]), arg[1:]
+        best, wt, wy = _polished_max(fn, ts, states, spec.T, box)
         consts[name] = best
         witnesses[name] = {"t": wt, "y": wy.tolist()} if box else {"t": wt}
-    consts["L_F"] = estimate_field_lipschitz(
-        spec.field, lo, hi, spec.T, pairs=dom.pair_samples, seed=dom.seed
-    )
+    # through the module global, which perfbench/tracing.py wraps
+    consts["L_F"] = estimate_field_lipschitz(spec.field, dom, spec.T, witness=witnesses["L_F"])
     consts["witnesses"] = witnesses
     return consts
 
@@ -445,7 +427,6 @@ def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) 
         witnesses=witnesses, flags=flags,
         sampling={
             "seed": dom.seed, "t_samples": dom.t_samples, "y_samples": dom.y_samples,
-            "pair_samples": dom.pair_samples,
             "y_box": {"lo": dom.y_box_lo.tolist(), "hi": dom.y_box_hi.tolist()},
             "note": "all suprema are sampled over the declared box and polished locally",
         },

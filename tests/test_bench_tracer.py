@@ -51,7 +51,7 @@ def test_selfcheck_counts_through_the_package_exports():
 def test_tracer_sees_the_verifier_polish(tmp_path):
     # the per-layer polish metrics must not read 0 because the spans moved
     doc = example_config()
-    doc["sampling"].update(t_samples=8, y_samples=256, pair_samples=2000)
+    doc["sampling"].update(t_samples=8, y_samples=256)
     config = tmp_path / "problem.json"
     config.write_text(json.dumps(doc))
     tracing = _load_tracing()
@@ -78,7 +78,7 @@ from fdvi.problem import SolverConfig
 from fdvi.solver import picard_solve
 
 problem = build_problem(example_config())
-dom = dataclasses.replace(problem.sampling, t_samples=4, y_samples=64, pair_samples=500)
+dom = dataclasses.replace(problem.sampling, t_samples=4, y_samples=64)
 verify(problem.spec, dom)
 before = "numpy.fft" in sys.modules
 picard_solve(problem.spec, SolverConfig(N=16))
@@ -123,7 +123,7 @@ def test_tracer_sees_the_solver_operator(tmp_path):
 def test_solve_makes_no_fuzzy_metric_calls(tmp_path, monkeypatch):
     # perfbench/selfcheck.py requires solves to make zero fuzzy_metric calls,
     # counted at every fdvi module binding of that function; the pre-solve rho
-    # warning must keep using the batched FuzzyBoxField.metric
+    # warning must keep using the field's slope
     doc = example_config()
     doc["solver"]["N"] = 64
     config = tmp_path / "problem.json"

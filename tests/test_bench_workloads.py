@@ -37,9 +37,21 @@ def test_solve_gate_accepts_a_solve(tmp_path, workloads):
 
 def test_verify_gate_accepts_a_verify(tmp_path, workloads):
     doc = example_config()
-    doc["sampling"].update(t_samples=8, y_samples=256, pair_samples=2000)
+    doc["sampling"].update(t_samples=8, y_samples=256)
     config = tmp_path / "problem.json"
     workloads.write_config(doc, config)
     report = tmp_path / "report.json"
     assert main(["verify", "--config", str(config), "--out", str(report)]) == 0
     assert workloads._check_verify(report, json.loads(config.read_text()), False) == []
+
+
+def test_example_verify_passes_the_reference_gate(tmp_path, workloads):
+    # the gate every seed-0 verify op of a benchmark run applies: the report's
+    # constants, rho, delta, verdicts, flags and verdict against the recorded
+    # reference, key sets included, within 1e-9 relative
+    doc = example_config()
+    config = tmp_path / "problem.json"
+    workloads.write_config(doc, config)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(config), "--out", str(report)]) == 0
+    assert workloads._check_verify(report, json.loads(config.read_text()), True) == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fdvi.cli
+import fdvi.fuzzy
 from fdvi.cli import main
 from fdvi.config import apply_overrides, build_problem, example_config, load_config
 from fdvi.errors import ConfigError
@@ -23,7 +24,6 @@ def config_path(tmp_path):
     # keep CLI runs fast: coarse grid, light sampling
     doc["solver"]["N"] = 200
     doc["sampling"]["y_samples"] = 512
-    doc["sampling"]["pair_samples"] = 5000
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -120,8 +120,7 @@ def test_omitted_sections_take_the_dataclass_defaults():
     dom = problem.sampling
     assert dom.y_box_lo.tolist() == [-10.0] and dom.y_box_hi.tolist() == [10.0]
     default = SamplingDomain(dom.y_box_lo, dom.y_box_hi)
-    assert (dom.t_samples, dom.y_samples, dom.pair_samples, dom.seed) == (
-        default.t_samples, default.y_samples, default.pair_samples, default.seed)
+    assert (dom.t_samples, dom.y_samples, dom.seed) == (default.t_samples, default.y_samples, default.seed)
     assert problem.selection.lam.tolist() == [0.0]
     assert problem.claimed == {}
 
@@ -174,7 +173,7 @@ def test_infinite_box_bounds_accept_json_infinity():
 
 def test_claims_keep_their_order_in_the_report_flags():
     doc = example_config()
-    doc["sampling"].update(t_samples=8, y_samples=256, pair_samples=2000)
+    doc["sampling"].update(t_samples=8, y_samples=256)
     # neither the order of SAMPLED_CONSTANTS nor sorted order
     doc["claimed"] = {"eta_g": 0.0, "p_sup": 0.0, "M1": 0.0}
     problem = build_problem(doc)
@@ -282,6 +281,53 @@ def test_cli_solve_and_band_warn_on_sampled_rho(tmp_path, config_path):
         assert main(["solve", "--out", str(tmp_path / "solve"), *args]) == 0
     with pytest.warns(UserWarning, match=r"rho = 1\.1\d* >= 1"):
         assert main(["band", "--out", str(tmp_path / "band"), "--alpha", "1", "--lambda=0", *args]) == 0
+
+
+def test_rho_warning_evaluates_at_most_2048_slope_rows(tmp_path, config_path, monkeypatch):
+    rows = []
+    slope = fdvi.fuzzy.FuzzyBoxField.slope
+
+    def counted(self, ts, ys):
+        out = slope(self, ts, ys)
+        rows.append(out.size)
+        return out
+
+    monkeypatch.setattr(fdvi.fuzzy.FuzzyBoxField, "slope", counted)
+    assert main(["solve", "--config", config_path, "--out", str(tmp_path / "out")]) == 0
+    assert 0 < sum(rows) <= 2048
+
+
+def test_cli_verify_fails_a_field_that_is_not_lipschitz(tmp_path, config_path):
+    # sqrt(y1) has no finite slope at y1 = 0; the grid's states are drawn from
+    # [0, 1), so the polish must reach the box's end to see it
+    report_path = tmp_path / "report.json"
+    args = ["verify", "--config", config_path, "--out", str(report_path), "--override", "fuzzy.0.scale=sqrt(y1)",
+            "--override", "sampling.y_box.lo=[0]", "--override", "sampling.y_box.hi=[1]"]
+    assert main(args) == 3
+    report = json.loads(report_path.read_text())
+    assert report["constants"]["L_F"] == math.inf
+    assert report["verdicts"]["A1_lipschitz_field"] == {"pass": False, "L_F": math.inf}
+    assert report["verdicts"]["contraction"] == {"pass": False, "rho": math.inf}
+    assert report["delta"] is None and not report["overall_pass"]
+    assert report["witnesses"]["L_F"]["y"] == [0.0]
+    again = tmp_path / "again.json"
+    assert main([*args[:4], str(again), *args[5:]]) == 3
+    assert again.read_bytes() == report_path.read_bytes()
+
+
+def test_retired_pair_samples_key_is_accepted_and_ignored(tmp_path):
+    doc = example_config()
+    doc["sampling"].update(t_samples=8, y_samples=256)
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc))
+    doc["sampling"]["pair_samples"] = 5000
+    with_pairs = tmp_path / "pairs.json"
+    with_pairs.write_text(json.dumps(doc))
+    reports = [tmp_path / "plain_report.json", tmp_path / "pairs_report.json"]
+    for config, report in zip((plain, with_pairs), reports):
+        assert main(["verify", "--config", str(config), "--out", str(report)]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    assert "pair_samples" not in json.loads(reports[0].read_text())["sampling"]
 
 
 def test_cli_failed_write_leaves_no_temp_file(tmp_path, config_path, monkeypatch, capsys):
@@ -400,8 +446,8 @@ def test_cli_verify_report_layout(tmp_path, config_path):
     report = json.loads(report_path.read_text())
     assert set(report) == {"constants", "rho", "delta", "expected_sup_norm_bound", "verdicts",
                            "overall_pass", "witnesses", "flags", "sampling", "norms"}
-    sampled = {"p_sup", "eta_g", "eta_Q", "M1", "M2"}
-    assert set(report["constants"]) == sampled | {"L_F", "M0", "mu", "coercive_liminf", "eta_S"}
+    sampled = {"L_F", "p_sup", "eta_g", "eta_Q", "M1", "M2"}
+    assert set(report["constants"]) == sampled | {"M0", "mu", "coercive_liminf", "eta_S"}
     assert set(report["witnesses"]) == sampled | {"M0"}
     assert all(set(report["witnesses"][name]) == {"t", "y"} for name in sampled)
     assert set(report["witnesses"]["M0"]) == {"t"}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdvi.errors import ArityError, EvalDomainError, EvalOverflowError, ExprSyntaxError, UnknownIdentifier
-from fdvi.expr import evaluate, parse, to_source
+from fdvi.expr import evaluate, parse, to_source, value_and_gradient
 
 
 def ev(source, t=0.0, y=0.0, n=1):
@@ -183,3 +183,84 @@ def test_overflow_raises_eval_overflow_error(source, t, ys):
     except EvalOverflowError:
         return
     assert np.all(np.isfinite(value))
+
+
+# --- forward-mode derivatives -------------------------------------------------
+
+# one expression per derivative rule, each smooth near the test points
+_RULES = {
+    "+": "y1*y2 + sin(y2)",
+    "-": "cos(y1) - y1*y2",
+    "*": "sin(y1)*exp(y2)",
+    "/": "sin(y1)/(2 + cos(y2))",
+    "^ (constant exponent)": "(2 + cos(y1 - y2))^2.5",
+    "^ (exponent reads y)": "(2 + cos(y1))^(y2/3)",
+    "neg": "-(y1*y2)",
+    "sin": "sin(y1*y2)",
+    "cos": "cos(y1 - y2)",
+    "tan": "tan(0.3*y1 + 0.1*y2)",
+    "atan": "atan(y1*y2)",
+    "exp": "exp(0.5*y1 - y2)",
+    "log": "log(2 + sin(y1*y2))",
+    "abs": "abs(y1 - y2)",
+    "sqrt": "sqrt(3 + y1*y2)",
+    "min": "min(y1, sin(y2))",
+    "max": "max(y1*y2, cos(y1))",
+}
+
+
+@pytest.mark.parametrize("rule", _RULES)
+def test_gradient_rules_match_central_differences(rule):
+    e = parse(_RULES[rule] + " + 0.5*t*y1", 2)
+    rng = np.random.default_rng(7)
+    ts = rng.uniform(0.0, 1.0, 200)
+    ys = rng.uniform(-1.5, 1.5, (200, 2))
+    value, grad = value_and_gradient(e, ts, ys)
+    np.testing.assert_array_equal(value, evaluate(e, ts, ys))
+    assert set(grad) == {0, 1}
+    h = 1e-6
+    for k in (0, 1):
+        step = np.zeros(2)
+        step[k] = h
+        fd = (evaluate(e, ts, ys + step) - evaluate(e, ts, ys - step)) / (2 * h)
+        # kinks of abs/min/max are crossed by few rows; compare away from them
+        smooth = np.abs(fd - np.broadcast_to(grad[k], fd.shape)) <= 1e-6 * (1 + np.abs(fd))
+        assert np.mean(smooth) >= (0.97 if rule in ("abs", "min", "max") else 1.0), rule
+
+
+def test_gradient_at_kinks_takes_one_branch():
+    y = np.array([[0.0, 0.0]])
+    assert value_and_gradient(parse("abs(y1)", 2), 0.0, y)[1][0] == 0.0  # sign(0) = 0
+    # a tie takes the left argument
+    assert value_and_gradient(parse("min(2*y1, y2)", 2), 0.0, y)[1] == {0: 2.0, 1: 0.0}
+    assert value_and_gradient(parse("max(y2, 3*y1)", 2), 0.0, y)[1] == {0: 0.0, 1: 1.0}
+
+
+def test_power_rule_with_an_exponent_free_of_y():
+    # log(-2) would be nan; a^b with b free of y needs no log(a)
+    _, grad = value_and_gradient(parse("y1^3", 1), 0.0, np.array([-2.0]))
+    assert grad == {0: 12.0}
+    _, grad = value_and_gradient(parse("y1^0", 1), 0.0, np.array([0.0]))
+    assert grad == {0: 0.0}
+
+
+def test_gradient_domain_errors_match_evaluate():
+    for source, y in (("sqrt(y1)", -1.0), ("log(y1)", 0.0), ("1/y1", 0.0), ("y1^0.5", -2.0)):
+        with pytest.raises(EvalDomainError):
+            value_and_gradient(parse(source, 1), 0.0, np.array([y]))
+    with pytest.raises(EvalOverflowError, match=r"y1 \* y1"):
+        value_and_gradient(parse("y1*y1", 1), 0.0, np.array([1e200]))
+
+
+def test_nonfinite_partial_where_the_derivative_does_not_exist():
+    value, grad = value_and_gradient(parse("sqrt(y1) + y1^0.5", 1), 0.0, np.array([0.0]))
+    assert value == 0.0 and grad[0] == math.inf
+
+
+def test_gradient_carries_only_the_coordinates_read():
+    e = parse("y2*y5 + sin(y5) + t*exp(y7) + 3", 8)
+    _, grad = value_and_gradient(e, np.zeros(4), np.ones((4, 8)))
+    assert sorted(grad) == [1, 4, 6]
+    assert value_and_gradient(parse("t + pi", 8), 0.5, np.ones(8))[1] == {}
+    # an affine coordinate keeps a scalar partial, whatever the number of rows
+    assert np.ndim(value_and_gradient(parse("2*y3 - y1", 8), np.zeros(5), np.ones((5, 8)))[1][2]) == 0

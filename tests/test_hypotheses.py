@@ -28,9 +28,9 @@ from fdvi.special import gamma
 from fdvi.vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
 
 
-def small_domain(seed=20260809, pairs=20_000, y_samples=1024):
+def small_domain(seed=20260809, y_samples=1024):
     return SamplingDomain(np.array([-8.0]), np.array([8.0]), t_samples=16,
-                          y_samples=y_samples, pair_samples=pairs, seed=seed)
+                          y_samples=y_samples, seed=seed)
 
 
 # --- pattern search -----------------------------------------------------------
@@ -348,7 +348,8 @@ def test_every_consumer_reads_the_operators_monotonicity(example_spec, m_mat, mo
 
 def test_constants_on_example(example_spec):
     consts = estimate_constants(example_spec, small_domain())
-    assert 0.45 <= consts["L_F"] <= 0.5 + 1e-9
+    # the slope of 0.5 cos(y1) is 0.5 |sin(y1)|, polished onto its maximum
+    assert consts["L_F"] == pytest.approx(0.5, abs=1e-12) and consts["L_F"] <= 0.5
     assert consts["p_sup"] == pytest.approx(0.5, abs=1e-9)
     assert consts["M0"] == pytest.approx(0.5, abs=1e-12)
     assert consts["M1"] == pytest.approx(1.2, abs=1e-6)
@@ -369,13 +370,43 @@ def test_constants_zero_scale_field():
     spec_like.g = ((parse("0", 1),),)
     spec_like.c1 = (parse("0", 1),)
     spec_like.c2 = (parse("0", 1),)
-    consts = estimate_constants(spec_like, small_domain(pairs=2000, y_samples=256))
+    consts = estimate_constants(spec_like, small_domain(y_samples=256))
     assert consts["L_F"] == 0.0
     assert consts["p_sup"] == pytest.approx(0.25, abs=1e-12)
 
 
+def pair_metric(field, ts, y1s, y2s):
+    """The fuzzy metric between the field at (ts, y1s) and at (ts, y2s), batched over rows.
+
+    From the alpha = 0 and 1 levels, as fuzzy_metric; the oracle of the slope.
+    """
+    e1, d1 = field.coefficients(ts, y1s)
+    e2, d2 = field.coefficients(ts, y2s)
+    out = np.zeros(np.shape(ts))
+    for alpha in (0.0, 1.0):
+        lo1, hi1 = field.levels(e1, d1, alpha)
+        lo2, hi2 = field.levels(e2, d2, alpha)
+        out = np.maximum(out, np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2)), axis=1))
+    return out
+
+
+def pair_quotient_max(field, lo, hi, t_horizon, pairs, seed):
+    """Largest metric / ||y1 - y2|| over random pairs with log-uniform distances: the pair estimate of L_F."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    y1 = lo + (hi - lo) * rng.random((pairs, lo.shape[0]))
+    dirs = rng.standard_normal((pairs, lo.shape[0]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.exp(rng.uniform(math.log(1e-5), math.log(0.5 * float(np.max(hi - lo))), size=pairs))
+    y2 = np.clip(y1 + radii[:, None] * dirs, lo, hi)
+    ts = rng.uniform(0.0, t_horizon, pairs)
+    dist = np.linalg.norm(y1 - y2, axis=1)
+    kept = dist >= 1e-6
+    return float(np.max(pair_metric(field, ts[kept], y1[kept], y2[kept]) / dist[kept]))
+
+
 def test_metric_over_pairs_matches_scalar_fuzzy_metric():
-    # The sampling pass and the polish objective must measure the same metric.
+    # the batched pair metric, the slope's oracle, measures fuzzy_metric
     field = FuzzyBoxField([
         FieldComponent(FuzzyIntervalNumber.trapezoidal(-0.6, -0.1, 0.2, 0.7),
                        scale=parse("0.5 + 0.3*y2", 2), offset=parse("0.2*t*y1", 2)),
@@ -387,13 +418,13 @@ def test_metric_over_pairs_matches_scalar_fuzzy_metric():
     y1s = rng.uniform(-4.0, 4.0, (400, 2))
     y2s = rng.uniform(-4.0, 4.0, (400, 2))
     assert np.any(np.sin(y1s[:, 0]) * np.sin(y2s[:, 0]) < 0.0)
-    batch = field.metric(ts, y1s, y2s)
+    batch = pair_metric(field, ts, y1s, y2s)
     scalar = [fuzzy_metric(field.at(t, a), field.at(t, b)) for t, a, b in zip(ts, y1s, y2s)]
     np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-15)
 
 
 def per_time_constants(spec, dom):
-    """estimate_constants without L_F, one sampled time at a time and polished one move at a time."""
+    """estimate_constants, one sampled time at a time and polished one move at a time."""
     ts = _sample_times(spec.T, dom.t_samples, _stream(dom.seed, 1))
     lo, hi = dom.y_box_lo, dom.y_box_hi
     ys = lo + (hi - lo) * _stream(dom.seed, 2).random((dom.y_samples, spec.n))
@@ -410,6 +441,7 @@ def per_time_constants(spec, dom):
 
     g = [e for row in spec.g for e in row]
     table = {
+        "L_F": (spec.field.slope, ys, True),
         "p_sup": (field_norm, ys, True),
         "eta_g": (lambda t, b: row_sum(g, t, b, np.abs), ys, True),
         "eta_Q": (lambda t, b: row_sum(spec.Q, t, b, np.abs), ys, True),
@@ -472,20 +504,17 @@ def test_blocked_sampling_matches_per_time_loop(case, example_problem):
     if case == "two_dim":
         spec = _two_dim_problem()
         dom = SamplingDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.5]), t_samples=24,
-                             y_samples=900, pair_samples=2000, seed=5)
+                             y_samples=900, seed=5)
     elif case == "constant_Q":
         spec = _constant_q_problem()
-    dom = SamplingDomain(dom.y_box_lo, dom.y_box_hi, t_samples=dom.t_samples, y_samples=dom.y_samples,
-                         pair_samples=2000, seed=dom.seed)
     if case == "two_blocks":
-        dom = SamplingDomain(dom.y_box_lo, dom.y_box_hi, t_samples=70, y_samples=5000,
-                             pair_samples=2000, seed=dom.seed)
+        dom = SamplingDomain(dom.y_box_lo, dom.y_box_hi, t_samples=70, y_samples=5000, seed=dom.seed)
         assert 70 * 5000 > fdvi.hypotheses._BLOCK_ROWS
     consts = estimate_constants(spec, dom)
     witnesses = consts.pop("witnesses")
     ref_consts, ref_witnesses = per_time_constants(spec, dom)
     assert set(consts) == set(SAMPLED_CONSTANTS)
-    assert {k: v for k, v in consts.items() if k != "L_F"} == ref_consts
+    assert consts == ref_consts
     assert witnesses == ref_witnesses
     if case == "constant_Q":
         # every point ties: the witness is the first time and the first state
@@ -496,31 +525,138 @@ def test_blocked_sampling_matches_per_time_loop(case, example_problem):
 
 def test_sampling_block_size_does_not_change_the_results(example_problem, monkeypatch):
     spec, dom = example_problem.spec, example_problem.sampling
-    # more pairs than one 2**15 block, and a grid of 64 x 4096 rows
-    dom = SamplingDomain(dom.y_box_lo, dom.y_box_hi, t_samples=dom.t_samples, y_samples=dom.y_samples,
-                         pair_samples=40_000, seed=dom.seed)
+    # a grid of 64 x 4096 rows, eight 2**15 blocks
+    assert dom.t_samples * dom.y_samples == 2**18
     results = []
     for block_rows in (2**18, 2**15, 1000, 7):
         monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
+        witnesses = [{}, {}]
         results.append([
-            estimate_field_lipschitz(spec.field, dom.y_box_lo, dom.y_box_hi, spec.T,
-                                     pairs=dom.pair_samples, seed=dom.seed, polish=polish)
-            for polish in (False, True)
-        ] + [estimate_constants(spec, dom)])
+            estimate_field_lipschitz(spec.field, dom, spec.T, polish=polish, witness=witness)
+            for polish, witness in zip((False, True), witnesses)
+        ] + witnesses + [estimate_constants(spec, dom)])
     assert all(result == results[0] for result in results[1:])
 
 
 def test_lipschitz_estimate_never_exceeds_true_constant(example_spec):
-    # quotients of |cos| scaled by 0.5 can never exceed 0.5
-    val = estimate_field_lipschitz(example_spec.field, [-8.0], [8.0], 0.7, pairs=5000, seed=1)
-    assert val <= 0.5 + 1e-9
-    assert val >= 0.45
+    # the slope of 0.5 cos(y1) is 0.5 |sin(y1)|, never above 0.5
+    dom = SamplingDomain(np.array([-8.0]), np.array([8.0]), t_samples=8, y_samples=256, seed=1)
+    unpolished = estimate_field_lipschitz(example_spec.field, dom, 0.7, polish=False)
+    val = estimate_field_lipschitz(example_spec.field, dom, 0.7)
+    assert 0.45 <= unpolished <= val <= 0.5
+    assert val == pytest.approx(0.5, abs=1e-12)
+
+
+# --- L_F as the largest local slope -------------------------------------------------
+
+
+def _affine_field():
+    return FuzzyBoxField([
+        FieldComponent(FuzzyIntervalNumber.trapezoidal(-0.6, -0.1, 0.2, 0.7),
+                       scale=parse("0.5 + 0.3*y2 - 0.1*y1 + t", 2), offset=parse("0.2*y1 - 0.4*y2", 2)),
+        FieldComponent(FuzzyIntervalNumber.triangular(-0.5, 0.1, 0.5),
+                       scale=parse("2 - y1", 2), offset=parse("0.1*y2 + sin(t)", 2)),
+    ])
+
+
+def test_slope_is_exact_on_fields_affine_in_y():
+    field = _affine_field()
+    # component 1 at c = 0.7: (0.2 - 0.07, -0.4 + 0.21); component 2 at c = 0.5: (-0.5, 0.1)
+    expected = max(math.sqrt((0.2 + c * -0.1) ** 2 + (-0.4 + c * 0.3) ** 2) for c in (-0.6, 0.7))
+    expected = max(expected, *(math.sqrt((c * -1.0) ** 2 + 0.1**2) for c in (-0.5, 0.5)))
+    rng = np.random.default_rng(3)
+    ts, ys = rng.uniform(0.0, 2.0, 50), rng.uniform(-5.0, 5.0, (50, 2))
+    np.testing.assert_array_equal(field.slope(ts, ys), np.full(50, expected))
+    dom = SamplingDomain(np.array([-5.0, -5.0]), np.array([5.0, 5.0]), t_samples=4, y_samples=16, seed=2)
+    assert estimate_field_lipschitz(field, dom, 2.0) == expected
+    # metric / distance of an affine field nears the slope and never exceeds it
+    assert 0.999 * expected <= pair_quotient_max(field, dom.y_box_lo, dom.y_box_hi, 2.0, 20_000, 9) <= expected
+
+
+def test_slope_is_inf_where_a_partial_is_not_finite():
+    tri = FuzzyIntervalNumber.triangular(-0.5, 0.0, 0.5)
+    ys = np.array([[0.0], [0.25]])
+    # 0.5 / sqrt(0) is inf; in -sqrt(y1) written as below it is inf - inf,
+    # nan, which counts as not finite too
+    for scale in ("sqrt(y1)", "sqrt(y1) - 2*sqrt(y1)"):
+        field = FuzzyBoxField([FieldComponent(tri, scale=parse(scale, 1), offset=parse("0", 1))])
+        assert field.slope(0.0, ys)[0] == math.inf
+    field = FuzzyBoxField([FieldComponent(tri, scale=parse("sqrt(y1)", 1), offset=parse("0", 1))])
+    assert field.slope(0.0, ys)[1] == 0.5 * 0.5 / 0.5
+
+
+def generated_doc(n):
+    """A config whose field components couple three neighbouring coordinates; its L_F is sqrt(0.4024).
+
+    Component i: trapezoid (-0.5, -0.1, 0.2, 0.6), scale cos(y_i) + 0.3 sin(y_(i+1)) exp(-t),
+    offset 0.1 atan(y_(i+2)) cos(t), indices mod n, box [-10, 10]^n.  At c = 0.6, t = 0 the
+    slope is sqrt(0.6^2 + 0.18^2 + 0.1^2).
+    """
+    doc = example_config()
+    y = lambda i: f"y{i % n + 1}"  # noqa: E731
+    doc.update({
+        "n": n,
+        "fuzzy": [{"type": "trapezoidal", "a": -0.5, "b": -0.1, "c": 0.2, "d": 0.6,
+                   "scale": f"cos({y(i)}) + 0.3*sin({y(i + 1)})*exp(-t)",
+                   "offset": f"0.1*atan({y(i + 2)})*cos(t)"} for i in range(n)],
+        "g": [[f"0.1*sin({y(i)})", "0"] for i in range(n)],
+        "c1": [f"0.1*sin({y(i)})" for i in range(n)],
+        "c2": [f"0.1*cos({y(i)})" for i in range(n)],
+        "sampling": {"y_box": {"lo": [-10.0] * n, "hi": [10.0] * n}},
+        "selection": {"lambda": [0.0] * n},
+        "claimed": {},
+    })
+    return doc
+
+
+def test_slope_finds_the_hand_derived_sup_at_n8():
+    problem = build_problem(generated_doc(8))
+    witness = {}
+    l_f = estimate_field_lipschitz(problem.spec.field, problem.sampling, problem.spec.T, witness=witness)
+    assert abs(l_f - math.sqrt(0.4024)) <= 1e-12
+    assert witness["t"] == 0.0
+
+
+def _random_field(rng, n):
+    """A field of random trapezoids whose scales and offsets mix smooth functions of two coordinates."""
+    terms = ["sin({})", "cos({})", "atan({})", "exp(-({})^2)", "({})/(1 + abs({}))", "sqrt(1 + ({})^2)"]
+    comps = []
+    for _ in range(n):
+        exprs = []
+        for _ in range(2):
+            parts = []
+            for _ in range(2):
+                k = int(rng.integers(1, n + 1))
+                term = terms[int(rng.integers(len(terms)))]
+                parts.append(f"{rng.uniform(-1.0, 1.0):.3f}*" + term.format(*[f"y{k}"] * term.count("{}")))
+            exprs.append(parse(" + ".join(parts) + f" + {rng.uniform(0.0, 1.0):.3f}*t", n))
+        comps.append(FieldComponent(FuzzyIntervalNumber.trapezoidal(*np.sort(rng.uniform(-2.0, 2.0, 4))),
+                                    scale=exprs[0], offset=exprs[1]))
+    return FuzzyBoxField(comps)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_slope_is_never_below_the_pair_quotients(case):
+    rng = np.random.default_rng(100 + case)
+    n = 1 + case % 3
+    field = _random_field(rng, n)
+    dom = SamplingDomain(np.full(n, -3.0), np.full(n, 3.0), t_samples=8, y_samples=512, seed=case)
+    slope = estimate_field_lipschitz(field, dom, 1.0)
+    pairs = pair_quotient_max(field, dom.y_box_lo, dom.y_box_hi, 1.0, 20_000, case)
+    assert slope >= pairs
+
+
+def test_slope_is_never_below_the_pair_quotients_on_the_two_dim_problem():
+    spec = _two_dim_problem()
+    dom = SamplingDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.5]), t_samples=24, y_samples=900, seed=5)
+    slope = estimate_field_lipschitz(spec.field, dom, spec.T)
+    assert slope >= pair_quotient_max(spec.field, dom.y_box_lo, dom.y_box_hi, spec.T, 100_000, 5)
 
 
 def test_estimates_monotone_in_refinement(example_spec):
     # same seed, more samples: constants never decrease
-    small = estimate_constants(example_spec, small_domain(pairs=5_000, y_samples=512))
-    large = estimate_constants(example_spec, small_domain(pairs=10_000, y_samples=2048))
+    small = estimate_constants(example_spec, small_domain(y_samples=512))
+    large = estimate_constants(example_spec, small_domain(y_samples=2048))
     for key in ("L_F", "p_sup", "eta_g", "eta_Q", "M1", "M2", "M0"):
         assert large[key] >= small[key] - 1e-12
 
@@ -545,7 +681,7 @@ def test_verify_example_passes(example_spec):
 
 
 def test_report_schema_comes_from_the_constants_table(example_spec):
-    report = verify(example_spec, small_domain(pairs=2000, y_samples=64)).as_dict()
+    report = verify(example_spec, small_domain(y_samples=64)).as_dict()
     assert SAMPLED_CONSTANTS == ("L_F", "p_sup", "eta_g", "eta_Q", "M0", "M1", "M2")
     assert set(report["constants"]) == set(CONSTANTS)
     assert report["norms"] == {name: row.norm for name, row in CONSTANTS.items()}
@@ -560,7 +696,7 @@ def test_report_schema_comes_from_the_constants_table(example_spec):
 
 def test_verify_rejects_claimed_names_it_does_not_sample(example_spec):
     with pytest.raises(DomainError, match="eta_q"):
-        verify(example_spec, small_domain(pairs=2000, y_samples=64), claimed={"eta_q": 1.0})
+        verify(example_spec, small_domain(y_samples=64), claimed={"eta_q": 1.0})
 
 
 def test_verify_inflated_horizon_fails_contraction(example_spec):
@@ -582,14 +718,14 @@ def test_verify_scaled_field_raises_rho(example_spec):
     doc = example_config()
     doc["fuzzy"][0]["scale"] = "10*cos(y1)"
     spec = build_problem(doc).spec
-    report = verify(spec, small_domain(pairs=20_000))
+    report = verify(spec, small_domain())
     assert report.rho > 1.0 and not report.overall_pass
 
 
 def test_verify_report_is_deterministic(example_spec):
     import json
 
-    dom = small_domain(pairs=5_000, y_samples=512)
+    dom = small_domain(y_samples=512)
     r1 = verify(example_spec, dom, claimed={"eta_Q": 7.85})
     r2 = verify(example_spec, dom, claimed={"eta_Q": 7.85})
     assert json.dumps(r1.as_dict(), sort_keys=True) == json.dumps(r2.as_dict(), sort_keys=True)
