@@ -28,6 +28,7 @@ import numpy as np
 from .config import LoadedProblem, apply_overrides, build_problem, example_config, load_config
 from .errors import (
     ConfigError,
+    EvalDomainError,
     FdviError,
     MaxPicardExceeded,
     NonfiniteValue,
@@ -119,12 +120,18 @@ def _warn_if_rho_large(problem: LoadedProblem) -> None:
 
     The estimate is the verifier's, unpolished, on at most 2048 points of
     its grid (up to 8 times by 2048 // that many states): the first draws
-    of the same streams.
+    of the same streams.  The warning is advisory: where the field cannot be
+    evaluated on the box it says so, and the solve goes on, because the
+    solve evaluates the field only where its trajectory goes.
     """
     spec, dom = problem.spec, problem.sampling
     t_samples = min(dom.t_samples, 8)
     coarse = dataclasses.replace(dom, t_samples=t_samples, y_samples=min(dom.y_samples, 2048 // t_samples))
-    l_f = estimate_field_lipschitz(spec.field, coarse, spec.T, polish=False)
+    try:
+        l_f = estimate_field_lipschitz(spec.field, coarse, spec.T, polish=False)
+    except EvalDomainError as exc:  # EvalOverflowError too
+        warnings.warn(f"could not estimate the contraction constant rho on the sampling box: {exc}")
+        return
     rho = compute_rho(l_f, spec.T, spec.q)
     if rho >= 1.0:
         warnings.warn(

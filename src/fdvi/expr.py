@@ -19,6 +19,10 @@ it carries the y-gradient as a sparse map {coordinate: partial} over the
 coordinates the subexpression reads, with one derivative rule per operator
 and per function.  The verifier's field slope (FuzzyBoxField.slope) is
 built on it.
+
+Expression.reads is the set of variables an expression reads, from its
+syntax alone; the verifier samples each constant only along the axes
+(time, state) that its expressions read.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +100,20 @@ class Expression:
     root: Node
     nvars: int
     source: str
+
+    @cached_property
+    def reads(self) -> frozenset:
+        """The names of the variables the expression reads ("t", "y1", ...), from its syntax.
+
+        A variable counts wherever it appears, so 0*t reads t.
+        """
+        out, stack = set(), [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                out.add(f"y{node.index}" if node.index else "t")  # y01 reads y1
+            stack.extend(_operands(node))
+        return frozenset(out)
 
 
 # --- Tokenizer -----------------------------------------------------------

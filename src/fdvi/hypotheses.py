@@ -21,11 +21,16 @@ A1 and the contraction verdict fail.  S's monotonicity is read from
 AffineOperator and the anchor's membership in K from BoxSet.contains.
 
 Every objective is batch-native.  Sampling evaluates each constant's
-objective over the whole (time, state) grid in cache-sized blocks of at
-most _BLOCK_ROWS rows.  The polish evaluates speculatively: one batch holds
-the rest of the current pattern-search sweep and later sweeps at the step
-each would use if no move improved, so the halvings that end a search take
-a few objective calls instead of one per sweep (see _pattern_maximize).
+objective over the (time, state) grid in cache-sized blocks of at most
+_BLOCK_ROWS rows, and only along the axes its expressions read
+(Expression.reads): a constant none of whose expressions reads t is sampled
+at the first time only, one none of whose expressions reads y at the first
+state only.  The skipped rows or columns would repeat the first one, so the
+value and the witness, the first maximum in (time, state) order, are those
+of the full grid.  The polish evaluates speculatively: one batch holds the
+rest of the current pattern-search sweep and later sweeps at the step each
+would use if no move improved, so the halvings that end a search take a few
+objective calls instead of one per sweep (see _pattern_maximize).
 """
 
 from __future__ import annotations
@@ -126,49 +131,61 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     the next one, up to _BLOCK_ROWS rows.  The halvings that end a search
     then take a few calls, while each accepted move discards at most about
     _POLISH_ROWS rows plus as many as were evaluated since the last one.
+
+    Every step the search takes is the first one halved k times, k <= sweeps,
+    so the steps, each move's shift and the first k below the floor are
+    tabulated once per search; a batch's schedule is arithmetic on k.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     best = float(fn(x[None])[0])
-    moves = 2 * x.shape[0]
-    axis = np.repeat(np.arange(x.shape[0]), 2)  # move m changes coordinate axis[m]
-    sign = np.tile([1.0, -1.0], x.shape[0])
+    d = x.shape[0]
+    moves = 2 * d
+    # row k: the first step (an eighth of the box) halved k times, one halving
+    # at a time; no search halves it more often than it sweeps
+    halvings = np.full((sweeps + 1, d), 0.5)
+    halvings[0] = (hi - lo) / 8.0
+    steps = np.multiply.accumulate(halvings, axis=0)
+    axis = np.repeat(np.arange(d), 2)  # move m changes coordinate axis[m] ...
+    shifts = np.tile([1.0, -1.0], d) * steps[:, axis]  # ... by shifts[k, m] at step k
+    # the first k whose step is below the floor: a halving to it ends the search
     floor = 1e-14 * max(1.0, float(np.max(hi - lo)))
+    below = np.flatnonzero(np.max(steps, axis=1) < floor)
+    k_floor = int(below[0]) if below.size else sweeps + 1
     max_levels = max(1, _BLOCK_ROWS // moves)
     start_levels = min(max(1, _POLISH_ROWS // moves), max_levels)
-    sweep, first, step, improved, levels = 0, 0, (hi - lo) / 8.0, False, start_levels
+    row_axis = np.tile(axis, min(max_levels, sweeps))  # the coordinate of each row of a batch
+    row_lo, row_hi = lo[row_axis], hi[row_axis]
+    sweep, first, k, improved, levels = 0, 0, 0, False, start_levels
     while True:
         if first == moves:  # the accepted move ended its sweep, which keeps its step
             sweep, first, improved = sweep + 1, 0, False
         if sweep >= sweeps:
             return best, x
-        # the step of each of the next `levels` sweeps if no move from `first` on
-        # improves; `last` if the search stops after them
-        steps, h, keep, last = [], step, improved, False
-        while len(steps) < levels and not last:
-            steps.append(h)
-            if not keep:
-                h = h * 0.5
-                last = bool(np.max(h) < floor)
-            keep = False
-            last = last or sweep + len(steps) >= sweeps
-        rows = len(steps) * moves - first
-        ax = np.tile(axis, len(steps))[first:]
-        row_step = np.array(steps)[:, axis].ravel()[first:]
-        trials = np.repeat(x[None], rows, axis=0)
-        trials[np.arange(rows), ax] = np.minimum(
-            np.maximum(x[ax] + np.tile(sign, len(steps))[first:] * row_step, lo[ax]), hi[ax])
+        # the next `count` sweeps if no move from `first` on improves: the
+        # current one at step k, each later one halving the step (except the
+        # next, if the current one improved); the search stops after the
+        # halving to the floor or after its last sweep, and `last` says so
+        to_floor = max(k + 1, k_floor) - k + improved
+        count = min(levels, sweeps - sweep, to_floor)
+        last = count == to_floor or sweep + count >= sweeps
+        level_k = k + np.maximum(np.arange(count) - improved, 0)
+        end = count * moves
+        ax = row_axis[first:end]
+        trials = np.repeat(x[None], end - first, axis=0)
+        trials[np.arange(end - first), ax] = np.minimum(
+            np.maximum(x[ax] + shifts[level_k].ravel()[first:], row_lo[first:end]), row_hi[first:end])
         vals = fn(trials)
         better = np.flatnonzero(vals > best)
         if better.size == 0:
             if last:
                 return best, x
-            sweep, first, step, improved = sweep + len(steps), 0, h, False
+            sweep, first, k, improved = sweep + count, 0, k + max(0, count - improved), False
             levels = min(2 * levels, max_levels)
             continue
-        k = int(better[0])
-        level, move = divmod(first + k, moves)
-        best, x = float(vals[k]), trials[k]
-        sweep, first, step, improved, levels = sweep + level, move + 1, steps[level], True, start_levels
+        r = int(better[0])
+        level, move = divmod(first + r, moves)
+        best, x = float(vals[r]), trials[r]
+        sweep, first, k, improved, levels = sweep + level, move + 1, int(level_k[level]), True, start_levels
 
 
 def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,12 +198,16 @@ def _row_sum(exprs, ts, ys, fn) -> np.ndarray:
     """Sum over exprs of fn(expr at (ts, ys)), left to right, in their broadcast shape.
 
     np.sum reassociates, and the report's constants are written at full
-    precision, so the summation order is fixed here.
+    precision, so the summation order is fixed here.  The sum starts from the
+    first term rather than from zeros: fn is abs or square, which never give
+    -0.0, so 0.0 + v would be v bit for bit.
     """
-    acc = np.zeros(np.broadcast_shapes(np.shape(ts), ys.shape[:-1]))
-    for e in exprs:
-        acc += fn(evaluate(e, ts, ys))
-    return acc
+    terms = (fn(evaluate(e, ts, ys)) for e in exprs)
+    acc = next(terms, 0.0)
+    for v in terms:
+        acc = acc + v
+    shape = np.broadcast_shapes(np.shape(ts), ys.shape[:-1])
+    return acc if np.shape(acc) == shape else np.broadcast_to(acc, shape)
 
 
 def _sample_grid(dom: SamplingDomain, t_horizon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +217,21 @@ def _sample_grid(dom: SamplingDomain, t_horizon: float) -> tuple[np.ndarray, np.
     return ts, ys
 
 
-def _grid_max(fn, ts: np.ndarray, states: np.ndarray):
+def _grid_max(fn, exprs, ts: np.ndarray, states: np.ndarray):
     """(value, t, state) of the first maximum of fn over times x states in (time, state) order.
 
-    fn maps (k, 1) times and (s, n) states to (k, s) values; times go in
-    blocks of at most _BLOCK_ROWS grid rows.
+    fn maps (k, 1) times and (s, n) states to (k, s) values, and reads t and
+    y only through the expressions exprs.  An axis that none of them reads is
+    sampled at its first point alone: every row (or column) of the full grid
+    would hold the same values, so its first maximum in (time, state) order
+    lies in the first one, and value and witness are the same bits.  Times
+    go in blocks of at most _BLOCK_ROWS grid rows.
     """
+    reads = frozenset().union(*(e.reads for e in exprs))
+    if "t" not in reads:
+        ts = ts[:1]
+    if reads <= {"t"}:
+        states = states[:1]
     per_block = max(1, _BLOCK_ROWS // states.shape[0])
     best, wt, wy = -math.inf, 0.0, states[0]
     for start in range(0, ts.shape[0], per_block):
@@ -213,12 +243,12 @@ def _grid_max(fn, ts: np.ndarray, states: np.ndarray):
     return best, wt, wy
 
 
-def _polished_max(fn, ts: np.ndarray, states: np.ndarray, t_horizon: float, box):
+def _polished_max(fn, exprs, ts: np.ndarray, states: np.ndarray, t_horizon: float, box):
     """_grid_max of fn, refined by pattern search from its witness over [0, t_horizon] x box.
 
     Without a box the state stays put and only the time moves.
     """
-    best, wt, wy = _grid_max(fn, ts, states)
+    best, wt, wy = _grid_max(fn, exprs, ts, states)
     box_lo, box_hi = box or (wy, wy)
     val, arg = _pattern_maximize(
         lambda x: fn(x[:, 0], x[:, 1:]),
@@ -229,6 +259,11 @@ def _polished_max(fn, ts: np.ndarray, states: np.ndarray, t_horizon: float, box)
     if val > best:
         best, wt, wy = val, float(arg[0]), arg[1:]
     return best, wt, wy
+
+
+def _field_exprs(field: FuzzyBoxField) -> list:
+    """Every scale and offset expression of the field: all that its objectives read."""
+    return [e for comp in field.components for e in (comp.scale, comp.offset)]
 
 
 def estimate_field_lipschitz(
@@ -245,10 +280,11 @@ def estimate_field_lipschitz(
     """
     ts, ys = _sample_grid(dom, t_horizon)
     box = (dom.y_box_lo, dom.y_box_hi)
+    exprs = _field_exprs(field)
     if polish:
-        best, wt, wy = _polished_max(field.slope, ts, ys, t_horizon, box)
+        best, wt, wy = _polished_max(field.slope, exprs, ts, ys, t_horizon, box)
     else:
-        best, wt, wy = _grid_max(field.slope, ts, ys)
+        best, wt, wy = _grid_max(field.slope, exprs, ts, ys)
     if witness is not None:
         witness.update(t=wt, y=wy.tolist())
     return best
@@ -277,20 +313,21 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     def c_norm(exprs):
         return lambda t, states: np.sqrt(_row_sum(exprs, t, states, np.square))
 
+    field_exprs, g = _field_exprs(spec.field), [e for row in spec.g for e in row]
     # name -> (objective of times and (..., n) states, broadcast together,
-    # sampled states, polish box); without a box the state stays put and
-    # the witness is a time
+    # the expressions it reads, sampled states, polish box); without a box
+    # the state stays put and the witness is a time
     table = {
-        "p_sup": (field_norm, ys, (lo, hi)),
-        "eta_g": (abs_sum([e for row in spec.g for e in row]), ys, (lo, hi)),
-        "eta_Q": (abs_sum(spec.Q), ys, (lo, hi)),
-        "M1": (c_norm(spec.c1), ys, (lo, hi)),
-        "M2": (c_norm(spec.c2), ys, (lo, hi)),
-        "M0": (field_norm, np.zeros((1, spec.n)), None),
+        "p_sup": (field_norm, field_exprs, ys, (lo, hi)),
+        "eta_g": (abs_sum(g), g, ys, (lo, hi)),
+        "eta_Q": (abs_sum(spec.Q), spec.Q, ys, (lo, hi)),
+        "M1": (c_norm(spec.c1), spec.c1, ys, (lo, hi)),
+        "M2": (c_norm(spec.c2), spec.c2, ys, (lo, hi)),
+        "M0": (field_norm, field_exprs, np.zeros((1, spec.n)), None),
     }
     consts, witnesses = {}, {"L_F": {}}
-    for name, (fn, states, box) in table.items():
-        best, wt, wy = _polished_max(fn, ts, states, spec.T, box)
+    for name, (fn, exprs, states, box) in table.items():
+        best, wt, wy = _polished_max(fn, exprs, ts, states, spec.T, box)
         consts[name] = best
         witnesses[name] = {"t": wt, "y": wy.tolist()} if box else {"t": wt}
     # through the module global, which perfbench/tracing.py wraps

@@ -297,6 +297,22 @@ def test_rho_warning_evaluates_at_most_2048_slope_rows(tmp_path, config_path, mo
     assert 0 < sum(rows) <= 2048
 
 
+@pytest.mark.parametrize("scale, error", [("sqrt(y1 + 1)", "sqrt of a negative value"),
+                                          ("0.1*exp(y1)", "overflow encountered in exp")])
+def test_rho_warning_that_cannot_evaluate_the_field_does_not_abort_the_solve(tmp_path, config_path, scale, error):
+    # the field is undefined (or overflows) on part of the sampling box [-1000, 1000],
+    # but not where the trajectory goes
+    args = ["--config", config_path, "--override", f"fuzzy.0.scale={scale}",
+            "--override", 'c1=["1.2*sin(y1) + 2"]']
+    match = f"could not estimate the contraction constant rho on the sampling box: {error}"
+    with pytest.warns(UserWarning, match=match):
+        assert main(["solve", "--out", str(tmp_path / "solve"), *args]) == 0
+    with pytest.warns(UserWarning, match=match):
+        assert main(["band", "--out", str(tmp_path / "band"), "--alpha", "1", "--lambda=0", *args]) == 0
+    # verify needs every constant on the whole box
+    assert main(["verify", "--out", str(tmp_path / "report.json"), *args]) == 1
+
+
 def test_cli_verify_fails_a_field_that_is_not_lipschitz(tmp_path, config_path):
     # sqrt(y1) has no finite slope at y1 = 0; the grid's states are drawn from
     # [0, 1), so the polish must reach the box's end to see it

@@ -264,3 +264,14 @@ def test_gradient_carries_only_the_coordinates_read():
     assert value_and_gradient(parse("t + pi", 8), 0.5, np.ones(8))[1] == {}
     # an affine coordinate keeps a scalar partial, whatever the number of rows
     assert np.ndim(value_and_gradient(parse("2*y3 - y1", 8), np.zeros(5), np.ones((5, 8)))[1][2]) == 0
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("cos(y1)", {"y1"}),
+    ("0*t + y1", {"t", "y1"}),  # syntactic: a variable read with weight zero still counts
+    ("pi", set()),
+    ("exp(2*min(t, y2)) - e", {"t", "y2"}),
+    ("y01 + y1^2", {"y1"}),  # one name per coordinate
+])
+def test_read_set_is_the_variables_in_the_syntax(source, reads):
+    assert parse(source, 3).reads == reads

@@ -175,6 +175,24 @@ def test_polish_halvings_take_few_calls():
     assert one_at_a_time_maximize(flat, np.zeros(d), lo, hi)[2] == 1 + 44 * 2 * d
 
 
+@pytest.mark.parametrize("widths", [[4e-14], [4e-14] * 3, [2.0, 1e-300, 1e-310]])
+def test_polish_of_tiny_boxes_follows_the_one_at_a_time_path(widths):
+    # a box whose first step, width / 8, is below the floor of 1e-14 stops after
+    # its first sweep that accepts no move; steps halved into the subnormals
+    # take the same values as the one-at-a-time search's
+    rng = np.random.default_rng(11)
+    widths = np.array(widths)
+    for _ in range(5):
+        fn = random_objective(rng, widths.size)
+        lo = rng.uniform(-1.0, 1.0, widths.size) * widths
+        hi = lo + widths
+        x0 = rng.uniform(lo, hi)
+        best, arg = _pattern_maximize(fn, x0, lo, hi)
+        ref_best, ref_arg, *_ = one_at_a_time_maximize(fn, x0, lo, hi)
+        assert best == ref_best
+        assert np.array_equal(arg, ref_arg)
+
+
 def test_example_verify_polish_calls(example_problem, monkeypatch):
     calls = 0
     search = fdvi.hypotheses._pattern_maximize
@@ -536,6 +554,79 @@ def test_sampling_block_size_does_not_change_the_results(example_problem, monkey
             for polish, witness in zip((False, True), witnesses)
         ] + witnesses + [estimate_constants(spec, dom)])
     assert all(result == results[0] for result in results[1:])
+
+
+def full_grid_max(fn, ts, states):
+    """The oracle for _grid_max: the first maximum of fn over every time x state, in (time, state) order."""
+    vals = np.broadcast_to(fn(ts[:, None], states), (ts.shape[0], states.shape[0]))
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[i, j]), float(ts[i]), states[j].tolist()
+
+
+def _support_norm(field):
+    def fn(t, states):
+        f_lo, f_hi = field.level_arrays(t, states, 0.0)
+        return np.linalg.norm(np.maximum(np.abs(f_lo), np.abs(f_hi)), axis=-1)
+
+    return fn
+
+
+@pytest.mark.parametrize("scale, offset, reads", [
+    ("0.5*cos(y1) - 0.2*y2", "atan(y2)", "y"),
+    ("1.2*sin(3*t)", "exp(-t)", "t"),
+    ("sin(t*y1)", "0.3*y2", "ty"),
+    ("cos(y1) + 0.5", "t^2", "ty"),  # each expression reads one axis, the objective both
+    ("2", "-pi", ""),  # a constant field: every point ties
+])
+@pytest.mark.parametrize("block_rows", [2**15, 700])
+def test_grid_max_over_the_axes_read_matches_the_full_grid(scale, offset, reads, block_rows, monkeypatch):
+    monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
+    field = FuzzyBoxField([
+        FieldComponent(FuzzyIntervalNumber.trapezoidal(-0.6, -0.1, 0.2, 0.7), parse(scale, 2), parse(offset, 2)),
+        FieldComponent(FuzzyIntervalNumber.triangular(-0.5, 0.1, 0.5), parse(offset, 2), parse(scale, 2)),
+    ])
+    exprs = fdvi.hypotheses._field_exprs(field)
+    ts = _sample_times(0.9, 40, _stream(3, 1))
+    states = -3.0 + 6.0 * _stream(3, 2).random((300, 2))
+    pair = [parse(s, 2) for s in (scale, offset)]
+    objectives = [(field.slope, exprs), (_support_norm(field), exprs),
+                  (lambda t, ys: fdvi.hypotheses._row_sum(pair, t, ys, np.abs), pair)]
+    for fn, read in objectives:
+        seen = []
+
+        def counted(t, ys):
+            seen.append((t.shape[0], ys.shape[0]))
+            return fn(t, ys)
+
+        best, wt, wy = fdvi.hypotheses._grid_max(counted, read, ts, states)
+        assert (best, wt, wy.tolist()) == full_grid_max(fn, ts, states)
+        # the objective saw every sampled time only if it reads t, every state only if it reads y
+        assert sum(rows for rows, _ in seen) == (40 if "t" in reads else 1)
+        assert {cols for _, cols in seen} == {300 if "y" in reads else 1}
+
+
+def test_t_free_objectives_see_one_time_row(example_problem, monkeypatch):
+    # the example's field, c1 and c2 read no t; its g and Q do
+    spec, dom = example_problem.spec, example_problem.sampling
+    rows = {}
+
+    def record(fn, key):
+        def recorded(*args):
+            t = args[1]  # (self, ts, ...) or (expression, t, y)
+            if np.ndim(t) == 2:  # a grid block of (k, 1) times; the polish passes (k,) times
+                rows[key(args)] = rows.get(key(args), 0) + t.shape[0]
+            return fn(*args)
+
+        return recorded
+
+    monkeypatch.setattr(FuzzyBoxField, "slope", record(FuzzyBoxField.slope, lambda args: "slope"))
+    monkeypatch.setattr(FuzzyBoxField, "level_arrays", record(FuzzyBoxField.level_arrays, lambda args: "levels"))
+    monkeypatch.setattr(fdvi.hypotheses, "evaluate", record(evaluate, lambda args: args[0].source))
+    verify(spec, dom, claimed=example_problem.claimed)
+    assert rows.pop("slope") == 1  # L_F
+    assert rows.pop("levels") == 2  # p_sup and M0
+    assert rows == {**{e.source: 1 for e in [*spec.c1, *spec.c2]},
+                    **{e.source: dom.t_samples for e in [*(e for row in spec.g for e in row), *spec.Q]}}
 
 
 def test_lipschitz_estimate_never_exceeds_true_constant(example_spec):
