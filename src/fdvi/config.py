@@ -18,7 +18,7 @@ from .expr import Expression, parse
 from .fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber
 from .hypotheses import SAMPLED_CONSTANTS, SamplingDomain
 from .problem import ProblemSpec, SelectionPolicy, SolverConfig
-from .vi import AffineOperator, BoxSet
+from .vi import ANCHOR_TOL, AffineOperator, BoxSet
 
 
 @dataclass
@@ -238,7 +238,7 @@ def build_problem(doc: dict) -> LoadedProblem:
     k_set = _build("/K", BoxSet, k_lo, k_hi)
 
     anchor = _number_list(_require(doc, "anchor_u0", ""), m, "/anchor_u0")
-    if not k_set.contains(anchor, tol=1e-12):
+    if not k_set.contains(anchor, tol=ANCHOR_TOL):
         raise ConfigError("/anchor_u0", "anchor must lie in K")
 
     def vector(value, pointer):

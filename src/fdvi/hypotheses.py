@@ -14,10 +14,10 @@ are usually tabulated for worked instances.
 The field Lipschitz constant L_F is measured in the fuzzy metric.  On a
 convex box it is the sup over points of the field's local slope, which
 FuzzyBoxField.slope computes from forward-mode derivatives of the field's
-expressions, so L_F is sampled and polished over (time, state) points like
-every other constant, with no pairs of states.  A slope that is not finite
-(sqrt at 0, say) makes L_F inf: the field is not Lipschitz on the box, and
-A1 and the contraction verdict fail.  S's monotonicity is read from
+expressions, so L_F is one more row of estimate_constants' table, sampled
+and polished like the rest, with no pairs of states.  A slope that is not
+finite (sqrt at 0, say) makes L_F inf: the field is not Lipschitz on the
+box, and A1 and the contraction verdict fail.  S's monotonicity is read from
 AffineOperator and the anchor's membership in K from BoxSet.contains.
 
 Every objective is batch-native.  Sampling evaluates each constant's
@@ -27,15 +27,17 @@ _BLOCK_ROWS rows, and only along the axes its expressions read
 at the first time only, one none of whose expressions reads y at the first
 state only.  The skipped rows or columns would repeat the first one, so the
 value and the witness, the first maximum in (time, state) order, are those
-of the full grid.  The polish evaluates speculatively: one batch holds the
-rest of the current pattern-search sweep and later sweeps at the step each
-would use if no move improved, so the halvings that end a search take a few
-objective calls instead of one per sweep (see _pattern_maximize).
+of the full grid.  The polish (M0's moves the time alone) evaluates
+speculatively: one batch holds the rest of the current pattern-search sweep
+and later sweeps at the step each would use if no move improved, so the
+halvings that end a search take a few objective calls instead of one per
+sweep (see _pattern_maximize).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -47,7 +49,7 @@ from .fuzzy import FuzzyBoxField
 from .fuzzy import fuzzy_metric  # noqa: F401 -- perfbench/tracing.py patches this binding
 from .problem import ProblemSpec
 from .special import gamma
-from .vi import AffineOperator, BoxSet
+from .vi import ANCHOR_TOL, AffineOperator, BoxSet
 
 # Most (time, state) rows one sampling block evaluates.  Blocks this size
 # stay in cache.
@@ -100,8 +102,12 @@ class SamplingDomain:
         hi = np.atleast_1d(np.asarray(self.y_box_hi, dtype=float))
         if lo.shape != hi.shape:
             raise DomainError("sampling box endpoints must have equal length")
+        if not np.isfinite((lo, hi)).all():
+            raise DomainError("sampling box endpoints must be finite")
         if np.any(hi <= lo):
             raise DomainError("sampling box must be nondegenerate (lo < hi)")
+        if not all(isinstance(k, numbers.Integral) for k in (self.t_samples, self.y_samples)):
+            raise DomainError("sample counts must be integers")
         if self.t_samples < 2 or self.y_samples < 2:
             raise DomainError("sample counts must be at least 2")
         object.__setattr__(self, "y_box_lo", lo)
@@ -244,21 +250,20 @@ def _grid_max(fn, exprs, ts: np.ndarray, states: np.ndarray):
 
 
 def _polished_max(fn, exprs, ts: np.ndarray, states: np.ndarray, t_horizon: float, box):
-    """_grid_max of fn, refined by pattern search from its witness over [0, t_horizon] x box.
+    """(value, witness) of _grid_max of fn, refined by pattern search over [0, t_horizon] x box.
 
-    Without a box the state stays put and only the time moves.
+    Without a box the state stays at the grid's witness, the search moves the
+    time alone and the witness is {"t"}; with one it is {"t", "y"}.
     """
     best, wt, wy = _grid_max(fn, exprs, ts, states)
-    box_lo, box_hi = box or (wy, wy)
-    val, arg = _pattern_maximize(
-        lambda x: fn(x[:, 0], x[:, 1:]),
-        np.concatenate(([wt], wy)),
-        np.concatenate(([0.0], box_lo)),
-        np.concatenate(([t_horizon], box_hi)),
-    )
+    if box:
+        val, arg = _pattern_maximize(lambda x: fn(x[:, 0], x[:, 1:]), np.append(wt, wy),
+                                     np.append(0.0, box[0]), np.append(t_horizon, box[1]))
+    else:
+        val, arg = _pattern_maximize(lambda x: fn(x[:, 0], wy), np.array([wt]), np.zeros(1), np.array([t_horizon]))
     if val > best:
         best, wt, wy = val, float(arg[0]), arg[1:]
-    return best, wt, wy
+    return best, {"t": wt, "y": wy.tolist()} if box else {"t": wt}
 
 
 def _field_exprs(field: FuzzyBoxField) -> list:
@@ -268,34 +273,25 @@ def _field_exprs(field: FuzzyBoxField) -> list:
 
 def estimate_field_lipschitz(
     field: FuzzyBoxField, dom: SamplingDomain, t_horizon: float, polish: bool = True,
-    witness: dict | None = None,
 ) -> float:
-    """Largest sampled local slope of the field (FuzzyBoxField.slope): the sampled L_F.
+    """Largest sampled local slope of the field (FuzzyBoxField.slope) alone.
 
-    The slope is maximised over the same (time, state) grid as every other
-    constant and, with polish, refined by pattern search over [0, t_horizon]
-    x the sampling box.  A given witness dict receives the point
-    {"t", "y"} where the estimate is attained.  inf means the field is not
+    With polish it is estimate_constants' L_F, bit for bit; without, the grid
+    max alone, for the pre-solve rho warning.  inf means the field is not
     Lipschitz on the box.
     """
     ts, ys = _sample_grid(dom, t_horizon)
-    box = (dom.y_box_lo, dom.y_box_hi)
-    exprs = _field_exprs(field)
     if polish:
-        best, wt, wy = _polished_max(field.slope, exprs, ts, ys, t_horizon, box)
-    else:
-        best, wt, wy = _grid_max(field.slope, exprs, ts, ys)
-    if witness is not None:
-        witness.update(t=wt, y=wy.tolist())
-    return best
+        return _polished_max(field.slope, _field_exprs(field), ts, ys, t_horizon, (dom.y_box_lo, dom.y_box_hi))[0]
+    return _grid_max(field.slope, _field_exprs(field), ts, ys)[0]
 
 
 def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     """Sampled suprema for the hypotheses' constants, keyed by their report names.
 
-    Each constant is the max of its objective over the sampled (t, state)
-    grid, refined by pattern search from the first point where it is
-    attained, with the point where it is attained kept in "witnesses".
+    Each constant, L_F too, is one row of one table: the max of its
+    objective over one draw of the (t, state) grid, refined by pattern search
+    from the first point where it is attained, kept in "witnesses".
     """
     if dom.dim != spec.n:
         raise DomainError(f"sampling box has dimension {dom.dim}, problem n = {spec.n}")
@@ -316,8 +312,9 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     field_exprs, g = _field_exprs(spec.field), [e for row in spec.g for e in row]
     # name -> (objective of times and (..., n) states, broadcast together,
     # the expressions it reads, sampled states, polish box); without a box
-    # the state stays put and the witness is a time
+    # the polish moves the time alone and the witness is a time
     table = {
+        "L_F": (spec.field.slope, field_exprs, ys, (lo, hi)),
         "p_sup": (field_norm, field_exprs, ys, (lo, hi)),
         "eta_g": (abs_sum(g), g, ys, (lo, hi)),
         "eta_Q": (abs_sum(spec.Q), spec.Q, ys, (lo, hi)),
@@ -325,13 +322,9 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
         "M2": (c_norm(spec.c2), spec.c2, ys, (lo, hi)),
         "M0": (field_norm, field_exprs, np.zeros((1, spec.n)), None),
     }
-    consts, witnesses = {}, {"L_F": {}}
+    consts, witnesses = {}, {}
     for name, (fn, exprs, states, box) in table.items():
-        best, wt, wy = _polished_max(fn, exprs, ts, states, spec.T, box)
-        consts[name] = best
-        witnesses[name] = {"t": wt, "y": wy.tolist()} if box else {"t": wt}
-    # through the module global, which perfbench/tracing.py wraps
-    consts["L_F"] = estimate_field_lipschitz(spec.field, dom, spec.T, witness=witnesses["L_F"])
+        consts[name], witnesses[name] = _polished_max(fn, exprs, ts, states, spec.T, box)
     consts["witnesses"] = witnesses
     return consts
 
@@ -347,7 +340,7 @@ def check_coercivity(s: AffineOperator, k: BoxSet, u0, dom: SamplingDomain) -> t
     A bounded feasible box makes the liminf vacuous (+inf).
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if not k.contains(u0, tol=1e-9):
+    if not k.contains(u0, tol=ANCHOR_TOL):
         raise AnchorNotFeasible(f"anchor {u0.tolist()} is not in K")
     if k.bounded:
         return s.monotone, s.mu, math.inf

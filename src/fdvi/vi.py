@@ -77,6 +77,9 @@ class AffineOperator:
         return AffineOperator(self.M + eps * np.eye(self.dim), self.b)
 
 
+ANCHOR_TOL = 1e-12  # how far outside K the anchor u0 may lie and still count as in K
+
+
 class BoxSet:
     """An axis-aligned box in R^n, stored as lo/hi arrays; endpoints may be +-inf.
 

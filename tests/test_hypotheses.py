@@ -6,7 +6,7 @@ import pytest
 
 import fdvi.hypotheses
 from fdvi.config import build_problem, example_config
-from fdvi.errors import AnchorNotFeasible, DimensionMismatch, DomainError, NonMonotoneError
+from fdvi.errors import AnchorNotFeasible, ConfigError, DimensionMismatch, DomainError, NonMonotoneError
 from fdvi.expr import evaluate, parse
 from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric
 from fdvi.hypotheses import (
@@ -31,6 +31,25 @@ from fdvi.vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
 def small_domain(seed=20260809, y_samples=1024):
     return SamplingDomain(np.array([-8.0]), np.array([8.0]), t_samples=16,
                           y_samples=y_samples, seed=seed)
+
+
+# --- sampling domain ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([math.nan], [1.0]), ([0.0], [math.nan]), ([-math.inf], [1.0]), ([0.0], [math.inf]),
+    ([0.0, -math.inf], [1.0, 1.0]),
+])
+def test_sampling_box_ends_must_be_finite(lo, hi):
+    with pytest.raises(DomainError, match="finite"):
+        SamplingDomain(lo, hi, t_samples=8, y_samples=64)
+
+
+@pytest.mark.parametrize("counts", [{"t_samples": 2.5}, {"y_samples": 64.0}, {"t_samples": "8"}])
+def test_sample_counts_must_be_integers(counts):
+    with pytest.raises(DomainError, match="integers"):
+        SamplingDomain([0.0], [1.0], **{"t_samples": 8, "y_samples": 64, **counts})
+    assert SamplingDomain([0.0], [1.0], t_samples=np.int64(8), y_samples=64).t_samples == 8
 
 
 # --- pattern search -----------------------------------------------------------
@@ -333,6 +352,28 @@ def test_coercivity_anchor_must_be_feasible():
             check_coercivity(s, k, np.array(u0), small_domain())
 
 
+@pytest.mark.parametrize("offset, inside", [(1e-13, True), (1e-10, False)])
+def test_anchor_membership_has_one_tolerance(offset, inside):
+    # the config loader and the coercivity check agree on whether u0 is in K
+    doc = example_config()
+    doc["anchor_u0"] = [-offset, 0.0]
+    try:
+        problem = build_problem(doc)
+        loaded = True
+    except ConfigError as exc:
+        assert exc.pointer == "/anchor_u0"
+        loaded = False
+    k = BoxSet.orthant(2)
+    try:
+        check_coercivity(AffineOperator(3.0 * np.eye(2), np.zeros(2)), k, doc["anchor_u0"], small_domain())
+        checked = True
+    except AnchorNotFeasible:
+        checked = False
+    assert loaded == checked == inside
+    if inside:
+        assert problem.spec.anchor_u0.tolist() == [-offset, 0.0]
+
+
 @pytest.mark.parametrize("m_mat, monotone, strong", [
     (3.0 * np.eye(2), True, True),
     (np.array([[0.0, 1.0], [-1.0, 0.0]]), True, False),
@@ -545,15 +586,61 @@ def test_sampling_block_size_does_not_change_the_results(example_problem, monkey
     spec, dom = example_problem.spec, example_problem.sampling
     # a grid of 64 x 4096 rows, eight 2**15 blocks
     assert dom.t_samples * dom.y_samples == 2**18
+    exprs = fdvi.hypotheses._field_exprs(spec.field)
     results = []
     for block_rows in (2**18, 2**15, 1000, 7):
         monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
-        witnesses = [{}, {}]
+        # the unpolished estimate's witness is the grid max's
+        _, wt, wy = fdvi.hypotheses._grid_max(spec.field.slope, exprs, *fdvi.hypotheses._sample_grid(dom, spec.T))
+        consts = estimate_constants(spec, dom)
         results.append([
-            estimate_field_lipschitz(spec.field, dom, spec.T, polish=polish, witness=witness)
-            for polish, witness in zip((False, True), witnesses)
-        ] + witnesses + [estimate_constants(spec, dom)])
+            estimate_field_lipschitz(spec.field, dom, spec.T, polish=polish) for polish in (False, True)
+        ] + [{"t": wt, "y": wy.tolist()}, consts["witnesses"]["L_F"], consts])
     assert all(result == results[0] for result in results[1:])
+
+
+def test_estimate_constants_draws_the_grid_once(example_problem, monkeypatch):
+    draws = 0
+    sample_grid = fdvi.hypotheses._sample_grid
+
+    def counted(*args):
+        nonlocal draws
+        draws += 1
+        return sample_grid(*args)
+
+    monkeypatch.setattr(fdvi.hypotheses, "_sample_grid", counted)
+    consts = estimate_constants(example_problem.spec, small_domain(y_samples=64))
+    assert draws == 1
+    assert set(consts["witnesses"]) == set(SAMPLED_CONSTANTS)
+
+
+def test_m0_polish_moves_the_time_alone_at_n8(monkeypatch):
+    problem = build_problem(generated_doc(8))
+    dom = dataclasses.replace(problem.sampling, t_samples=8, y_samples=256)
+    search, dims = fdvi.hypotheses._pattern_maximize, []
+
+    def recorded(fn, x0, *args, **kwargs):
+        dims.append(len(x0))
+        return search(fn, x0, *args, **kwargs)
+
+    monkeypatch.setattr(fdvi.hypotheses, "_pattern_maximize", recorded)
+    consts = estimate_constants(problem.spec, dom)
+    # six constants search (t, y), 18 moves a sweep; M0's state stays at the
+    # origin, so its search tries t + step and t - step alone
+    assert sorted(dims) == [1] + [9] * 6
+    assert set(consts["witnesses"]["M0"]) == {"t"}
+
+
+def test_verify_reads_l_f_from_the_constants_table(example_problem, monkeypatch):
+    spec, dom = example_problem.spec, small_domain(y_samples=256)
+    single = fdvi.hypotheses.estimate_field_lipschitz
+    calls = []
+    monkeypatch.setattr(fdvi.hypotheses, "estimate_field_lipschitz",
+                        lambda *args, **kwargs: calls.append(args) or single(*args, **kwargs))
+    report = verify(spec, dom)
+    assert calls == []  # L_F is a row of estimate_constants' table, not a second estimate
+    assert report.constants["L_F"] == single(spec.field, dom, spec.T, polish=True)
+    assert report.witnesses["L_F"] == estimate_constants(spec, dom)["witnesses"]["L_F"]
 
 
 def full_grid_max(fn, ts, states):
@@ -702,9 +789,9 @@ def generated_doc(n):
 
 def test_slope_finds_the_hand_derived_sup_at_n8():
     problem = build_problem(generated_doc(8))
-    witness = {}
-    l_f = estimate_field_lipschitz(problem.spec.field, problem.sampling, problem.spec.T, witness=witness)
+    l_f = estimate_field_lipschitz(problem.spec.field, problem.sampling, problem.spec.T)
     assert abs(l_f - math.sqrt(0.4024)) <= 1e-12
+    witness = estimate_constants(problem.spec, problem.sampling)["witnesses"]["L_F"]
     assert witness["t"] == 0.0
 
 
