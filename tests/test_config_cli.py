@@ -144,7 +144,6 @@ def _edited(path, value):
     (("solver", "N"), 4, "/solver"),
     (("solver", "N"), 1.5, "/solver/N"),
     (("sampling", "y_samples"), 1, "/sampling"),
-    (("sampling", "t_samples"), 2.5, "/sampling/t_samples"),
     (("sampling", "y_box"), {"lo": [-1.0]}, "/sampling/y_box"),
     (("selection", "lambda"), [1.5], "/selection/lambda"),
     (("claimed",), ["eta_Q"], "/claimed"),
@@ -154,10 +153,11 @@ def _edited(path, value):
     (("solver", "vi_tol"), math.nan, "/solver/vi_tol"),
     (("solver", "picard_tol"), math.nan, "/solver/picard_tol"),
     (("K", "lo", 0), math.nan, "/K/lo/0"),
-    (("sampling", "y_box", "lo", 0), math.nan, "/sampling/y_box/lo/0"),
-    (("sampling", "y_box", "hi", 0), math.inf, "/sampling/y_box/hi/0"),
     (("claimed", "eta_Q"), math.nan, "/claimed/eta_Q"),
     (("K", "hi", 0), -1.0, "/K"),  # lo > hi
+    (("sampling", "t_samples"), 2.5, "/sampling/t_samples"),
+    (("sampling", "y_box", "lo", 0), math.nan, "/sampling/y_box/lo/0"),
+    (("sampling", "y_box", "hi", 0), math.inf, "/sampling/y_box/hi/0"),
 ])
 def test_config_errors_point_at_the_offending_value(path, value, pointer):
     with pytest.raises(ConfigError) as err:
