@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -269,7 +270,9 @@ def cmd_example(args) -> int:
     return verify_rc or band_rc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The fdvi parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="fdvi", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

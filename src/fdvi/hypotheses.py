@@ -83,8 +83,9 @@ SAMPLED_CONSTANTS = tuple(name for name, row in CONSTANTS.items() if row.sampled
 
 
 def _stream(seed: int, idx: int) -> np.random.Generator:
-    """Independent counter-based stream #idx for a given seed."""
-    return np.random.Generator(np.random.Philox(key=[int(seed) & (2**64 - 1), idx]))
+    """Independent counter-based stream #idx for a seed in [0, 2^64)."""
+    # an explicit uint64 key: numpy reads a list holding a seed >= 2^63 as float64
+    return np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,9 @@ class SamplingDomain:
             raise DomainError("sample counts must be integers")
         if self.t_samples < 2 or self.y_samples < 2:
             raise DomainError("sample counts must be at least 2")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "y_box_lo", lo)
         object.__setattr__(self, "y_box_hi", hi)
 

@@ -9,10 +9,18 @@ with f chosen by a constant selection policy from the field's alpha-level
 and u solved from the variational inequality at all nodes in one batched
 solve.  The bracket B is linear, so the fuzzy part B[f] (phi_part) and the
 control part B[g(t,y)u] + l (psi_part) share one convolution of the whole
-right-hand side.  Damped Picard sweeps y <- (1 - theta) y + theta T(y)
-iterate the operator from y = 0.  Convergence is monitored empirically:
-the fuzzy part is a set-valued contraction when rho = 2 L_F T^q / Gamma(q+1)
-is below one (fdvi.hypotheses estimates it).
+right-hand side.  Picard sweeps iterate the operator from y = 0; each
+sweep applies it once.  The damped step y <- (1 - theta) y + theta T(y) is
+accelerated by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011) over
+the last ANDERSON_MEMORY sweeps: with the residuals f = T(y) - y and the
+columns dY, dF of differences of the recent iterates and residuals, the
+step is y + theta f - (dY + theta dF) gamma, gamma the least-squares fit of f
+by dF.  The mixing is gated on contraction: the plain damped step is taken
+on the first sweep, when the Gram matrix of dF is singular, and whenever
+max|f| did not fall below the previous sweep's, so a sweep that does not
+contract is never extrapolated.  Convergence is monitored empirically: the
+fuzzy part is a set-valued contraction when rho = 2 L_F T^q / Gamma(q+1) is
+below one (fdvi.hypotheses estimates it).
 """
 
 from __future__ import annotations
@@ -34,6 +42,12 @@ from .expr import evaluate
 from .fractional import GridFunction, UniformGrid, caputo_residual, frac_integral, frac_integral_all, trapezoid_integral
 from .problem import ProblemSpec, SelectionPolicy, SolverConfig
 from .vi import VIInstance, solve_vi, vi_residual
+
+# Sweeps of history the Anderson step mixes; 0 gives the plain damped step.
+ANDERSON_MEMORY = 2
+# Smallest eigenvalue of the Gram matrix of dF, scaled to unit diagonal, below
+# which the columns count as dependent and the plain step is taken instead.
+_GRAM_FLOOR = 1e-12
 
 
 def _eval_grid(exprs, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -146,6 +160,44 @@ def _apply_operator(spec, cfg, policy, y):
     return ty, u, f, rhs, ic1, ic2
 
 
+def _anderson_gamma(f: np.ndarray, dfs: list[np.ndarray]) -> np.ndarray | None:
+    """gamma minimising ||f - sum_j gamma_j dfs[j]||_2 from the Gram matrix, or None if it is singular.
+
+    Every inner product is np.sum of an elementwise product: its order of
+    summation is fixed, where BLAS dot's may change with the thread count,
+    so the step keeps its bits from run to run.
+    """
+    gram = np.array([[float(np.sum(a * b)) for b in dfs] for a in dfs])
+    rhs = np.array([float(np.sum(a * f)) for a in dfs])
+    scale = np.sqrt(gram.diagonal())
+    if not np.all(scale > 0.0):
+        return None
+    unit = gram / scale[:, None] / scale[None, :]
+    if np.linalg.eigvalsh(unit)[0] <= _GRAM_FLOOR:
+        return None
+    return np.linalg.solve(unit, rhs / scale) / scale
+
+
+def _next_iterate(ty: np.ndarray, current: tuple, past: list, theta: float) -> np.ndarray:
+    """The Anderson-mixed step from y given T(y), or the plain damped step when the gate is shut.
+
+    current is (y, f, max|f|) with f = T(y) - y, and past holds the same
+    triples of the previous sweeps, oldest first, at most ANDERSON_MEMORY.
+    """
+    y, f, f_max = current
+    if past and f_max < past[-1][2]:
+        sweeps = past + [current]
+        dys = [b[0] - a[0] for a, b in zip(sweeps, sweeps[1:])]
+        dfs = [b[1] - a[1] for a, b in zip(sweeps, sweeps[1:])]
+        gamma = _anderson_gamma(f, dfs)
+        if gamma is not None:
+            step = y + theta * f
+            for g, dy, df in zip(gamma, dys, dfs):
+                step = step - g * (dy + theta * df)
+            return step
+    return (1.0 - theta) * y + theta * ty
+
+
 def picard_solve(
     spec: ProblemSpec,
     cfg: SolverConfig | None = None,
@@ -155,8 +207,14 @@ def picard_solve(
 
     Starts from y = 0 (or cfg.y0), recomputes the control trajectory from
     scratch every sweep, and stops when the sup-node change drops below
-    picard_tol.  Raises MaxPicardExceeded with the residual history when
-    the cap is hit and NonfiniteValue if an iterate blows up.
+    picard_tol.  Each sweep applies the operator once and takes the
+    Anderson-mixed step over the last ANDERSON_MEMORY sweeps, or the plain
+    damped step on the first sweep, when the Gram matrix is singular, or
+    when max|T(y) - y| did not fall below the previous sweep's; so a map
+    that does not contract is swept exactly as without mixing.  The
+    residual history holds the sup-node change of each sweep's step.
+    Raises MaxPicardExceeded with that history when the cap is hit and
+    NonfiniteValue if an iterate blows up.
     """
     cfg = cfg or SolverConfig()
     policy = policy or SelectionPolicy.constant(0.0, spec.n)
@@ -166,7 +224,7 @@ def picard_solve(
     else:
         y = GridFunction(grid, np.tile(cfg.y0, (grid.N + 1, 1)))
     history: list[float] = []
-    theta = cfg.damping
+    past: list[tuple[np.ndarray, np.ndarray, float]] = []
     converged = False
     for sweep in range(1, cfg.max_picard + 1):
         try:
@@ -174,8 +232,12 @@ def picard_solve(
             # get past the expression evaluator or GridFunction.
             with np.errstate(over="raise"):
                 ty = _apply_operator(spec, cfg, policy, y)[0]
-                new_vals = (1.0 - theta) * y.values + theta * ty
+                f = ty - y.values
+                current = (y.values, f, float(np.max(np.abs(f))))
+                new_vals = _next_iterate(ty, current, past, cfg.damping)
                 res = float(np.max(np.abs(new_vals - y.values)))
+                past.append(current)
+                del past[: max(0, len(past) - ANDERSON_MEMORY)]
                 y = GridFunction(grid, new_vals)
         except (EvalOverflowError, NonfiniteGridError, FloatingPointError) as exc:
             raise NonfiniteValue(

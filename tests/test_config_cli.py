@@ -158,6 +158,9 @@ def _edited(path, value):
     (("sampling", "t_samples"), 2.5, "/sampling/t_samples"),
     (("sampling", "y_box", "lo", 0), math.nan, "/sampling/y_box/lo/0"),
     (("sampling", "y_box", "hi", 0), math.inf, "/sampling/y_box/hi/0"),
+    (("sampling", "seed"), -1, "/sampling"),
+    (("sampling", "seed"), 2**64, "/sampling"),
+    (("sampling", "seed"), 2.5, "/sampling/seed"),
 ])
 def test_config_errors_point_at_the_offending_value(path, value, pointer):
     with pytest.raises(ConfigError) as err:
@@ -591,6 +594,14 @@ def test_cli_seed_with_non_object_container_is_config_error(tmp_path, capsys, do
     rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json"), "--seed", "3"])
     assert rc == 1
     assert f"config error: {pointer}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_cli_seed_outside_the_key_range_is_config_error(tmp_path, config_path, capsys, seed):
+    report = tmp_path / "r.json"
+    assert main(["verify", "--config", config_path, "--out", str(report), "--seed", seed]) == 1
+    assert "config error: /sampling: seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_usage_error():

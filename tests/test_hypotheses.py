@@ -52,6 +52,24 @@ def test_sample_counts_must_be_integers(counts):
     assert SamplingDomain([0.0], [1.0], t_samples=np.int64(8), y_samples=64).t_samples == 8
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, "3", None, -1, 2**64, np.int64(-5)])
+def test_seed_must_be_an_integer_in_the_philox_key_range(seed):
+    with pytest.raises(DomainError, match="seed"):
+        SamplingDomain([0.0], [1.0], t_samples=8, y_samples=64, seed=seed)
+
+
+def test_every_seed_in_range_names_its_own_stream():
+    top = SamplingDomain([0.0], [1.0], t_samples=8, y_samples=64, seed=np.uint64(2**64 - 1))
+    assert type(top.seed) is int and top.seed == 2**64 - 1
+    # seeds at and above 2^63 once went through float64 and collided with seed 0
+    draws = {seed: _stream(seed, 2).random(4).tobytes() for seed in (0, 2**63 + 1, 2**64 - 2, 2**64 - 1)}
+    assert len(set(draws.values())) == 4
+    # below 2^63 the stream is the one the seed always named
+    for seed in (0, 7, 20260809, 2**63 - 1):
+        legacy = np.random.Generator(np.random.Philox(key=[seed, 2]))
+        assert _stream(seed, 2).random(4).tobytes() == legacy.random(4).tobytes()
+
+
 # --- pattern search -----------------------------------------------------------
 
 
