@@ -85,17 +85,19 @@ class GridFunction:
         """Write "t,<columns>" rows at full double precision; columns default to v1..vn.
 
         Data rows are formatted with one %-string each ('%.17g' is the same
-        float formatter as f"{x:.17g}") and written a block at a time.
+        float formatter as f"{x:.17g}") after the grid's t field, which is
+        formatted once per grid, and written a block at a time.
         """
         if columns is None:
             columns = [f"v{i + 1}" for i in range(self.dim)]
-        data = np.column_stack([self.grid.nodes, self.values])
-        row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"  # csv.writer's default terminator
+        times = _csv_times(self.grid)
+        row = ",".join(["%.17g"] * self.dim) + "\r\n"  # csv.writer's default terminator
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["t", *columns])
-            for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
-                block = data[start : start + _CSV_BLOCK_ROWS].tolist()
-                fh.write("".join([row % tuple(r) for r in block]))
+            for start in range(0, len(times), _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                block = zip(times[start:stop], self.values[start:stop].tolist())
+                fh.write("".join([t + row % tuple(r) for t, r in block]))
 
     @classmethod
     def read_csv(cls, path) -> "GridFunction":
@@ -107,6 +109,16 @@ class GridFunction:
         ts = data[:, 0]
         grid = UniformGrid(float(ts[-1]), len(ts) - 1)
         return cls(grid, data[:, 1:])
+
+
+@lru_cache(maxsize=8)
+def _csv_times(grid: UniformGrid) -> tuple[str, ...]:
+    """Each node of the grid as the '%.17g,' that opens its CSV row.
+
+    A band writes every run's CSV and the envelope on one grid, and
+    fdvi example solves on one grid more than once.
+    """
+    return tuple(["%.17g," % t for t in grid.nodes.tolist()])
 
 
 def _check_order(q: float) -> None:

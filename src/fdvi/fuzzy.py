@@ -127,20 +127,22 @@ class FuzzyBoxField:
     def level(self, t: float, y, alpha: float) -> BoxSet:
         return self.at(t, y).level(alpha)
 
-    def coefficients(self, ts, ys):
+    def coefficients(self, ts, ys, ev=None):
         """Each component's scale e and offset d at the nodes, evaluated once.
 
         ts broadcasts against the leading axes of ys (shape (..., n)); the
         result is two arrays of the broadcast shape plus a trailing axis n.
+        ev stands in for expr.evaluate, e.g. the solver's per-solve cache.
         """
+        ev = ev or evaluate
         ts = np.asarray(ts, dtype=float)
         ys = np.asarray(ys, dtype=float)
         shape = np.broadcast_shapes(ts.shape, ys.shape[:-1]) + (self.dim,)
         e = np.empty(shape)
         d = np.empty(shape)
         for i, comp in enumerate(self.components):
-            e[..., i] = evaluate(comp.scale, ts, ys)
-            d[..., i] = evaluate(comp.offset, ts, ys)
+            e[..., i] = ev(comp.scale, ts, ys)
+            d[..., i] = ev(comp.offset, ts, ys)
         return e, d
 
     def levels(self, e, d, alpha: float):
@@ -155,10 +157,10 @@ class FuzzyBoxField:
         hi = np.maximum(p, r)
         return np.minimum(p, r, out=p), hi
 
-    def level_arrays(self, ts, ys, alpha: float):
+    def level_arrays(self, ts, ys, alpha: float, ev=None):
         """Vectorized levels over nodes: (lo, hi) of shape (k, n) for (k,) times and (k, n) states."""
         _check_alpha(alpha)
-        return self.levels(*self.coefficients(ts, ys), alpha)
+        return self.levels(*self.coefficients(ts, ys, ev), alpha)
 
     def slope(self, ts, ys) -> np.ndarray:
         """The field's local slope in the fuzzy metric at the nodes, shaped like coefficients' rows.

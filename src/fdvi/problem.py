@@ -74,7 +74,7 @@ class SelectionPolicy:
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if np.any(np.abs(lam) > 1.0):
+        if not np.all(np.abs(lam) <= 1.0):  # NaN fails the comparison too
             raise DomainError("selection parameter components must lie in [-1, 1]")
         object.__setattr__(self, "lam", lam)
 
@@ -108,4 +108,7 @@ class SolverConfig:
         if self.max_picard < 1:
             raise DomainError("max_picard must be at least 1")
         if self.y0 is not None:
-            object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
+            y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
+            if not np.all(np.isfinite(y0)):
+                raise DomainError(f"y0 must be finite, got {y0.tolist()}")
+            object.__setattr__(self, "y0", y0)

@@ -107,3 +107,48 @@ def test_mixing_solves_a_contracting_linear_map_in_few_sweeps():
         past = (past + [current])[-2:]
         y = y_next
     assert np.allclose(y, fixed, rtol=0, atol=1e-13)
+
+
+# --- the closed-form fit against the Gram solve it replaced ----------------------
+
+
+def _gram_solve_gamma(f, dfs):
+    """The eigvalsh/solve fit on the unit-diagonal Gram matrix, as it ran before the closed form."""
+    gram = np.array([[float(np.sum(a * b)) for b in dfs] for a in dfs])
+    rhs = np.array([float(np.sum(a * f)) for a in dfs])
+    scale = np.sqrt(gram.diagonal())
+    if not np.all(scale > 0.0):
+        return None
+    unit = gram / scale[:, None] / scale[None, :]
+    if np.linalg.eigvalsh(unit)[0] <= fdvi.solver._GRAM_FLOOR:
+        return None
+    return np.linalg.solve(unit, rhs / scale) / scale
+
+
+def test_closed_form_gamma_matches_the_gram_solve():
+    # Half the pairs are nearly parallel, 1 - |r| from about 1e-2 down past the
+    # floor.  The oracle's unit diagonal is 1 to an ulp or two, which moves x by
+    # up to eps |c| / (1 - |r|)^2; the bound below is a few of those.
+    rng = np.random.default_rng(20261019)
+    eps = np.finfo(float).eps
+    singular = 0
+    for i in range(1000):
+        rows, n = int(rng.integers(1, 300)), int(rng.integers(1, 3))
+        f = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-12.0, 2.0)
+        a = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-12.0, 2.0)
+        if i % 2:
+            noise = 10.0 ** rng.uniform(-10.0, -1.0) * np.max(np.abs(a))
+            b = rng.uniform(-3.0, 3.0) * a + noise * rng.standard_normal((rows, n))
+        else:
+            b = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-12.0, 2.0)
+        for dfs in ([a, b], [a]):
+            gamma, ref = _anderson_gamma(f, dfs), _gram_solve_gamma(f, dfs)
+            assert (gamma is None) == (ref is None)
+            if gamma is None:
+                singular += 1
+                continue
+            scale = np.array([np.sqrt(np.sum(d * d)) for d in dfs])
+            c = np.array([np.sum(d * f) for d in dfs]) / scale
+            gap = 1.0 - abs(float(np.sum(a * b)) / scale[0] / scale[-1]) if len(dfs) == 2 else 1.0
+            assert np.all(np.abs(np.array(gamma) - ref) <= 8.0 * eps * np.sum(np.abs(c)) / gap**2 / scale)
+    assert 50 <= singular <= 450  # both sides of the floor are exercised

@@ -283,3 +283,15 @@ def test_grid_function_rejects_nonfinite():
     grid = UniformGrid(0.7, 4)
     with pytest.raises(DomainError):
         GridFunction(grid, np.array([0.0, 1.0, np.nan, 2.0, 3.0]))
+
+
+def test_csv_time_column_is_cached_per_horizon_and_resolution(tmp_path):
+    # the t field is formatted once per grid; grids that share N but not T,
+    # or T but not N, must not share it, and a repeated write reads it back
+    rng = np.random.default_rng(13)
+    for t_horizon, n_cells in ((0.7, 100), (1.3, 100), (0.7, 99), (0.7, 100)):
+        phi = GridFunction(UniformGrid(t_horizon, n_cells), rng.standard_normal((n_cells + 1, 2)))
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        phi.to_csv(fast)
+        _cell_by_cell_csv(phi, slow)
+        assert fast.read_bytes() == slow.read_bytes()

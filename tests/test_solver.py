@@ -1,16 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fdvi.config import build_problem, example_config
-from fdvi.errors import DomainError, EvalDomainError, MaxPicardExceeded, NonfiniteValue
+from fdvi.errors import DimensionMismatch, DomainError, EvalDomainError, MaxPicardExceeded, NonfiniteValue
 from fdvi.expr import parse
 from fdvi.fractional import GridFunction, UniformGrid, trapezoid_integral
 from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, hausdorff
 from fdvi.problem import ProblemSpec, SelectionPolicy, SolverConfig
 from fdvi.solver import (
     _apply_operator,
+    _Columns,
     _g_times,
     control_map,
     phi_part,
@@ -402,3 +404,57 @@ def test_band_runs_tagged_and_partial_failures(example_spec):
     runs = solve_band(example_spec, SolverConfig(N=200, max_picard=1), [0.0, 1.0], [0.0])
     assert [r.alpha for r in runs] == [0.0, 1.0]
     assert all(not r.ok and "MaxPicard" in r.error for r in runs)
+
+
+# --- the per-solve column cache and the input checks ----------------------------
+
+
+@pytest.mark.parametrize("case", ["example", "two_dim"])
+def test_column_cache_gives_the_uncached_operator(case, example_problem, rng):
+    # one cache across three iterates, as a solve keeps it across sweeps
+    spec, policy = (example_problem.spec, example_problem.selection) if case == "example" else _two_dim_spec()
+    cfg = SolverConfig(N=300)
+    grid = UniformGrid(spec.T, cfg.N)
+    cols = _Columns(spec, grid.nodes)
+    for _ in range(3):
+        y = GridFunction(grid, rng.uniform(-2.0, 2.0, (grid.N + 1, spec.n)))
+        cached = _apply_operator(spec, cfg, policy, y, cols)
+        fresh = _apply_operator(spec, cfg, policy, y)
+        for a, b in zip(cached, fresh):
+            assert np.array_equal(getattr(a, "values", a), getattr(b, "values", b))
+
+
+@pytest.mark.parametrize(("q_exprs", "site"), [
+    (["log(y1)+1", "log(t)"], "log(y1)"),  # the y-reading entry comes first and raises first
+    (["1", "log(t)"], "log(t)"),  # a y-free entry still raises in sweep 1
+])
+def test_y_free_domain_errors_surface_in_order(q_exprs, site):
+    doc = example_config()
+    doc["Q"] = q_exprs
+    with pytest.raises(EvalDomainError, match=rf"log of a nonpositive value in subexpression {re.escape(site)}$"):
+        picard_solve(build_problem(doc).spec, SolverConfig(N=64))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_y_free_overflow_is_a_blowup_at_sweep_one():
+    spec = scalar_spec(c1="exp(2000*t)", c2="0")
+    with pytest.raises(NonfiniteValue) as err:
+        picard_solve(spec, SolverConfig(N=16, max_picard=5))
+    assert err.value.iteration == 1
+    assert "exp(2000.0 * t)" in str(err.value)
+
+
+def test_nan_selection_is_a_domain_error(example_spec):
+    with pytest.raises(DomainError, match=r"\[-1, 1\]"):
+        SelectionPolicy(np.array([math.nan]))
+    # rejected before any sweep, so it cannot read as a NonfiniteValue blow-up
+    with pytest.raises(DomainError):
+        solve_band(example_spec, SolverConfig(N=64), [1.0], [math.nan])
+
+
+def test_malformed_y0_is_rejected_up_front(example_spec):
+    for y0 in ([math.nan], [0.0, math.inf]):
+        with pytest.raises(DomainError, match="y0"):
+            SolverConfig(y0=np.array(y0))
+    with pytest.raises(DimensionMismatch, match="y0"):
+        picard_solve(example_spec, SolverConfig(N=64, y0=np.array([0.1, 0.2])))

@@ -271,3 +271,82 @@ def test_brute_force_grid_search_small():
         res = np.linalg.norm(pts - np.clip(pts - f, lo, hi), axis=1)
         best = pts[int(np.argmin(res))]
         assert np.linalg.norm(u - best) <= 2e-3
+
+
+# --- component-major batch against the row-major loop --------------------------
+
+
+def _row_major_residual(inst, u):
+    return np.linalg.norm(u - inst.k.project(u - inst.operator(u)), axis=-1)
+
+
+def _row_major_solve(inst, mu, tol, max_iter, u0):
+    """The projected iteration on (k, m) rows, as it ran before the batch went component-major."""
+    lip = inst.s.lipschitz
+    gamma = mu / (lip * lip)
+    u = np.broadcast_to(u0, inst.w.shape)
+    for it in range(1, max_iter + 1):
+        u_next = inst.k.project(u - gamma * inst.operator(u))
+        r_gamma = float(np.max(np.linalg.norm(u_next - u, axis=-1)))
+        u = u_next
+        if r_gamma <= tol and np.max(_row_major_residual(inst, u)) <= tol:
+            return u, it
+    res = np.atleast_1d(_row_major_residual(inst, u))
+    worst = int(np.argmax(res))
+    raise NotConvergedError("row-major oracle", residual=float(res[worst]), iterations=max_iter, node=worst)
+
+
+def _outcome(solve, *args):
+    """("solved", u, iterations), or ("raised", node, residual) of the NotConvergedError."""
+    try:
+        return ("solved", *solve(*args))
+    except NotConvergedError as exc:
+        return ("raised", exc.node, exc.residual)
+
+
+def _boxes(rng, m):
+    return {
+        "bounded": BoxSet(rng.uniform(-1.0, 0.0, size=m), rng.uniform(0.5, 1.5, size=m)),
+        "half_bounded": BoxSet.orthant(m),
+        "unbounded": BoxSet(np.full(m, -np.inf), np.full(m, np.inf)),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_component_major_products_match_row_major(m):
+    rng = np.random.default_rng(100 + m)
+    for _ in range(50):
+        mat = rng.standard_normal((m, m)) * rng.uniform(0.1, 10.0)
+        u = rng.standard_normal((257, m)) * rng.uniform(0.01, 100.0, size=(257, 1))
+        assert np.array_equal((u @ mat.T).T, mat @ np.ascontiguousarray(u.T))
+        assert np.array_equal(u[0] @ mat.T, mat @ u[0])
+
+
+@pytest.mark.parametrize("box", ["bounded", "half_bounded", "unbounded"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_component_major_loop_matches_row_major_oracle(m, box):
+    # m = 8 is the first size at which numpy sums a row's squares pairwise;
+    # max_iter = 1 stops most batches before they certify
+    rng = np.random.default_rng(1000 * m + len(box))
+    for _ in range(6):
+        s = random_strongly_monotone(rng, m)
+        k = _boxes(rng, m)[box]
+        u0 = k.project(np.zeros(m))
+        for w in (rng.uniform(-3.0, 3.0, size=(40, m)), rng.uniform(-3.0, 3.0, size=m)):
+            inst = VIInstance(k, w, s)
+            for max_iter in (100_000, 1):
+                new, ref = (_outcome(solve, inst, s.mu, 1e-12, max_iter, u0)
+                            for solve in (_solve_strong, _row_major_solve))
+                assert new[0] == ref[0] and np.array_equal(new[1], ref[1]) and new[2] == ref[2]
+            u = _solve_strong(inst, s.mu, 1e-12, 100_000, u0)[0]
+            assert np.array_equal(vi_residual(inst, u), _row_major_residual(inst, u))
+
+
+def test_residual_broadcasts_a_point_against_a_batch():
+    rng = np.random.default_rng(79)
+    s = random_strongly_monotone(rng, 3)
+    inst = VIInstance(BoxSet.orthant(3), rng.uniform(-2.0, 2.0, size=(5, 3)), s)
+    u = rng.uniform(0.0, 1.0, size=3)
+    assert np.array_equal(vi_residual(inst, u), _row_major_residual(inst, u))
+    with pytest.raises(DimensionMismatch):
+        vi_residual(inst, np.zeros((2, 5, 3)))
