@@ -129,7 +129,7 @@ def _warn_if_rho_large(problem: LoadedProblem) -> None:
     t_samples = min(dom.t_samples, 8)
     coarse = dataclasses.replace(dom, t_samples=t_samples, y_samples=min(dom.y_samples, 2048 // t_samples))
     try:
-        l_f = estimate_field_lipschitz(spec.field, coarse, spec.T, polish=False)
+        l_f = estimate_field_lipschitz(spec.field, coarse, spec.T)
     except EvalDomainError as exc:  # EvalOverflowError too
         warnings.warn(f"could not estimate the contraction constant rho on the sampling box: {exc}")
         return

@@ -46,6 +46,13 @@ class UniformGrid:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def t_over_T(self) -> np.ndarray:
+        """t_i / T at each node."""
+        out = self.nodes / self.T
+        out.flags.writeable = False
+        return out
+
     @property
     def h(self) -> float:
         return self.T / self.N
@@ -76,10 +83,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid: UniformGrid, dim: int) -> "GridFunction":
         return cls(grid, np.zeros((grid.N + 1, dim)))
-
-    def sup_norm2(self) -> float:
-        """Max over nodes of the Euclidean norm."""
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
 
     def to_csv(self, path, columns=None) -> None:
         """Write "t,<columns>" rows at full double precision; columns default to v1..vn.

@@ -15,7 +15,9 @@ the sup over alpha of that distance between alpha-levels, is exact too:
 level endpoints are affine in alpha, so the sup sits at alpha = 0 or 1.
 FuzzyBoxField.levels is the one vectorised level-endpoint formula; it
 takes the scale/offset coefficients that FuzzyBoxField.coefficients
-evaluates once per state, and level_arrays composes the two.
+evaluates once per state, and level_arrays composes the two.  The field's
+expressions, each component's scale then offset, are FuzzyBoxField.exprs:
+the solver evaluates them as columns and passes them to levels itself.
 FuzzyBoxField.slope is the field's local slope in that metric, from the
 forward-mode y-gradients of the scale and offset expressions; its sup is
 the Lipschitz constant L_F the verifier reports.
@@ -69,10 +71,6 @@ class FuzzyIntervalNumber:
             lo = hi = 0.5 * (lo + hi)
         return Interval(lo, hi)
 
-    def scaled(self, scale: float, shift: float) -> "FuzzyIntervalNumber":
-        """Affine image shift + scale * w (endpoints re-sorted for scale < 0)."""
-        return FuzzyIntervalNumber(tuple(sorted(shift + scale * p for p in self.params)))
-
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
@@ -109,40 +107,27 @@ class FuzzyBoxField:
 
     def __init__(self, components):
         self.components = tuple(components)
+        # every expression of the field, each component's scale then its offset
+        self.exprs = tuple(e for comp in self.components for e in (comp.scale, comp.offset))
 
     @property
     def dim(self) -> int:
         return len(self.components)
 
-    def at(self, t: float, y) -> FuzzyBox:
-        """The fuzzy value of the field at one point (t, y)."""
-        y = np.asarray(y, dtype=float)
-        out = []
-        for comp in self.components:
-            e = float(evaluate(comp.scale, t, y))
-            d = float(evaluate(comp.offset, t, y))
-            out.append(comp.base.scaled(e, d))
-        return FuzzyBox(out)
-
-    def level(self, t: float, y, alpha: float) -> BoxSet:
-        return self.at(t, y).level(alpha)
-
-    def coefficients(self, ts, ys, ev=None):
+    def coefficients(self, ts, ys):
         """Each component's scale e and offset d at the nodes, evaluated once.
 
         ts broadcasts against the leading axes of ys (shape (..., n)); the
         result is two arrays of the broadcast shape plus a trailing axis n.
-        ev stands in for expr.evaluate, e.g. the solver's per-solve cache.
         """
-        ev = ev or evaluate
         ts = np.asarray(ts, dtype=float)
         ys = np.asarray(ys, dtype=float)
         shape = np.broadcast_shapes(ts.shape, ys.shape[:-1]) + (self.dim,)
         e = np.empty(shape)
         d = np.empty(shape)
         for i, comp in enumerate(self.components):
-            e[..., i] = ev(comp.scale, ts, ys)
-            d[..., i] = ev(comp.offset, ts, ys)
+            e[..., i] = evaluate(comp.scale, ts, ys)
+            d[..., i] = evaluate(comp.offset, ts, ys)
         return e, d
 
     def levels(self, e, d, alpha: float):
@@ -157,10 +142,10 @@ class FuzzyBoxField:
         hi = np.maximum(p, r)
         return np.minimum(p, r, out=p), hi
 
-    def level_arrays(self, ts, ys, alpha: float, ev=None):
+    def level_arrays(self, ts, ys, alpha: float):
         """Vectorized levels over nodes: (lo, hi) of shape (k, n) for (k,) times and (k, n) states."""
         _check_alpha(alpha)
-        return self.levels(*self.coefficients(ts, ys, ev), alpha)
+        return self.levels(*self.coefficients(ts, ys), alpha)
 
     def slope(self, ts, ys) -> np.ndarray:
         """The field's local slope in the fuzzy metric at the nodes, shaped like coefficients' rows.

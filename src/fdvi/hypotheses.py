@@ -270,24 +270,13 @@ def _polished_max(fn, exprs, ts: np.ndarray, states: np.ndarray, t_horizon: floa
     return best, {"t": wt, "y": wy.tolist()} if box else {"t": wt}
 
 
-def _field_exprs(field: FuzzyBoxField) -> list:
-    """Every scale and offset expression of the field: all that its objectives read."""
-    return [e for comp in field.components for e in (comp.scale, comp.offset)]
+def estimate_field_lipschitz(field: FuzzyBoxField, dom: SamplingDomain, t_horizon: float) -> float:
+    """Largest local slope of the field (FuzzyBoxField.slope) over the sampled grid, unpolished.
 
-
-def estimate_field_lipschitz(
-    field: FuzzyBoxField, dom: SamplingDomain, t_horizon: float, polish: bool = True,
-) -> float:
-    """Largest sampled local slope of the field (FuzzyBoxField.slope) alone.
-
-    With polish it is estimate_constants' L_F, bit for bit; without, the grid
-    max alone, for the pre-solve rho warning.  inf means the field is not
-    Lipschitz on the box.
+    estimate_constants' L_F without its polish, for the pre-solve rho
+    warning.  inf means the field is not Lipschitz on the box.
     """
-    ts, ys = _sample_grid(dom, t_horizon)
-    if polish:
-        return _polished_max(field.slope, _field_exprs(field), ts, ys, t_horizon, (dom.y_box_lo, dom.y_box_hi))[0]
-    return _grid_max(field.slope, _field_exprs(field), ts, ys)[0]
+    return _grid_max(field.slope, field.exprs, *_sample_grid(dom, t_horizon))[0]
 
 
 def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
@@ -313,7 +302,7 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     def c_norm(exprs):
         return lambda t, states: np.sqrt(_row_sum(exprs, t, states, np.square))
 
-    field_exprs, g = _field_exprs(spec.field), [e for row in spec.g for e in row]
+    field_exprs, g = spec.field.exprs, [e for row in spec.g for e in row]
     # name -> (objective of times and (..., n) states, broadcast together,
     # the expressions it reads, sampled states, polish box); without a box
     # the polish moves the time alone and the witness is a time

@@ -24,13 +24,14 @@ extrapolated.  Convergence is monitored empirically: the fuzzy part is a
 set-valued contraction when rho = 2 L_F T^q / Gamma(q+1) is below one
 (fdvi.hypotheses estimates it).
 
-The grid is fixed for a whole solve, so an expression that reads no y has
-the same column of values at every sweep.  A solve keeps one _Columns
-cache: each such expression (in g, Q, c1, c2 or the field's scale and
-offset) is evaluated where it is first needed in sweep 1, so its domain
-errors and overflows surface where they always did, and is read back after
-that.  The cache also holds the grid's t/T column, which the kernel bracket
-and the boundary term share.  It lives for one picard_solve call.
+Every expression of g, Q, c1, c2 and the field's scale and offset is read
+through _columns.  One that reads no y has the same column of values at
+every sweep of every solve on the same grid, so _y_free_column keeps it per
+(expression, grid, n) for the life of the process, read-only.  It is
+evaluated where it is first needed, so its domain errors and overflows
+surface where they always did; a failed evaluation is not cached and fails
+again at its next use.  The t/T column of the kernel bracket and the
+boundary term is the grid's own (UniformGrid.t_over_T).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .errors import (
     NonfiniteGridError,
     NonfiniteValue,
 )
-from .expr import evaluate
+from .expr import Expression, evaluate
 from .fractional import GridFunction, UniformGrid, caputo_residual, frac_integral, frac_integral_all, trapezoid_integral
 from .problem import ProblemSpec, SelectionPolicy, SolverConfig
 from .vi import VIInstance, solve_vi, vi_residual
@@ -64,87 +66,71 @@ _GRAM_FLOOR = 1e-12
 _T_ONLY = frozenset({"t"})
 
 
-class _Columns:
-    """Expression values over one grid's nodes, with the y-free ones kept for the solve."""
+@lru_cache(maxsize=128)
+def _y_free_column(e: Expression, grid: UniformGrid, n: int) -> np.ndarray:
+    """e, which reads no y, at every node of the grid for states in R^n; read-only.
 
-    __slots__ = ("ts", "frac", "_fixed")
-
-    def __init__(self, spec: ProblemSpec, ts: np.ndarray):
-        self.ts = ts
-        self.frac = (ts / spec.T)[:, None]
-        self._fixed: dict[int, np.ndarray] = {}  # id of an expression that reads no y -> its values
-
-    def evaluate(self, e, ts, ys):
-        """evaluate(e, ts, ys) at these nodes, computed once if e reads no y."""
-        value = self._fixed.get(id(e))
-        if value is None:
-            value = evaluate(e, ts, ys)
-            if e.reads <= _T_ONLY:
-                self._fixed[id(e)] = value
-        return value
-
-    def grid(self, exprs, ys: np.ndarray) -> np.ndarray:
-        """The expressions over all nodes; returns (N+1, len(exprs))."""
-        out = np.empty((self.ts.shape[0], len(exprs)))
-        for j, e in enumerate(exprs):
-            out[:, j] = self.evaluate(e, self.ts, ys)
-        return out
+    A failed evaluation raises and is not cached, so it raises again at its
+    next use.
+    """
+    return np.broadcast_to(evaluate(e, grid.nodes, np.zeros(n)), grid.nodes.shape)
 
 
-def _g_times(spec: ProblemSpec, ts: np.ndarray, ys: np.ndarray, h_vals: np.ndarray,
-             cols: _Columns | None = None) -> np.ndarray:
+def _columns(exprs, y: GridFunction) -> np.ndarray:
+    """The expressions at every node of y, evaluated in order; returns (N+1, len(exprs))."""
+    out = np.empty((y.grid.N + 1, len(exprs)))
+    for j, e in enumerate(exprs):
+        out[:, j] = _y_free_column(e, y.grid, y.dim) if e.reads <= _T_ONLY else evaluate(e, y.grid.nodes, y.values)
+    return out
+
+
+def _g_times(spec: ProblemSpec, y: GridFunction, h_vals: np.ndarray) -> np.ndarray:
     """Rows g(t_i, y_i) @ h_i for all nodes; returns (N+1, n)."""
-    cols = cols or _Columns(spec, ts)
-    m = h_vals.shape[1]
-    g_all = cols.grid([e for row in spec.g for e in row], ys).reshape(ts.shape[0], spec.n, m)
-    out = np.zeros((ts.shape[0], spec.n))
+    k, m = h_vals.shape
+    g_all = _columns([e for row in spec.g for e in row], y).reshape(k, spec.n, m)
+    out = np.zeros((k, spec.n))
     for j in range(m):  # left to right: einsum/np.sum would reassociate and change output bits
         out += g_all[:, :, j] * h_vals[:, j : j + 1]
     return out
 
 
-def phi_part(spec: ProblemSpec, w: GridFunction, cols: _Columns | None = None) -> GridFunction:
+def phi_part(spec: ProblemSpec, w: GridFunction) -> GridFunction:
     """The kernel bracket B[w](t) = I^q w(t) - (t/T) I^q w(T); B[f] is the fuzzy part."""
-    cols = cols or _Columns(spec, w.grid.nodes)
     fi = frac_integral_all(spec.q, w).values
-    return GridFunction(w.grid, fi - cols.frac * fi[-1][None, :])
+    return GridFunction(w.grid, fi - w.grid.t_over_T[:, None] * fi[-1][None, :])
 
 
-def _add_boundary_term(spec: ProblemSpec, y: GridFunction, vals: np.ndarray,
-                       cols: _Columns) -> tuple[np.ndarray, ...]:
+def _add_boundary_term(spec: ProblemSpec, y: GridFunction, vals: np.ndarray) -> tuple[np.ndarray, ...]:
     """(vals + l, int c1, int c2), with the boundary term l(t) = (t/T) int c2 + (1 - t/T) int c1."""
-    ic1 = trapezoid_integral(GridFunction(y.grid, cols.grid(spec.c1, y.values)))
-    ic2 = trapezoid_integral(GridFunction(y.grid, cols.grid(spec.c2, y.values)))
-    return vals + cols.frac * ic2[None, :] + (1.0 - cols.frac) * ic1[None, :], ic1, ic2
+    ic1 = trapezoid_integral(GridFunction(y.grid, _columns(spec.c1, y)))
+    ic2 = trapezoid_integral(GridFunction(y.grid, _columns(spec.c2, y)))
+    frac = y.grid.t_over_T[:, None]
+    return vals + frac * ic2[None, :] + (1.0 - frac) * ic1[None, :], ic1, ic2
 
 
 def psi_part(spec: ProblemSpec, y: GridFunction, h: GridFunction) -> GridFunction:
     """Control part: the kernel bracket of g(t,y)h plus the c1/c2 boundary term."""
-    cols = _Columns(spec, y.grid.nodes)
-    gh = GridFunction(y.grid, _g_times(spec, y.grid.nodes, y.values, h.values, cols))
-    return GridFunction(y.grid, _add_boundary_term(spec, y, phi_part(spec, gh, cols).values, cols)[0])
+    gh = GridFunction(y.grid, _g_times(spec, y, h.values))
+    return GridFunction(y.grid, _add_boundary_term(spec, y, phi_part(spec, gh).values)[0])
 
 
-def control_map(spec: ProblemSpec, y: GridFunction, vi_tol: float = 1e-10,
-                cols: _Columns | None = None) -> GridFunction:
+def control_map(spec: ProblemSpec, y: GridFunction, vi_tol: float = 1e-10) -> GridFunction:
     """u(t_i) in SOL(K, Q(t_i, y_i) + S(.)) at every node, as one batched VI solve.
 
     With y fixed the node problems are independent and share K and S, so
     they are the rows of one instance.  solve_vi returns only when every
     row is certified to vi_tol; a NotConvergedError names the worst node.
     """
-    w_all = (cols or _Columns(spec, y.grid.nodes)).grid(spec.Q, y.values)
-    u = solve_vi(VIInstance(spec.K, w_all, spec.S), tol=vi_tol, start=spec.anchor_u0)
+    u = solve_vi(VIInstance(spec.K, _columns(spec.Q, y), spec.S), tol=vi_tol, start=spec.anchor_u0)
     return GridFunction(y.grid, u)
 
 
-def selection_map(spec: ProblemSpec, y: GridFunction, policy: SelectionPolicy,
-                  cols: _Columns | None = None) -> GridFunction:
+def selection_map(spec: ProblemSpec, y: GridFunction, policy: SelectionPolicy) -> GridFunction:
     """f(t_i) = midpoint + (lam/2) width of the alpha-level box at (t_i, y_i)."""
     if policy.dim != spec.n:
         raise DimensionMismatch(f"policy has dimension {policy.dim}, problem n = {spec.n}")
-    cols = cols or _Columns(spec, y.grid.nodes)
-    lo, hi = spec.field.level_arrays(y.grid.nodes, y.values, spec.alpha, cols.evaluate)
+    coeffs = _columns(spec.field.exprs, y)  # scale, offset of each component in turn
+    lo, hi = spec.field.levels(coeffs[:, 0::2], coeffs[:, 1::2], spec.alpha)
     mid = 0.5 * (lo + hi)
     return GridFunction(y.grid, mid + 0.5 * policy.lam[None, :] * (hi - lo))
 
@@ -190,16 +176,12 @@ def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
     return y, u, f
 
 
-def _apply_operator(spec, cfg, policy, y, cols: _Columns | None = None):
-    """T(y) with one convolution; returns (T(y), u, f, rhs = f + g(t,y)u, int c1, int c2).
-
-    cols is the solve's column cache; without one, every expression is evaluated afresh.
-    """
-    cols = cols or _Columns(spec, y.grid.nodes)
-    u = control_map(spec, y, vi_tol=cfg.vi_tol, cols=cols)
-    f = selection_map(spec, y, policy, cols=cols)
-    rhs = GridFunction(y.grid, f.values + _g_times(spec, y.grid.nodes, y.values, u.values, cols))
-    ty, ic1, ic2 = _add_boundary_term(spec, y, phi_part(spec, rhs, cols).values, cols)
+def _apply_operator(spec, cfg, policy, y):
+    """T(y) with one convolution; returns (T(y), u, f, rhs = f + g(t,y)u, int c1, int c2)."""
+    u = control_map(spec, y, vi_tol=cfg.vi_tol)
+    f = selection_map(spec, y, policy)
+    rhs = GridFunction(y.grid, f.values + _g_times(spec, y, u.values))
+    ty, ic1, ic2 = _add_boundary_term(spec, y, phi_part(spec, rhs).values)
     return ty, u, f, rhs, ic1, ic2
 
 
@@ -273,7 +255,6 @@ def picard_solve(
         raise DimensionMismatch(f"y0 has shape {cfg.y0.shape}, problem n = {spec.n}")
     else:
         y = GridFunction(grid, np.tile(cfg.y0, (grid.N + 1, 1)))
-    cols = _Columns(spec, grid.nodes)
     history: list[float] = []
     past: list[tuple[np.ndarray, np.ndarray, float]] = []
     converged = False
@@ -282,7 +263,7 @@ def picard_solve(
             # Overflow raises here instead of warning, and inf/NaN never
             # get past the expression evaluator or GridFunction.
             with np.errstate(over="raise"):
-                ty = _apply_operator(spec, cfg, policy, y, cols)[0]
+                ty = _apply_operator(spec, cfg, policy, y)[0]
                 f = ty - y.values
                 current = (y.values, f, float(np.max(np.abs(f))))
                 new_vals = _next_iterate(ty, current, past, cfg.damping)
@@ -306,10 +287,9 @@ def picard_solve(
         )
     # Recompute the trajectories at the final y so the bundle is self-consistent,
     # and measure how far one more application of the operator moves it.
-    ty, u, f, rhs, ic1, ic2 = _apply_operator(spec, cfg, policy, y, cols)
+    ty, u, f, rhs, ic1, ic2 = _apply_operator(spec, cfg, policy, y)
     recheck = float(np.max(np.abs(ty - y.values)))
-    w_all = cols.grid(spec.Q, y.values)
-    max_vi = float(np.max(vi_residual(VIInstance(spec.K, w_all, spec.S), u.values)))
+    max_vi = float(np.max(vi_residual(VIInstance(spec.K, _columns(spec.Q, y), spec.S), u.values)))
     # The formula pins the operator output at t = 0 to the c1 trapezoid exactly;
     # checking it on the recheck application verifies the wiring.  The self-gap
     # of the returned iterate is convergence-limited at O(picard residual).
@@ -365,17 +345,23 @@ def solve_band(
     alphas,
     lambdas,
 ) -> list[BandRun]:
-    """One solve per (alpha, lambda) pair; failures are captured per run."""
+    """One solve per (alpha, lambda) pair, alpha-major.
+
+    Every alpha and lambda is checked before the first solve, so a bad one
+    raises before any work is done.  Only a solve's failure is captured, in
+    its run.
+    """
+    specs = [dataclasses.replace(spec, alpha=float(alpha)) for alpha in alphas]
+    policies = [SelectionPolicy(np.broadcast_to(np.atleast_1d(np.asarray(lam, dtype=float)), (spec.n,)).copy())
+                for lam in lambdas]
     runs: list[BandRun] = []
-    for alpha in alphas:
-        spec_a = dataclasses.replace(spec, alpha=float(alpha))
-        for lam in lambdas:
-            policy = SelectionPolicy(np.broadcast_to(np.atleast_1d(np.asarray(lam, dtype=float)), (spec.n,)).copy())
+    for spec_a in specs:
+        for policy in policies:
             try:
                 bundle = picard_solve(spec_a, cfg, policy)
-                runs.append(BandRun(float(alpha), policy.lam, bundle, None))
+                runs.append(BandRun(spec_a.alpha, policy.lam, bundle, None))
             except Exception as exc:  # per-run status, partial results are useful
-                runs.append(BandRun(float(alpha), policy.lam, None, f"{type(exc).__name__}: {exc}"))
+                runs.append(BandRun(spec_a.alpha, policy.lam, None, f"{type(exc).__name__}: {exc}"))
     return runs
 
 

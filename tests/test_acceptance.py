@@ -22,6 +22,7 @@ from fdvi.problem import SelectionPolicy, SolverConfig
 from fdvi.solver import band_envelope, control_map, phi_part, selection_map, solve_band
 from fdvi.special import gamma
 from fdvi.vi import AffineOperator, BoxSet, VIInstance, solve_vi
+from oracles import sup_norm2
 
 RHO_EXAMPLE = 0.3953
 
@@ -148,7 +149,7 @@ def test_criterion_07_hypothesis_report(example_problem, solved):
         "overall pass": report_obj.overall_pass,
         "eta_Q reported ~ 9.25": 9.0 <= report_obj.constants["eta_Q"] <= 5 * math.pi / 2 + 1.4 + 1e-9,
         "eta_Q deviation flagged": any("eta_Q" in f for f in report_obj.flags),
-        "||y||_sup <= delta": solved(1000).y.sup_norm2() <= report_obj.delta,
+        "||y||_sup <= delta": sup_norm2(solved(1000).y) <= report_obj.delta,
     }
     report(7, "hypothesis report", all(checks.values()),
            "; ".join(k for k, v in checks.items() if not v) or

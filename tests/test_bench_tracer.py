@@ -143,3 +143,28 @@ def test_solve_makes_no_fuzzy_metric_calls(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert len(bindings) >= 2
     assert calls == []
+
+
+def test_tracer_sees_expression_evaluation_under_the_maps(tmp_path):
+    # perfbench's per-layer expr.evaluate spans stay children of the maps that
+    # read the expressions: the example's Q and field scale read y, so each
+    # application evaluates them under control_map and selection_map
+    doc = example_config()
+    doc["solver"]["N"] = 64
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    applications = json.loads((out / "solution_diagnostics.json").read_text())["iterations"] + 1
+    spans = tracer.arrays()
+    names = [tracer.names[i] for i in spans["name_id"]]
+    parents = [names[p] if p >= 0 else None for p in spans["parent"]]
+    evaluations = [parent for name, parent in zip(names, parents) if name == "expr.evaluate"]
+    assert evaluations.count("solver.control_map") >= applications
+    assert evaluations.count("solver.selection_map") >= applications

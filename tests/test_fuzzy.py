@@ -9,6 +9,7 @@ from fdvi.errors import DimensionMismatch, DomainError
 from fdvi.expr import parse
 from fdvi.fuzzy import FieldComponent, FuzzyBox, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric, hausdorff
 from fdvi.vi import BoxSet
+from oracles import field_at, field_level, scaled
 
 TRI = FuzzyIntervalNumber.triangular(-0.5, 0.0, 0.5)
 
@@ -65,7 +66,7 @@ def test_triangular_is_trapezoid_with_repeated_peak():
         lv1, lv2 = tri.level(float(alpha)), trap.level(float(alpha))
         assert (lv1.lo.hex(), lv1.hi.hex()) == (lv2.lo.hex(), lv2.hi.hex())
     for scale, shift in ((2.5, 0.1), (-1.75, 0.3), (0.0, -2.0), (-1e-3, 4.0)):
-        img1, img2 = tri.scaled(scale, shift), trap.scaled(scale, shift)
+        img1, img2 = scaled(tri, scale, shift), scaled(trap, scale, shift)
         assert img1 == img2 and [p.hex() for p in img1.params] == [p.hex() for p in img2.params]
 
 
@@ -90,7 +91,7 @@ def test_level_nestedness_property(w, a1, a2):
 
 
 def test_field_level_unit_scale_at_origin():
-    box = example_field().level(0.0, np.array([0.0]), 0.0)
+    box = field_level(example_field(), 0.0, np.array([0.0]), 0.0)
     assert box.lo[0] == pytest.approx(-0.5) and box.hi[0] == pytest.approx(0.5)
 
 
@@ -99,7 +100,7 @@ def test_field_level_matches_derived_formula():
     f = example_field()
     for y in (-2.0, -0.3, 0.7, 2.5):
         for alpha in (0.0, 0.25, 0.8):
-            box = f.level(0.1, np.array([y]), alpha)
+            box = field_level(f, 0.1, np.array([y]), alpha)
             half = 0.5 * (1.0 - alpha) * abs(math.cos(y))
             assert box.lo[0] == pytest.approx(-half, abs=1e-14)
             assert box.hi[0] == pytest.approx(half, abs=1e-14)
@@ -107,13 +108,13 @@ def test_field_level_matches_derived_formula():
 
 def test_field_level_negative_scale_sorts_endpoints():
     f = FuzzyBoxField([FieldComponent(base=TRI, scale=parse("-1", 1), offset=parse("0", 1))])
-    box = f.level(0.0, np.array([0.0]), 0.5)
+    box = field_level(f, 0.0, np.array([0.0]), 0.5)
     assert box.lo[0] == pytest.approx(-0.25) and box.hi[0] == pytest.approx(0.25)
 
 
 def test_field_level_zero_scale_gives_singleton():
     f = FuzzyBoxField([FieldComponent(base=TRI, scale=parse("0", 1), offset=parse("2", 1))])
-    box = f.level(0.0, np.array([0.0]), 0.3)
+    box = field_level(f, 0.0, np.array([0.0]), 0.3)
     assert box.lo[0] == box.hi[0] == 2.0
 
 
@@ -123,7 +124,7 @@ def test_level_arrays_agree_with_pointwise():
     ys = np.linspace(-1.5, 1.5, 9)[:, None]
     lo, hi = f.level_arrays(ts, ys, 0.4)
     for i in range(9):
-        box = f.level(ts[i], ys[i], 0.4)
+        box = field_level(f, ts[i], ys[i], 0.4)
         assert lo[i, 0] == pytest.approx(box.lo[0], abs=1e-15)
         assert hi[i, 0] == pytest.approx(box.hi[0], abs=1e-15)
 
@@ -169,7 +170,7 @@ def test_hausdorff_random_boxes_against_oracle():
 def test_hausdorff_of_example_field_levels():
     f = example_field()
     for y1, y2, alpha in ((0.3, 1.2, 0.0), (-0.5, 2.0, 0.5), (1.0, 1.5, 0.9)):
-        d = hausdorff(f.level(0.0, np.array([y1]), alpha), f.level(0.0, np.array([y2]), alpha))
+        d = hausdorff(field_level(f, 0.0, np.array([y1]), alpha), field_level(f, 0.0, np.array([y2]), alpha))
         expected = 0.5 * (1.0 - alpha) * abs(abs(math.cos(y1)) - abs(math.cos(y2)))
         assert d == pytest.approx(expected, abs=1e-14)
 
@@ -184,8 +185,8 @@ def test_hausdorff_dimension_mismatch():
 
 def test_fuzzy_metric_identity_and_symmetry():
     f = example_field()
-    a = f.at(0.2, np.array([0.4]))
-    b = f.at(0.2, np.array([-1.1]))
+    a = field_at(f, 0.2, np.array([0.4]))
+    b = field_at(f, 0.2, np.array([-1.1]))
     assert fuzzy_metric(a, a) == 0.0
     assert fuzzy_metric(a, b) == fuzzy_metric(b, a)
 
@@ -194,7 +195,7 @@ def test_fuzzy_metric_matches_alpha_zero_supremum():
     # per-level distance is 0.5 (1 - alpha) | |cos y1| - |cos y2| |: sup at alpha = 0
     f = example_field()
     for y1, y2 in ((0.4, 1.3), (-0.2, 2.2), (1.0, 1.01)):
-        d = fuzzy_metric(f.at(0.0, np.array([y1])), f.at(0.0, np.array([y2])))
+        d = fuzzy_metric(field_at(f, 0.0, np.array([y1])), field_at(f, 0.0, np.array([y2])))
         assert d == pytest.approx(0.5 * abs(abs(math.cos(y1)) - abs(math.cos(y2))), abs=1e-14)
 
 
@@ -204,7 +205,7 @@ def test_example_field_lipschitz_bound_sampled():
     rng = np.random.default_rng(17)
     pairs = rng.uniform(-4.0, 4.0, size=(10_000, 2))
     for y1, y2 in pairs:
-        d = fuzzy_metric(f.at(0.0, np.array([y1])), f.at(0.0, np.array([y2])))
+        d = fuzzy_metric(field_at(f, 0.0, np.array([y1])), field_at(f, 0.0, np.array([y2])))
         assert d <= 0.5 * abs(y1 - y2) + 1e-12
 
 
@@ -215,7 +216,7 @@ def _random_fuzzy_box(rng, n=3):
             base = FuzzyIntervalNumber.triangular(*np.sort(rng.uniform(-2.0, 2.0, 3)))
         else:
             base = FuzzyIntervalNumber.trapezoidal(*np.sort(rng.uniform(-2.0, 2.0, 4)))
-        comps.append(base.scaled(rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)))
+        comps.append(scaled(base, rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)))
     return FuzzyBox(comps)
 
 

@@ -26,6 +26,7 @@ from fdvi.hypotheses import (
 )
 from fdvi.special import gamma
 from fdvi.vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
+from oracles import field_at
 
 
 def small_domain(seed=20260809, y_samples=1024):
@@ -482,6 +483,13 @@ def pair_quotient_max(field, lo, hi, t_horizon, pairs, seed):
     return float(np.max(pair_metric(field, ts[kept], y1[kept], y2[kept]) / dist[kept]))
 
 
+def polished_l_f(field, dom, t_horizon):
+    """estimate_constants' L_F for a field alone: its largest sampled slope, polished over the box."""
+    ts, ys = fdvi.hypotheses._sample_grid(dom, t_horizon)
+    box = (dom.y_box_lo, dom.y_box_hi)
+    return fdvi.hypotheses._polished_max(field.slope, field.exprs, ts, ys, t_horizon, box)[0]
+
+
 def test_metric_over_pairs_matches_scalar_fuzzy_metric():
     # the batched pair metric, the slope's oracle, measures fuzzy_metric
     field = FuzzyBoxField([
@@ -496,7 +504,7 @@ def test_metric_over_pairs_matches_scalar_fuzzy_metric():
     y2s = rng.uniform(-4.0, 4.0, (400, 2))
     assert np.any(np.sin(y1s[:, 0]) * np.sin(y2s[:, 0]) < 0.0)
     batch = pair_metric(field, ts, y1s, y2s)
-    scalar = [fuzzy_metric(field.at(t, a), field.at(t, b)) for t, a, b in zip(ts, y1s, y2s)]
+    scalar = [fuzzy_metric(field_at(field, t, a), field_at(field, t, b)) for t, a, b in zip(ts, y1s, y2s)]
     np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-15)
 
 
@@ -604,16 +612,15 @@ def test_sampling_block_size_does_not_change_the_results(example_problem, monkey
     spec, dom = example_problem.spec, example_problem.sampling
     # a grid of 64 x 4096 rows, eight 2**15 blocks
     assert dom.t_samples * dom.y_samples == 2**18
-    exprs = fdvi.hypotheses._field_exprs(spec.field)
+    exprs = spec.field.exprs
     results = []
     for block_rows in (2**18, 2**15, 1000, 7):
         monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
         # the unpolished estimate's witness is the grid max's
         _, wt, wy = fdvi.hypotheses._grid_max(spec.field.slope, exprs, *fdvi.hypotheses._sample_grid(dom, spec.T))
         consts = estimate_constants(spec, dom)
-        results.append([
-            estimate_field_lipschitz(spec.field, dom, spec.T, polish=polish) for polish in (False, True)
-        ] + [{"t": wt, "y": wy.tolist()}, consts["witnesses"]["L_F"], consts])
+        results.append([estimate_field_lipschitz(spec.field, dom, spec.T),
+                        {"t": wt, "y": wy.tolist()}, consts["witnesses"]["L_F"], consts])
     assert all(result == results[0] for result in results[1:])
 
 
@@ -657,7 +664,7 @@ def test_verify_reads_l_f_from_the_constants_table(example_problem, monkeypatch)
                         lambda *args, **kwargs: calls.append(args) or single(*args, **kwargs))
     report = verify(spec, dom)
     assert calls == []  # L_F is a row of estimate_constants' table, not a second estimate
-    assert report.constants["L_F"] == single(spec.field, dom, spec.T, polish=True)
+    assert report.constants["L_F"] == estimate_constants(spec, dom)["L_F"] == polished_l_f(spec.field, dom, spec.T)
     assert report.witnesses["L_F"] == estimate_constants(spec, dom)["witnesses"]["L_F"]
 
 
@@ -690,7 +697,7 @@ def test_grid_max_over_the_axes_read_matches_the_full_grid(scale, offset, reads,
         FieldComponent(FuzzyIntervalNumber.trapezoidal(-0.6, -0.1, 0.2, 0.7), parse(scale, 2), parse(offset, 2)),
         FieldComponent(FuzzyIntervalNumber.triangular(-0.5, 0.1, 0.5), parse(offset, 2), parse(scale, 2)),
     ])
-    exprs = fdvi.hypotheses._field_exprs(field)
+    exprs = field.exprs
     ts = _sample_times(0.9, 40, _stream(3, 1))
     states = -3.0 + 6.0 * _stream(3, 2).random((300, 2))
     pair = [parse(s, 2) for s in (scale, offset)]
@@ -737,8 +744,8 @@ def test_t_free_objectives_see_one_time_row(example_problem, monkeypatch):
 def test_lipschitz_estimate_never_exceeds_true_constant(example_spec):
     # the slope of 0.5 cos(y1) is 0.5 |sin(y1)|, never above 0.5
     dom = SamplingDomain(np.array([-8.0]), np.array([8.0]), t_samples=8, y_samples=256, seed=1)
-    unpolished = estimate_field_lipschitz(example_spec.field, dom, 0.7, polish=False)
-    val = estimate_field_lipschitz(example_spec.field, dom, 0.7)
+    unpolished = estimate_field_lipschitz(example_spec.field, dom, 0.7)
+    val = estimate_constants(example_spec, dom)["L_F"]
     assert 0.45 <= unpolished <= val <= 0.5
     assert val == pytest.approx(0.5, abs=1e-12)
 
@@ -807,10 +814,9 @@ def generated_doc(n):
 
 def test_slope_finds_the_hand_derived_sup_at_n8():
     problem = build_problem(generated_doc(8))
-    l_f = estimate_field_lipschitz(problem.spec.field, problem.sampling, problem.spec.T)
-    assert abs(l_f - math.sqrt(0.4024)) <= 1e-12
-    witness = estimate_constants(problem.spec, problem.sampling)["witnesses"]["L_F"]
-    assert witness["t"] == 0.0
+    consts = estimate_constants(problem.spec, problem.sampling)
+    assert abs(consts["L_F"] - math.sqrt(0.4024)) <= 1e-12
+    assert consts["witnesses"]["L_F"]["t"] == 0.0
 
 
 def _random_field(rng, n):
@@ -837,7 +843,7 @@ def test_slope_is_never_below_the_pair_quotients(case):
     n = 1 + case % 3
     field = _random_field(rng, n)
     dom = SamplingDomain(np.full(n, -3.0), np.full(n, 3.0), t_samples=8, y_samples=512, seed=case)
-    slope = estimate_field_lipschitz(field, dom, 1.0)
+    slope = polished_l_f(field, dom, 1.0)
     pairs = pair_quotient_max(field, dom.y_box_lo, dom.y_box_hi, 1.0, 20_000, case)
     assert slope >= pairs
 
@@ -845,7 +851,7 @@ def test_slope_is_never_below_the_pair_quotients(case):
 def test_slope_is_never_below_the_pair_quotients_on_the_two_dim_problem():
     spec = _two_dim_problem()
     dom = SamplingDomain(np.array([-3.0, -2.0]), np.array([3.0, 2.5]), t_samples=24, y_samples=900, seed=5)
-    slope = estimate_field_lipschitz(spec.field, dom, spec.T)
+    slope = estimate_constants(spec, dom)["L_F"]
     assert slope >= pair_quotient_max(spec.field, dom.y_box_lo, dom.y_box_hi, spec.T, 100_000, 5)
 
 

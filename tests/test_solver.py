@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import fdvi.solver
 from fdvi.config import build_problem, example_config
 from fdvi.errors import DimensionMismatch, DomainError, EvalDomainError, MaxPicardExceeded, NonfiniteValue
 from fdvi.expr import parse
@@ -12,8 +13,8 @@ from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, hausd
 from fdvi.problem import ProblemSpec, SelectionPolicy, SolverConfig
 from fdvi.solver import (
     _apply_operator,
-    _Columns,
     _g_times,
+    _y_free_column,
     control_map,
     phi_part,
     picard_solve,
@@ -135,7 +136,7 @@ def test_operator_is_one_bracket_of_the_whole_rhs(case, example_problem, rng):
         assert np.max(np.abs(ty - two_brackets)) <= 1e-14 * (1.0 + np.max(np.abs(ty)))
         assert np.array_equal(u.values, control_map(spec, y, cfg.vi_tol).values)
         assert np.array_equal(f.values, selection_map(spec, y, policy).values)
-        assert np.array_equal(rhs.values, f.values + _g_times(spec, grid.nodes, y.values, u.values))
+        assert np.array_equal(rhs.values, f.values + _g_times(spec, y, u.values))
         # the bracket vanishes at both ends, where l is int c1 and int c2
         assert np.array_equal(ty[0], ic1) and np.array_equal(ty[-1], ic2)
 
@@ -406,21 +407,28 @@ def test_band_runs_tagged_and_partial_failures(example_spec):
     assert all(not r.ok and "MaxPicard" in r.error for r in runs)
 
 
-# --- the per-solve column cache and the input checks ----------------------------
+# --- the per-grid column cache and the input checks ----------------------------
 
 
 @pytest.mark.parametrize("case", ["example", "two_dim"])
 def test_column_cache_gives_the_uncached_operator(case, example_problem, rng):
-    # one cache across three iterates, as a solve keeps it across sweeps
+    # three iterates on each of two equal grids, as two solves see them: the
+    # warm cache, kept across iterates and grids, gives the cold cache's operator
     spec, policy = (example_problem.spec, example_problem.selection) if case == "example" else _two_dim_spec()
     cfg = SolverConfig(N=300)
-    grid = UniformGrid(spec.T, cfg.N)
-    cols = _Columns(spec, grid.nodes)
-    for _ in range(3):
-        y = GridFunction(grid, rng.uniform(-2.0, 2.0, (grid.N + 1, spec.n)))
-        cached = _apply_operator(spec, cfg, policy, y, cols)
-        fresh = _apply_operator(spec, cfg, policy, y)
-        for a, b in zip(cached, fresh):
+    grids = [UniformGrid(spec.T, cfg.N) for _ in range(2)]
+    ys = [rng.uniform(-2.0, 2.0, (cfg.N + 1, spec.n)) for _ in range(3)]
+    cold = []
+    for grid in grids:
+        for y in ys:
+            _y_free_column.cache_clear()
+            cold.append(_apply_operator(spec, cfg, policy, GridFunction(grid, y)))
+    misses = _y_free_column.cache_info().misses
+    assert misses > 0
+    warm = [_apply_operator(spec, cfg, policy, GridFunction(grid, y)) for grid in grids for y in ys]
+    assert _y_free_column.cache_info().misses == misses  # every y-free column was read back
+    for cold_out, warm_out in zip(cold, warm):
+        for a, b in zip(cold_out, warm_out):
             assert np.array_equal(getattr(a, "values", a), getattr(b, "values", b))
 
 
@@ -458,3 +466,41 @@ def test_malformed_y0_is_rejected_up_front(example_spec):
             SolverConfig(y0=np.array(y0))
     with pytest.raises(DimensionMismatch, match="y0"):
         picard_solve(example_spec, SolverConfig(N=64, y0=np.array([0.1, 0.2])))
+
+
+def test_cached_columns_are_read_only(example_spec):
+    grid = UniformGrid(example_spec.T, 64)
+    for col in (_y_free_column(example_spec.Q[1], grid, example_spec.n),
+                _y_free_column(example_spec.field.components[0].offset, grid, example_spec.n),
+                grid.t_over_T):
+        assert col.shape == (grid.N + 1,) and not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 1.0
+
+
+def test_y_free_failures_raise_again_on_the_next_solve():
+    # a failed evaluation is never cached, so a second solve on the same grid fails alike
+    doc = example_config()
+    doc["Q"] = ["1", "log(t)"]
+    spec = build_problem(doc).spec
+    for _ in range(2):
+        with pytest.raises(EvalDomainError, match=r"log of a nonpositive value in subexpression log\(t\)$"):
+            picard_solve(spec, SolverConfig(N=64))
+    spec = scalar_spec(c1="exp(2000*t)", c2="0")
+    for _ in range(2):
+        with pytest.raises(NonfiniteValue) as err:
+            picard_solve(spec, SolverConfig(N=16, max_picard=5))
+        assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize(("alphas", "lambdas"), [
+    ([0.0, math.nan], [0.0]),
+    ([1.0], [0.0, math.nan]),
+    ([1.0], [0.0, 1.5]),
+])
+def test_band_checks_every_run_before_the_first_solve(alphas, lambdas, example_spec, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fdvi.solver, "picard_solve", lambda *args: calls.append(args))
+    with pytest.raises(DomainError):
+        solve_band(example_spec, SolverConfig(N=64), alphas, lambdas)
+    assert calls == []
