@@ -17,7 +17,7 @@ from .errors import (
 )
 from .expr import Expression, parse
 from .fractional import GridFunction, UniformGrid, caputo_residual, frac_integral, frac_integral_all, trapezoid_integral
-from .fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, Interval, fuzzy_metric, hausdorff
+from .fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, fuzzy_metric, hausdorff
 from .hypotheses import (
     HypothesisReport,
     SamplingDomain,
@@ -39,7 +39,7 @@ from .solver import (
     selection_map,
     solve_band,
 )
-from .special import gamma, kernel_moment
+from .special import gamma
 from .vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
 
 __version__ = "0.1.0"

@@ -1,15 +1,18 @@
 """Discrete fractional integration on a uniform grid and a Caputo residual estimator.
 
-The fractional integral uses product-trapezoid quadrature: the integrand is
-replaced by its piecewise-linear interpolant while the weakly singular
-kernel (t - tau)^(q-1) is integrated exactly through closed-form moments.
-This handles the kernel's behavior near tau = t correctly and converges at
-O(h^2) for smooth integrands.
+The fractional integral uses product-trapezoid quadrature (Diethelm, Ford &
+Freed, Nonlinear Dyn. 2002): the integrand is replaced by its
+piecewise-linear interpolant while the weakly singular kernel
+(t - tau)^(q-1) is integrated exactly over each panel.  This handles the
+kernel's behavior near tau = t correctly and converges at O(h^2) for
+smooth integrands.
 
 The quadrature weights depend only on the lag between node and panel, so
-the integral at every node is one discrete convolution.  frac_integral_all
-evaluates it as an O(N log N) FFT product over all columns, with one cached
-kernel spectrum per (q, N, h).
+one cached set of panel weights per (q, N, h), _panel_weights, serves both
+entry points: frac_integral sums them directly at one node, and
+frac_integral_all evaluates the same sum at every node as one O(N log N)
+FFT convolution over all columns, with one cached kernel spectrum per
+(q, N, h).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GridTooCoarse, IndexOutOfRange, NonfiniteGridError
-from .special import gamma, kernel_moment
+from .special import gamma
 
 # rows formatted per write; joining the whole file at once raises peak memory
 _CSV_BLOCK_ROWS = 256
@@ -132,8 +135,10 @@ def _check_order(q: float) -> None:
 def frac_integral(q: float, phi: GridFunction, i: int) -> np.ndarray:
     """(1/Gamma(q)) * integral_0^{t_i} (t_i - tau)^(q-1) phi_hat(tau) dtau.
 
-    phi_hat is the piecewise-linear interpolant of phi; panel moments come
-    from kernel_moment and are exact.  i = 0 returns the zero vector.
+    phi_hat is the piecewise-linear interpolant of phi.  The direct sum at
+    node i of the panel weights that frac_integral_all convolves:
+    A_i phi_0 + B_1 phi_i + sum_{j=1}^{i-1} (A_{i-j} + B_{i-j+1}) phi_j.
+    i = 0 returns the zero vector.
     """
     _check_order(q)
     grid = phi.grid
@@ -141,14 +146,9 @@ def frac_integral(q: float, phi: GridFunction, i: int) -> np.ndarray:
         raise IndexOutOfRange(f"node index {i} outside 0..{grid.N}")
     if i == 0:
         return np.zeros(phi.dim)
-    t = grid.nodes[i]
-    left = grid.nodes[:i]
-    right = grid.nodes[1 : i + 1]
-    m0 = np.asarray(kernel_moment(q, t, left, right, 0))
-    m1 = np.asarray(kernel_moment(q, t, left, right, 1))
-    wl = (right * m0 - m1) / grid.h   # weight of the left endpoint of each panel
-    wr = (m1 - left * m0) / grid.h    # weight of the right endpoint
-    acc = wl @ phi.values[:i] + wr @ phi.values[1 : i + 1]
+    a, b = _panel_weights(q, grid.N, grid.h)
+    vals = phi.values
+    acc = a[i] * vals[0] + b[1] * vals[i] + (a[1:i] + b[2 : i + 1])[::-1] @ vals[1:i]
     return acc / gamma(q)
 
 

@@ -35,16 +35,6 @@ from .vi import BoxSet
 
 
 @dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise DomainError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
 class FuzzyIntervalNumber:
     """Trapezoidal fuzzy number (a, b, c, d) on the real line; triangular ones have b = c."""
 
@@ -62,19 +52,19 @@ class FuzzyIntervalNumber:
             raise DomainError(f"trapezoidal parameters must satisfy a <= b <= c <= d, got {(a, b, c, d)}")
         return cls((float(a), float(b), float(c), float(d)))
 
-    def level(self, alpha: float) -> Interval:
-        """The alpha-level interval; alpha = 0 is the support, alpha = 1 the core."""
-        _check_alpha(alpha)
+    def level(self, alpha: float) -> tuple[float, float]:
+        """The alpha-level interval as (lo, hi); alpha = 0 is the support, alpha = 1 the core.
+
+        The one check of the membership level: every level of a fuzzy box
+        or field reads its components' levels through here.
+        """
+        if not 0.0 <= alpha <= 1.0:
+            raise DomainError(f"membership level must lie in [0, 1], got {alpha}")
         a, b, c, d = self.params
         lo, hi = a + alpha * (b - a), d - alpha * (d - c)
         if lo > hi:  # the two endpoint formulas can cross by one ulp near alpha = 1
             lo = hi = 0.5 * (lo + hi)
-        return Interval(lo, hi)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"membership level must lie in [0, 1], got {alpha}")
+        return lo, hi
 
 
 class FuzzyBox:
@@ -90,9 +80,8 @@ class FuzzyBox:
         return len(self.components)
 
     def level(self, alpha: float) -> BoxSet:
-        _check_alpha(alpha)
         ivs = [c.level(alpha) for c in self.components]
-        return BoxSet([iv.lo for iv in ivs], [iv.hi for iv in ivs])
+        return BoxSet([lo for lo, _ in ivs], [hi for _, hi in ivs])
 
 
 @dataclass(frozen=True)
@@ -132,19 +121,17 @@ class FuzzyBoxField:
 
     def levels(self, e, d, alpha: float):
         """The alpha-level endpoints d + e * [w_i]_alpha as (lo, hi), shaped like e."""
-        _check_alpha(alpha)
         ivs = [comp.base.level(alpha) for comp in self.components]
         # in place, because the verifier's sampling grids are large; same bits as d + e * lo
-        p = e * np.array([iv.lo for iv in ivs])
+        p = e * np.array([lo for lo, _ in ivs])
         p += d
-        r = e * np.array([iv.hi for iv in ivs])
+        r = e * np.array([hi for _, hi in ivs])
         r += d
         hi = np.maximum(p, r)
         return np.minimum(p, r, out=p), hi
 
     def level_arrays(self, ts, ys, alpha: float):
         """Vectorized levels over nodes: (lo, hi) of shape (k, n) for (k,) times and (k, n) states."""
-        _check_alpha(alpha)
         return self.levels(*self.coefficients(ts, ys), alpha)
 
     def slope(self, ts, ys) -> np.ndarray:

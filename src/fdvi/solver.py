@@ -114,15 +114,17 @@ def psi_part(spec: ProblemSpec, y: GridFunction, h: GridFunction) -> GridFunctio
     return GridFunction(y.grid, _add_boundary_term(spec, y, phi_part(spec, gh).values)[0])
 
 
-def control_map(spec: ProblemSpec, y: GridFunction, vi_tol: float = 1e-10) -> GridFunction:
+def control_map(spec: ProblemSpec, y: GridFunction, vi_tol: float = 1e-10) -> tuple[GridFunction, np.ndarray]:
     """u(t_i) in SOL(K, Q(t_i, y_i) + S(.)) at every node, as one batched VI solve.
 
     With y fixed the node problems are independent and share K and S, so
     they are the rows of one instance.  solve_vi returns only when every
     row is certified to vi_tol; a NotConvergedError names the worst node.
+    Returns (u, w), w = Q(t_i, y_i) the rows of that instance, so a
+    residual check of u reads Q without evaluating it again.
     """
-    u = solve_vi(VIInstance(spec.K, _columns(spec.Q, y), spec.S), tol=vi_tol, start=spec.anchor_u0)
-    return GridFunction(y.grid, u)
+    w = _columns(spec.Q, y)
+    return GridFunction(y.grid, solve_vi(VIInstance(spec.K, w, spec.S), tol=vi_tol, start=spec.anchor_u0)), w
 
 
 def selection_map(spec: ProblemSpec, y: GridFunction, policy: SelectionPolicy) -> GridFunction:
@@ -177,12 +179,12 @@ def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
 
 
 def _apply_operator(spec, cfg, policy, y):
-    """T(y) with one convolution; returns (T(y), u, f, rhs = f + g(t,y)u, int c1, int c2)."""
-    u = control_map(spec, y, vi_tol=cfg.vi_tol)
+    """T(y) with one convolution; returns (T(y), u, f, rhs = f + g(t,y)u, int c1, int c2, Q(t,y))."""
+    u, w = control_map(spec, y, vi_tol=cfg.vi_tol)
     f = selection_map(spec, y, policy)
     rhs = GridFunction(y.grid, f.values + _g_times(spec, y, u.values))
     ty, ic1, ic2 = _add_boundary_term(spec, y, phi_part(spec, rhs).values)
-    return ty, u, f, rhs, ic1, ic2
+    return ty, u, f, rhs, ic1, ic2, w
 
 
 def _anderson_gamma(f: np.ndarray, dfs: list[np.ndarray]) -> tuple[float, ...] | None:
@@ -287,9 +289,9 @@ def picard_solve(
         )
     # Recompute the trajectories at the final y so the bundle is self-consistent,
     # and measure how far one more application of the operator moves it.
-    ty, u, f, rhs, ic1, ic2 = _apply_operator(spec, cfg, policy, y)
+    ty, u, f, rhs, ic1, ic2, w = _apply_operator(spec, cfg, policy, y)
     recheck = float(np.max(np.abs(ty - y.values)))
-    max_vi = float(np.max(vi_residual(VIInstance(spec.K, _columns(spec.Q, y), spec.S), u.values)))
+    max_vi = float(np.max(vi_residual(VIInstance(spec.K, w, spec.S), u.values)))
     # The formula pins the operator output at t = 0 to the c1 trapezoid exactly;
     # checking it on the recheck application verifies the wiring.  The self-gap
     # of the returned iterate is convergence-limited at O(picard residual).

@@ -53,7 +53,7 @@ def test_criterion_02_vi_closed_form(example_spec):
     grid = UniformGrid(0.7, 1000)
     y = GridFunction(grid, 0.1 * np.sin(grid.nodes))
     t0 = time.perf_counter()
-    u = control_map(example_spec, y)
+    u, _ = control_map(example_spec, y)
     elapsed = time.perf_counter() - t0
     err1 = float(np.max(np.abs(u.values[:, 0])))
     err2 = float(np.max(np.abs(u.values[:, 1] - 1.4 / 3.0 * np.exp(-grid.nodes))))
@@ -219,8 +219,8 @@ def test_criterion_09_metric_and_selection_property_suites():
         w = (FuzzyIntervalNumber.triangular(*pts[:3]) if rng.random() < 0.5
              else FuzzyIntervalNumber.trapezoidal(*pts))
         a1, a2 = np.sort(rng.uniform(0.0, 1.0, size=2))
-        outer, inner = w.level(a1), w.level(a2)
-        if inner.lo < outer.lo - 1e-12 or inner.hi > outer.hi + 1e-12:
+        (outer_lo, outer_hi), (inner_lo, inner_hi) = w.level(a1), w.level(a2)
+        if inner_lo < outer_lo - 1e-12 or inner_hi > outer_hi + 1e-12:
             nest_bad += 1
     report(9, "metric/selection property suites",
            metric_bad == 0 and clamp_bad == 0 and nest_bad == 0,

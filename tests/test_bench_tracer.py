@@ -168,3 +168,24 @@ def test_tracer_sees_expression_evaluation_under_the_maps(tmp_path):
     evaluations = [parent for name, parent in zip(names, parents) if name == "expr.evaluate"]
     assert evaluations.count("solver.control_map") >= applications
     assert evaluations.count("solver.selection_map") >= applications
+
+
+def test_tracer_sees_the_two_per_node_integrals_of_the_yprime_check(tmp_path):
+    # fractional.frac_integral.self_s measures only the y'(T) diagnostic: the
+    # per-node integral runs twice per solve, after the sweeps, in picard_solve
+    doc = example_config()
+    doc["solver"]["N"] = 64
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(doc))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()
+    names = [tracer.names[i] for i in spans["name_id"]]
+    parents = [names[p] if p >= 0 else None for p in spans["parent"]]
+    per_node = [parent for name, parent in zip(names, parents) if name == "fractional.frac_integral"]
+    assert per_node == ["solver.picard_solve", "solver.picard_solve"]

@@ -17,6 +17,7 @@ from fdvi.fractional import (
     trapezoid_integral,
 )
 from fdvi.special import gamma
+from oracles import frac_integral_moments
 
 
 def const_one(grid):
@@ -94,11 +95,29 @@ def test_cached_kernel_spectrum_is_read_only():
 
 
 def test_all_nodes_matches_per_node():
+    # the orders include the y'(T) diagnostic's q - 1 and the Caputo estimator's 2 - q
     grid = UniformGrid(0.7, 200)
     phi = GridFunction(grid, np.column_stack([np.sin(3 * grid.nodes), np.exp(-grid.nodes)]))
-    full = frac_integral_all(1.3, phi)
-    for i in (0, 1, 2, 57, 200):
-        assert np.allclose(full.values[i], frac_integral(1.3, phi, i), atol=1e-13)
+    for q in (1.3, 0.4, 0.6, 1.1, 1.6, 2.0):
+        full = frac_integral_all(q, phi)
+        for i in (0, 1, 2, 57, 200):
+            assert np.allclose(full.values[i], frac_integral(q, phi, i), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 1000, 4000])
+def test_per_node_sum_matches_the_exact_moment_rule(n):
+    # the lag-weight sum against the same rule built from each panel's exact
+    # kernel moments at absolute node positions (tests/oracles.py).  Worst
+    # difference measured over these cases: 3.4e-14, at q = 0.4, N = 4000,
+    # i = N, where the oracle is the less accurate one (its error on phi = 1
+    # is 3.2e-14 against the lag sum's 1.2e-15); bound 1e-13 relative.
+    grid = UniformGrid(0.7, n)
+    phi = GridFunction(grid, np.column_stack([np.sin(3 * grid.nodes), np.exp(-grid.nodes), np.ones(n + 1)]))
+    for q in (0.4, 0.6, 1.1, 1.6, 2.0):
+        for i in (1, 2, n // 2, n):
+            want = frac_integral_moments(q, phi, i)
+            got = frac_integral(q, phi, i)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_linearity():

@@ -22,26 +22,24 @@ def example_field():
 
 
 def test_triangular_support():
-    iv = TRI.level(0.0)
-    assert (iv.lo, iv.hi) == (-0.5, 0.5)
+    assert TRI.level(0.0) == (-0.5, 0.5)
 
 
 def test_triangular_core_is_peak():
-    iv = TRI.level(1.0)
-    assert (iv.lo, iv.hi) == (0.0, 0.0)
+    assert TRI.level(1.0) == (0.0, 0.0)
 
 
 def test_triangular_half_level():
-    iv = TRI.level(0.5)
-    assert iv.lo == pytest.approx(-0.25, abs=1e-15)
-    assert iv.hi == pytest.approx(0.25, abs=1e-15)
+    lo, hi = TRI.level(0.5)
+    assert lo == pytest.approx(-0.25, abs=1e-15)
+    assert hi == pytest.approx(0.25, abs=1e-15)
 
 
 def test_trapezoidal_levels():
     w = FuzzyIntervalNumber.trapezoidal(0.0, 1.0, 2.0, 4.0)
-    assert (w.level(0.0).lo, w.level(0.0).hi) == (0.0, 4.0)
-    assert (w.level(1.0).lo, w.level(1.0).hi) == (1.0, 2.0)
-    assert (w.level(0.5).lo, w.level(0.5).hi) == (0.5, 3.0)
+    assert w.level(0.0) == (0.0, 4.0)
+    assert w.level(1.0) == (1.0, 2.0)
+    assert w.level(0.5) == (0.5, 3.0)
 
 
 def test_level_rejects_bad_alpha():
@@ -64,7 +62,7 @@ def test_triangular_is_trapezoid_with_repeated_peak():
     assert tri == trap
     for alpha in np.linspace(0.0, 1.0, 101):
         lv1, lv2 = tri.level(float(alpha)), trap.level(float(alpha))
-        assert (lv1.lo.hex(), lv1.hi.hex()) == (lv2.lo.hex(), lv2.hi.hex())
+        assert [p.hex() for p in lv1] == [p.hex() for p in lv2]
     for scale, shift in ((2.5, 0.1), (-1.75, 0.3), (0.0, -2.0), (-1e-3, 4.0)):
         img1, img2 = scaled(tri, scale, shift), scaled(trap, scale, shift)
         assert img1 == img2 and [p.hex() for p in img1.params] == [p.hex() for p in img2.params]
@@ -82,9 +80,9 @@ def fuzzy_numbers(draw):
 @settings(max_examples=200)
 def test_level_nestedness_property(w, a1, a2):
     lo_a, hi_a = min(a1, a2), max(a1, a2)
-    outer = w.level(lo_a)
-    inner = w.level(hi_a)
-    assert outer.lo <= inner.lo + 1e-12 and inner.hi <= outer.hi + 1e-12
+    outer_lo, outer_hi = w.level(lo_a)
+    inner_lo, inner_hi = w.level(hi_a)
+    assert outer_lo <= inner_lo + 1e-12 and inner_hi <= outer_hi + 1e-12
 
 
 # --- field levels ---------------------------------------------------------

@@ -13,6 +13,7 @@ from fdvi.fuzzy import FieldComponent, FuzzyBoxField, FuzzyIntervalNumber, hausd
 from fdvi.problem import ProblemSpec, SelectionPolicy, SolverConfig
 from fdvi.solver import (
     _apply_operator,
+    _columns,
     _g_times,
     _y_free_column,
     control_map,
@@ -131,10 +132,12 @@ def test_operator_is_one_bracket_of_the_whole_rhs(case, example_problem, rng):
     grid = UniformGrid(spec.T, cfg.N)
     for _ in range(3):
         y = GridFunction(grid, rng.uniform(-2.0, 2.0, (grid.N + 1, spec.n)))
-        ty, u, f, rhs, ic1, ic2 = _apply_operator(spec, cfg, policy, y)
+        ty, u, f, rhs, ic1, ic2, w = _apply_operator(spec, cfg, policy, y)
         two_brackets = phi_part(spec, f).values + psi_part(spec, y, u).values
         assert np.max(np.abs(ty - two_brackets)) <= 1e-14 * (1.0 + np.max(np.abs(ty)))
-        assert np.array_equal(u.values, control_map(spec, y, cfg.vi_tol).values)
+        u_map, w_map = control_map(spec, y, cfg.vi_tol)
+        assert np.array_equal(u.values, u_map.values)
+        assert np.array_equal(w, w_map) and np.array_equal(w, _columns(spec.Q, y))
         assert np.array_equal(f.values, selection_map(spec, y, policy).values)
         assert np.array_equal(rhs.values, f.values + _g_times(spec, y, u.values))
         # the bracket vanishes at both ends, where l is int c1 and int c2
@@ -154,7 +157,7 @@ def test_solver_config_rejects_nonfinite_tolerances(name, value):
 def test_control_map_closed_form(example_spec):
     grid = UniformGrid(0.7, 200)
     y = GridFunction(grid, 0.1 * np.cos(grid.nodes))
-    u = control_map(example_spec, y)
+    u, _ = control_map(example_spec, y)
     assert np.max(np.abs(u.values[:, 0])) == 0.0
     expected = 1.4 / 3.0 * np.exp(-grid.nodes)
     assert np.max(np.abs(u.values[:, 1] - expected)) <= 1e-10
@@ -164,7 +167,7 @@ def test_control_map_zero_data():
     spec = scalar_spec()
     # Q = 1 >= 0 on the orthant with S = I: u = 0
     grid = UniformGrid(0.7, 32)
-    u = control_map(spec, GridFunction.zeros(grid, 1))
+    u, _ = control_map(spec, GridFunction.zeros(grid, 1))
     assert np.all(u.values == 0.0)
 
 
@@ -178,8 +181,8 @@ def test_control_map_factors_through_q():
         c1=(parse("0", 1),), c2=(parse("0", 1),), anchor_u0=np.zeros(1),
     )
     grid = UniformGrid(0.7, 64)
-    u1 = control_map(spec, GridFunction(grid, np.sin(grid.nodes)))
-    u2 = control_map(spec, GridFunction(grid, np.cos(grid.nodes)))
+    u1, _ = control_map(spec, GridFunction(grid, np.sin(grid.nodes)))
+    u2, _ = control_map(spec, GridFunction(grid, np.cos(grid.nodes)))
     assert np.array_equal(u1.values, u2.values)
 
 
@@ -504,3 +507,23 @@ def test_band_checks_every_run_before_the_first_solve(alphas, lambdas, example_s
     with pytest.raises(DomainError):
         solve_band(example_spec, SolverConfig(N=64), alphas, lambdas)
     assert calls == []
+
+
+def test_each_y_reading_expression_is_evaluated_once_per_application(example_problem, monkeypatch):
+    # the residual check reads the recheck application's Q instead of
+    # evaluating it again, so Q is evaluated as often as g, c1, c2 and the field
+    counts = {}
+    evaluate = fdvi.solver.evaluate
+
+    def counted(e, *args):
+        counts[e.source] = counts.get(e.source, 0) + 1
+        return evaluate(e, *args)
+
+    monkeypatch.setattr(fdvi.solver, "evaluate", counted)
+    spec = example_problem.spec
+    bundle = picard_solve(spec, SolverConfig(N=200), example_problem.selection)
+    applications = bundle.diagnostics["iterations"] + 1
+    exprs = [*spec.Q, *spec.c1, *spec.c2, *spec.field.exprs, *(e for row in spec.g for e in row)]
+    y_reading = {e.source for e in exprs if not e.reads <= {"t"}}
+    assert any(e.source in y_reading for e in spec.Q)
+    assert {source: counts[source] for source in y_reading} == dict.fromkeys(y_reading, applications)

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from fdvi.errors import DomainError, PoleError
-from fdvi.special import gamma, kernel_moment
+from fdvi.special import gamma
+from oracles import kernel_moment
 
 
 def test_gamma_at_one_and_two():
