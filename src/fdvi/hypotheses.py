@@ -27,7 +27,15 @@ _BLOCK_ROWS rows, and only along the axes its expressions read
 at the first time only, one none of whose expressions reads y at the first
 state only.  The skipped rows or columns would repeat the first one, so the
 value and the witness, the first maximum in (time, state) order, are those
-of the full grid.  The polish (M0's moves the time alone) evaluates
+of the full grid.  eta_g, eta_Q, M1 and M2 are sums of one term per
+expression (SumObjective).  When no expression of such a sum reads both t
+and y, each expression is evaluated once, over the axis it reads, and a
+bound per time row (the sum with each y-reading term at its largest) picks
+the rows worth evaluating: rounded addition, abs, square and sqrt are all
+monotone, so no row's value exceeds its bound, and the rows skipped cannot
+hold the maximum (see _separable_max).  The value and witness are again
+the full grid's, bit for bit.  The polish starts from the grid's value and
+(M0's moves the time alone) evaluates
 speculatively: one batch holds the rest of the current pattern-search sweep
 and later sweeps at the step each would use if no move improved, so the
 halvings that end a search take a few objective calls instead of one per
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -122,7 +131,8 @@ class SamplingDomain:
         return self.y_box_lo.shape[0]
 
 
-def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps: int = 80):
+def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps: int = 80,
+                      value: float | None = None):
     """Deterministic coordinate pattern search; fn maps (k, d) points to (k,) values.
 
     A sweep tries the moves +step_i, -step_i for each coordinate i in turn
@@ -135,6 +145,9 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     one-at-a-time search accepts; the search takes that row's sweep and
     step and re-batches from the new point.  So its path is exactly that of
     trying the moves one at a time.  fn may return -inf to veto a point.
+    value, if given, is fn's value at x0 and saves its evaluation there; it
+    is not used if x0 lies outside the box, where the search starts from the
+    clipped point.
 
     The batch after an accepted move spans about _POLISH_ROWS rows (at least
     the rest of the sweep), and each batch in which no move improves doubles
@@ -144,10 +157,12 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
 
     Every step the search takes is the first one halved k times, k <= sweeps,
     so the steps, each move's shift and the first k below the floor are
-    tabulated once per search; a batch's schedule is arithmetic on k.
+    tabulated once per search; a batch's schedule is arithmetic on k, and
+    its shifts are slices of the flat table.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    best = float(fn(x[None])[0])
+    x0 = np.asarray(x0, dtype=float)
+    x = np.clip(x0, lo, hi)
+    best = float(fn(x[None])[0]) if value is None or not np.array_equal(x, x0) else value
     d = x.shape[0]
     moves = 2 * d
     # row k: the first step (an eighth of the box) halved k times, one halving
@@ -155,15 +170,18 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     halvings = np.full((sweeps + 1, d), 0.5)
     halvings[0] = (hi - lo) / 8.0
     steps = np.multiply.accumulate(halvings, axis=0)
-    axis = np.repeat(np.arange(d), 2)  # move m changes coordinate axis[m] ...
-    shifts = np.tile([1.0, -1.0], d) * steps[:, axis]  # ... by shifts[k, m] at step k
+    # move m changes coordinate m // 2 by shifts[k * moves + m] at step k: +step, then -step
+    shifts = np.empty((sweeps + 1, d, 2))
+    shifts[..., 0] = steps
+    shifts[..., 1] = -steps
+    shifts = shifts.ravel()
     # the first k whose step is below the floor: a halving to it ends the search
     floor = 1e-14 * max(1.0, float(np.max(hi - lo)))
     below = np.flatnonzero(np.max(steps, axis=1) < floor)
     k_floor = int(below[0]) if below.size else sweeps + 1
     max_levels = max(1, _BLOCK_ROWS // moves)
     start_levels = min(max(1, _POLISH_ROWS // moves), max_levels)
-    row_axis = np.tile(axis, min(max_levels, sweeps))  # the coordinate of each row of a batch
+    row_axis = np.arange(min(max_levels, sweeps) * moves) // 2 % d  # the coordinate of each row of a batch
     row_lo, row_hi = lo[row_axis], hi[row_axis]
     sweep, first, k, improved, levels = 0, 0, 0, False, start_levels
     while True:
@@ -178,12 +196,16 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
         to_floor = max(k + 1, k_floor) - k + improved
         count = min(levels, sweeps - sweep, to_floor)
         last = count == to_floor or sweep + count >= sweeps
-        level_k = k + np.maximum(np.arange(count) - improved, 0)
         end = count * moves
+        # the rest of the current sweep at step k, then the later sweeps at
+        # steps k + 1, k + 2, ... (k, k + 1, ... if the current one improved)
+        lead = k * moves
+        shift = np.concatenate((shifts[lead + first : lead + moves],
+                                shifts[lead + moves * (1 - improved) : lead + moves * (count - improved)]))
         ax = row_axis[first:end]
         trials = np.repeat(x[None], end - first, axis=0)
         trials[np.arange(end - first), ax] = np.minimum(
-            np.maximum(x[ax] + shifts[level_k].ravel()[first:], row_lo[first:end]), row_hi[first:end])
+            np.maximum(x[ax] + shift, row_lo[first:end]), row_hi[first:end])
         vals = fn(trials)
         better = np.flatnonzero(vals > best)
         if better.size == 0:
@@ -195,7 +217,7 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
         r = int(better[0])
         level, move = divmod(first + r, moves)
         best, x = float(vals[r]), trials[r]
-        sweep, first, k, improved, levels = sweep + level, move + 1, int(level_k[level]), True, start_levels
+        sweep, first, k, improved, levels = sweep + level, move + 1, k + max(level - improved, 0), True, start_levels
 
 
 def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -204,20 +226,37 @@ def _sample_times(t_horizon: float, count: int, rng: np.random.Generator) -> np.
     return np.concatenate(([0.0, t_horizon], extra))
 
 
-def _row_sum(exprs, ts, ys, fn) -> np.ndarray:
-    """Sum over exprs of fn(expr at (ts, ys)), left to right, in their broadcast shape.
+class SumObjective(NamedTuple):
+    """post(pre(e_1) + pre(e_2) + ...) at (times, states): eta_g's, eta_Q's, M1's and M2's objective.
 
-    np.sum reassociates, and the report's constants are written at full
-    precision, so the summation order is fixed here.  The sum starts from the
-    first term rather than from zeros: fn is abs or square, which never give
-    -0.0, so 0.0 + v would be v bit for bit.
+    pre is np.abs or np.square, post None (the identity) or np.sqrt.  As data
+    rather than a closure, _grid_max can see that the objective is a sum and
+    bound its rows (_separable_max); called, it evaluates the sum like any
+    other objective, for the blocked pass and the polish.
     """
-    terms = (fn(evaluate(e, ts, ys)) for e in exprs)
-    acc = next(terms, 0.0)
-    for v in terms:
-        acc = acc + v
-    shape = np.broadcast_shapes(np.shape(ts), ys.shape[:-1])
-    return acc if np.shape(acc) == shape else np.broadcast_to(acc, shape)
+
+    exprs: tuple
+    pre: Callable
+    post: Callable | None = None
+
+    def __call__(self, ts, ys) -> np.ndarray:
+        """The objective at times ts and states ys, in their broadcast shape."""
+        shape = np.broadcast(ts, ys[..., 0]).shape
+        val = self.total([self.pre(evaluate(e, ts, ys)) for e in self.exprs])
+        return val if np.shape(val) == shape else np.broadcast_to(val, shape)
+
+    def total(self, terms):
+        """post of the sum of the terms (pre already applied), left to right.
+
+        np.sum reassociates, and the report's constants are written at full
+        precision, so the summation order is fixed here.  The sum starts from
+        the first term rather than from zeros: pre is abs or square, which
+        never give -0.0, so 0.0 + v would be v bit for bit.
+        """
+        acc = terms[0] if terms else 0.0
+        for v in terms[1:]:
+            acc = acc + v
+        return acc if self.post is None else self.post(acc)
 
 
 def _sample_grid(dom: SamplingDomain, t_horizon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -234,14 +273,19 @@ def _grid_max(fn, exprs, ts: np.ndarray, states: np.ndarray):
     y only through the expressions exprs.  An axis that none of them reads is
     sampled at its first point alone: every row (or column) of the full grid
     would hold the same values, so its first maximum in (time, state) order
-    lies in the first one, and value and witness are the same bits.  Times
-    go in blocks of at most _BLOCK_ROWS grid rows.
+    lies in the first one, and value and witness are the same bits.  A
+    SumObjective none of whose expressions reads both t and y goes to
+    _separable_max, which evaluates each expression once and only the rows
+    that can hold the maximum.  Any other objective is evaluated on every
+    row, with times in blocks of at most _BLOCK_ROWS grid rows.
     """
     reads = frozenset().union(*(e.reads for e in exprs))
     if "t" not in reads:
         ts = ts[:1]
     if reads <= {"t"}:
         states = states[:1]
+    if isinstance(fn, SumObjective) and not any("t" in e.reads and len(e.reads) > 1 for e in fn.exprs):
+        return _separable_max(fn, ts, states)
     per_block = max(1, _BLOCK_ROWS // states.shape[0])
     best, wt, wy = -math.inf, 0.0, states[0]
     for start in range(0, ts.shape[0], per_block):
@@ -253,18 +297,59 @@ def _grid_max(fn, exprs, ts: np.ndarray, states: np.ndarray):
     return best, wt, wy
 
 
+def _separable_max(fn: SumObjective, ts: np.ndarray, states: np.ndarray):
+    """_grid_max of a sum each of whose expressions reads t, or y, or neither, but not both.
+
+    Each expression is evaluated once, over the one axis it reads: a (T, 1)
+    column of times or an (S,) row of states.  Row i's bound UB_i is the sum
+    with each y-reading term replaced by its maximum over the states, added
+    in the same order.  Rounded addition is monotone in each operand, the
+    terms are taken after pre and post is monotone, so UB_i is at least
+    every value of row i, bit for bit.  Rows are evaluated in order of
+    decreasing bound (ties in time order), in blocks that double from one
+    row up to _BLOCK_ROWS grid rows, until the next bound is below the best
+    value found; a row whose bound equals it may still tie.  The witness is
+    the first row, in time order, whose maximum is the best value, at the
+    first state attaining it in that row: the blocked pass's witness.
+    """
+    reads_y = [bool(e.reads - {"t"}) for e in fn.exprs]
+    column = (ts.shape[0], 1)
+    terms = [fn.pre(evaluate(e, ts[:1, None], states)) if on_y
+             else np.broadcast_to(fn.pre(evaluate(e, ts[:, None], states[:1])), column)
+             for e, on_y in zip(fn.exprs, reads_y)]
+    bound = np.broadcast_to(fn.total([np.max(v) if on_y else v for v, on_y in zip(terms, reads_y)]), column)[:, 0]
+    order = np.argsort(-bound, kind="stable")
+    per_block = max(1, _BLOCK_ROWS // states.shape[0])
+    best, wi, wj, start, rows = -math.inf, 0, 0, 0, 1
+    while start < order.shape[0] and bound[order[start]] >= best:
+        block = order[start : start + rows]
+        vals = fn.total([v if on_y else v[block] for v, on_y in zip(terms, reads_y)])
+        vals = np.broadcast_to(vals, (block.shape[0], states.shape[0]))
+        row_max = np.max(vals, axis=1)
+        top = row_max.max()
+        tied = np.flatnonzero(row_max == top)
+        r = int(tied[np.argmin(block[tied])])  # the first tied row in time order
+        if top > best or (top == best and block[r] < wi):
+            best, wi, wj = float(top), int(block[r]), int(np.argmax(vals[r]))
+        start, rows = start + rows, min(2 * rows, per_block)
+    return best, float(ts[wi]), states[wj]
+
+
 def _polished_max(fn, exprs, ts: np.ndarray, states: np.ndarray, t_horizon: float, box):
     """(value, witness) of _grid_max of fn, refined by pattern search over [0, t_horizon] x box.
 
     Without a box the state stays at the grid's witness, the search moves the
-    time alone and the witness is {"t"}; with one it is {"t", "y"}.
+    time alone and the witness is {"t"}; with one it is {"t", "y"}.  The
+    search is handed the grid's value, which is fn's at the witness bit for
+    bit, so it does not evaluate fn there again.
     """
     best, wt, wy = _grid_max(fn, exprs, ts, states)
     if box:
         val, arg = _pattern_maximize(lambda x: fn(x[:, 0], x[:, 1:]), np.append(wt, wy),
-                                     np.append(0.0, box[0]), np.append(t_horizon, box[1]))
+                                     np.append(0.0, box[0]), np.append(t_horizon, box[1]), value=best)
     else:
-        val, arg = _pattern_maximize(lambda x: fn(x[:, 0], wy), np.array([wt]), np.zeros(1), np.array([t_horizon]))
+        val, arg = _pattern_maximize(lambda x: fn(x[:, 0], wy), np.array([wt]), np.zeros(1), np.array([t_horizon]),
+                                     value=best)
     if val > best:
         best, wt, wy = val, float(arg[0]), arg[1:]
     return best, {"t": wt, "y": wy.tolist()} if box else {"t": wt}
@@ -296,23 +381,17 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
         f_lo, f_hi = spec.field.level_arrays(t, states, 0.0)
         return np.linalg.norm(np.maximum(np.abs(f_lo), np.abs(f_hi)), axis=-1)
 
-    def abs_sum(exprs):
-        return lambda t, states: _row_sum(exprs, t, states, np.abs)
-
-    def c_norm(exprs):
-        return lambda t, states: np.sqrt(_row_sum(exprs, t, states, np.square))
-
-    field_exprs, g = spec.field.exprs, [e for row in spec.g for e in row]
+    field_exprs, g = spec.field.exprs, tuple(e for row in spec.g for e in row)
     # name -> (objective of times and (..., n) states, broadcast together,
     # the expressions it reads, sampled states, polish box); without a box
     # the polish moves the time alone and the witness is a time
     table = {
         "L_F": (spec.field.slope, field_exprs, ys, (lo, hi)),
         "p_sup": (field_norm, field_exprs, ys, (lo, hi)),
-        "eta_g": (abs_sum(g), g, ys, (lo, hi)),
-        "eta_Q": (abs_sum(spec.Q), spec.Q, ys, (lo, hi)),
-        "M1": (c_norm(spec.c1), spec.c1, ys, (lo, hi)),
-        "M2": (c_norm(spec.c2), spec.c2, ys, (lo, hi)),
+        "eta_g": (SumObjective(g, np.abs), g, ys, (lo, hi)),
+        "eta_Q": (SumObjective(spec.Q, np.abs), spec.Q, ys, (lo, hi)),
+        "M1": (SumObjective(spec.c1, np.square, np.sqrt), spec.c1, ys, (lo, hi)),
+        "M2": (SumObjective(spec.c2, np.square, np.sqrt), spec.c2, ys, (lo, hi)),
         "M0": (field_norm, field_exprs, np.zeros((1, spec.n)), None),
     }
     consts, witnesses = {}, {}

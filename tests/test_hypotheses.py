@@ -13,6 +13,7 @@ from fdvi.hypotheses import (
     CONSTANTS,
     SAMPLED_CONSTANTS,
     SamplingDomain,
+    SumObjective,
     _pattern_maximize,
     _sample_times,
     _stream,
@@ -145,19 +146,35 @@ def test_batched_polish_follows_the_one_at_a_time_path(d, monkeypatch):
                     hi[fixed] = lo[fixed]
                 x0 = rng.uniform(-3.0, 3.0, d)
                 ref_best, ref_arg, ref_calls, accepted = one_at_a_time_maximize(fn, x0, lo, hi, sweeps)
+                x_in = np.clip(x0, lo, hi)
                 for polish_rows in budgets:
                     monkeypatch.setattr(fdvi.hypotheses, "_POLISH_ROWS", polish_rows)
                     calls = rows = 0
+                    path = []
 
                     def counted(x):
                         nonlocal calls, rows
                         calls += 1
                         rows += x.shape[0]
+                        path.append(x.copy())
                         return fn(x)
 
                     best, arg = _pattern_maximize(counted, x0, lo, hi, sweeps=sweeps)
                     assert best == ref_best
                     assert np.array_equal(arg, ref_arg)
+                    # seeded with the value at the (clipped) start, the search
+                    # skips that one evaluation and then tries the same batches
+                    seeded_path = []
+                    seeded = _pattern_maximize(lambda x: seeded_path.append(x.copy()) or fn(x), x_in, lo, hi,
+                                               sweeps=sweeps, value=float(fn(x_in[None])[0]))
+                    assert seeded[0] == best
+                    assert np.array_equal(seeded[1], arg)
+                    assert len(seeded_path) == len(path) - 1
+                    assert all(np.array_equal(a, b) for a, b in zip(seeded_path, path[1:]))
+                    if not np.array_equal(x_in, x0):  # a value at a start outside the box is not used
+                        outside = _pattern_maximize(fn, x0, lo, hi, sweeps=sweeps, value=math.inf)
+                        assert outside[0] == best
+                        assert np.array_equal(outside[1], arg)
                     # a batch that finds a move discards at most one batch after an
                     # accepted move, one sweep, and as many rows as the batches before it
                     assert rows <= 2 * ref_calls + accepted * (max(polish_rows, 2 * d) + 2 * d)
@@ -245,8 +262,10 @@ def test_example_verify_polish_calls(example_problem, monkeypatch):
 
     monkeypatch.setattr(fdvi.hypotheses, "_pattern_maximize", counted_search)
     verify(example_problem.spec, example_problem.sampling, claimed=example_problem.claimed)
-    # 7 polishes (six constants and L_F); one batch per sweep would take about 400 calls
-    assert calls <= 100
+    # 7 polishes (six constants and L_F), each started from its grid value; one
+    # batch per sweep would take about 400 calls, and evaluating each start
+    # again 57
+    assert calls == 50
 
 
 # --- compute_rho -------------------------------------------------------------
@@ -700,9 +719,9 @@ def test_grid_max_over_the_axes_read_matches_the_full_grid(scale, offset, reads,
     exprs = field.exprs
     ts = _sample_times(0.9, 40, _stream(3, 1))
     states = -3.0 + 6.0 * _stream(3, 2).random((300, 2))
-    pair = [parse(s, 2) for s in (scale, offset)]
+    pair = (parse(scale, 2), parse(offset, 2))
     objectives = [(field.slope, exprs), (_support_norm(field), exprs),
-                  (lambda t, ys: fdvi.hypotheses._row_sum(pair, t, ys, np.abs), pair)]
+                  (lambda t, ys: SumObjective(pair, np.abs)(t, ys), pair)]  # a sum _grid_max cannot see
     for fn, read in objectives:
         seen = []
 
@@ -715,12 +734,83 @@ def test_grid_max_over_the_axes_read_matches_the_full_grid(scale, offset, reads,
         # the objective saw every sampled time only if it reads t, every state only if it reads y
         assert sum(rows for rows, _ in seen) == (40 if "t" in reads else 1)
         assert {cols for _, cols in seen} == {300 if "y" in reads else 1}
+    # a sum of one term per expression: each expression is evaluated once,
+    # unless one of them reads both t and y, which takes the blocked pass
+    mixed = any("t" in e.reads and len(e.reads) > 1 for e in pair)
+    blocks = -(-40 // max(1, block_rows // 300)) if mixed else 1
+    for fn in (SumObjective(pair, np.abs), SumObjective(pair, np.square, np.sqrt)):
+        evaluated = []
+        monkeypatch.setattr(fdvi.hypotheses, "evaluate",
+                            lambda e, t, ys: evaluated.append(e.source) or evaluate(e, t, ys))
+        best, wt, wy = fdvi.hypotheses._grid_max(fn, pair, ts, states)
+        assert evaluated == [scale, offset] * blocks
+        assert (best, wt, wy.tolist()) == full_grid_max(fn, ts, states)
+
+
+def random_separable_sum(rng, n):
+    """Two to five terms, each reading t, one state coordinate or neither, none both.
+
+    Small integer coefficients on lattice points tie often.
+    """
+    def term():
+        axis = rng.choice(["t", f"y{rng.integers(1, n + 1)}", ""])
+        coef = str(rng.integers(0, 4))
+        if not axis:
+            return coef
+        return coef + "*" + rng.choice([axis, f"abs({axis} - 1)", f"{axis}^2", f"min({axis}, 1)", f"cos({axis})"])
+
+    return tuple(parse(term(), n) for _ in range(rng.integers(2, 6)))
+
+
+@pytest.mark.parametrize("block_rows", [2**15, 700, 1])
+def test_grid_max_of_tied_separable_sums_matches_the_full_grid(block_rows, monkeypatch):
+    monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(2025)
+    for _ in range(150):
+        exprs = random_separable_sum(rng, 2)
+        # times and states on a lattice, with repeats: rows and columns tie
+        ts = np.concatenate(([0.0, 2.0], rng.integers(0, 5, 38) / 2.0))
+        states = rng.integers(-3, 4, (300, 2)).astype(float)
+        for fn in (SumObjective(exprs, np.abs), SumObjective(exprs, np.square, np.sqrt)):
+            best, wt, wy = fdvi.hypotheses._grid_max(fn, exprs, ts, states)
+            assert (best, wt, wy.tolist()) == full_grid_max(fn, ts, states)
+    # rows whose bounds differ but whose maxima tie: the two state terms sum
+    # to 2 at every state and their maxima to 4, and near 2^54, where doubles
+    # are 4 apart, 2^54 + 16 is both the bound and the maximum of the t = 3
+    # rows, and the maximum of the t = 4 rows, whose bound is 2^54 + 20
+    exprs = tuple(parse(s, 1) for s in ("abs(y1 + 1)", "abs(y1 - 1)", "2^54 + 4*t"))
+    fn = SumObjective(exprs, np.abs)
+    for _ in range(20):
+        ts = rng.integers(0, 5, 40).astype(float)
+        states = rng.integers(-1, 2, (300, 1)).astype(float)
+        best, wt, wy = fdvi.hypotheses._grid_max(fn, exprs, ts, states)
+        assert (best, wt, wy.tolist()) == full_grid_max(fn, ts, states)
+
+
+def test_example_sum_bounds_skip_the_rows_below_the_maximum(example_problem, monkeypatch):
+    # eta_g is |1.2 sin(t)| + |-2.5 cos(y1)|: the row whose time maximises the
+    # first term holds the maximum, and its bound is attained there
+    spec, dom = example_problem.spec, example_problem.sampling
+    g = tuple(e for row in spec.g for e in row)
+    total = SumObjective.total
+    rows = []
+
+    def recorded(self, terms):
+        out = total(self, terms)
+        if self.exprs == g and np.shape(out)[1:] == (dom.y_samples,):  # full rows of the grid
+            rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(SumObjective, "total", recorded)
+    estimate_constants(spec, dom)
+    assert rows == [1]  # the blocked pass evaluates all 64
 
 
 def test_t_free_objectives_see_one_time_row(example_problem, monkeypatch):
-    # the example's field, c1 and c2 read no t; its g and Q do
+    # the example's field, c1 and c2 read no t; each entry of its g and Q
+    # reads t or y1, and is evaluated once over the axis it reads
     spec, dom = example_problem.spec, example_problem.sampling
-    rows = {}
+    rows, grids = {}, {}
 
     def record(fn, key):
         def recorded(*args):
@@ -731,14 +821,43 @@ def test_t_free_objectives_see_one_time_row(example_problem, monkeypatch):
 
         return recorded
 
+    def record_evaluation(e, t, y):
+        if np.ndim(t) == 2:
+            grids.setdefault(e.source, []).append((t.shape[0], np.shape(y)[0]))
+        return evaluate(e, t, y)
+
     monkeypatch.setattr(FuzzyBoxField, "slope", record(FuzzyBoxField.slope, lambda args: "slope"))
     monkeypatch.setattr(FuzzyBoxField, "level_arrays", record(FuzzyBoxField.level_arrays, lambda args: "levels"))
-    monkeypatch.setattr(fdvi.hypotheses, "evaluate", record(evaluate, lambda args: args[0].source))
+    monkeypatch.setattr(fdvi.hypotheses, "evaluate", record_evaluation)
     verify(spec, dom, claimed=example_problem.claimed)
-    assert rows.pop("slope") == 1  # L_F
-    assert rows.pop("levels") == 2  # p_sup and M0
-    assert rows == {**{e.source: 1 for e in [*spec.c1, *spec.c2]},
-                    **{e.source: dom.t_samples for e in [*(e for row in spec.g for e in row), *spec.Q]}}
+    assert rows == {"slope": 1, "levels": 2}  # L_F; p_sup and M0
+    # (times, states) of each grid evaluation: c1 and c2 at the first time
+    # alone, g's and Q's t-only entries at the first state alone
+    by_axis = {"t": [(dom.t_samples, 1)], "y": [(1, dom.y_samples)]}
+    g = [e for row in spec.g for e in row]
+    assert grids == {e.source: by_axis["y" if e.reads - {"t"} else "t"] for e in [*g, *spec.Q, *spec.c1, *spec.c2]}
+    assert sorted(grids.values()) == [by_axis["y"]] * 4 + [by_axis["t"]] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1009])
+@pytest.mark.parametrize("case", ["example", "n8"])
+def test_each_polish_starts_from_the_objectives_bits_at_the_grid_witness(case, seed, example_problem, monkeypatch):
+    # a grid value is computed in a (k, s) block, the polish's value at the
+    # same point in a batch of one row: the grid's value may stand in for the
+    # polish's only if an element gets the same bits whatever the length of
+    # the array it sits in
+    problem = example_problem if case == "example" else build_problem(generated_doc(8))
+    dom = dataclasses.replace(problem.sampling, seed=seed)
+    search, starts = fdvi.hypotheses._pattern_maximize, []
+
+    def recorded(fn, x0, lo, hi, **kwargs):
+        starts.append((float(fn(np.clip(x0, lo, hi)[None])[0]).hex(), kwargs["value"].hex()))
+        return search(fn, x0, lo, hi, **kwargs)
+
+    monkeypatch.setattr(fdvi.hypotheses, "_pattern_maximize", recorded)
+    estimate_constants(problem.spec, dom)
+    assert len(starts) == len(SAMPLED_CONSTANTS)
+    assert all(at_witness == grid for at_witness, grid in starts)
 
 
 def test_lipschitz_estimate_never_exceeds_true_constant(example_spec):
