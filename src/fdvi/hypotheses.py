@@ -1,10 +1,13 @@
-"""Sampled verification of the existence hypotheses and their constants.
+"""Verification of the existence hypotheses and their constants.
 
 The assumptions quantify over all of R^n; numerically we sample a declared
 state box and report constants "as sampled over Y", refined by a local
-pattern search around the best sample.  All estimates are lower bounds of
-the true suprema, monotone under sample-count refinement with a fixed seed
-(counter-based streams, order-independent max reductions).
+pattern search around the best sample.  All sampled estimates are lower
+bounds of the true suprema, monotone under sample-count refinement with a
+fixed seed (counter-based streams, order-independent max reductions).
+A6 is not sampled: S is affine, so check_coercivity reads S's modulus mu
+and the coercivity liminf exactly from M and K (the liminf from the
+faces of K's recession cone, or mu, a lower bound, when they are too many).
 
 CONSTANTS is the report's schema: each reported constant with its norm,
 whether it is sampled, and the verdict, if any, that checks it is finite.  The
@@ -34,8 +37,9 @@ bound per time row (the sum with each y-reading term at its largest) picks
 the rows worth evaluating: rounded addition, abs, square and sqrt are all
 monotone, so no row's value exceeds its bound, and the rows skipped cannot
 hold the maximum (see _separable_max).  The value and witness are again
-the full grid's, bit for bit.  The polish starts from the grid's value and
-(M0's moves the time alone) evaluates
+the full grid's, bit for bit.  The polish starts from the grid's value,
+moves only the coordinates its objective reads (M0's, the time alone, if
+the field reads t) and evaluates
 speculatively: one batch holds the rest of the current pattern-search sweep
 and later sweeps at the step each would use if no move improved, so the
 halvings that end a search take a few objective calls instead of one per
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +67,10 @@ from .vi import ANCHOR_TOL, AffineOperator, BoxSet
 # Most (time, state) rows one sampling block evaluates.  Blocks this size
 # stay in cache.
 _BLOCK_ROWS = 2**15
+# Most one-sided coordinates of K whose 2^k recession-cone faces
+# check_coercivity enumerates.  On the orthant of R^m that is one eigh batch
+# of 2^m problems: 0.06 ms at m = 2, 1.4 ms at 8, 10 ms at 10.
+_FACE_CAP = 10
 # Rows a polish batch spans after an accepted move.  Below a few hundred rows
 # an objective call costs about its fixed overhead, so speculating that far
 # costs little even when the next row improves.
@@ -132,7 +140,7 @@ class SamplingDomain:
 
 
 def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps: int = 80,
-                      value: float | None = None):
+                      value: float | None = None, live=None):
     """Deterministic coordinate pattern search; fn maps (k, d) points to (k,) values.
 
     A sweep tries the moves +step_i, -step_i for each coordinate i in turn
@@ -149,6 +157,13 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     is not used if x0 lies outside the box, where the search starts from the
     clipped point.
 
+    live, if given, is a (d,) mask of the coordinates fn reads.  A move of
+    any other coordinate leaves fn's value as it was, so the one-at-a-time
+    search never accepts it: the search tries only the live coordinates'
+    moves, and with none it returns the start at once.  The steps and the
+    floor are still those of the whole box, so the path is the one without
+    the mask.
+
     The batch after an accepted move spans about _POLISH_ROWS rows (at least
     the rest of the sweep), and each batch in which no move improves doubles
     the next one, up to _BLOCK_ROWS rows.  The halvings that end a search
@@ -163,17 +178,19 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     x0 = np.asarray(x0, dtype=float)
     x = np.clip(x0, lo, hi)
     best = float(fn(x[None])[0]) if value is None or not np.array_equal(x, x0) else value
-    d = x.shape[0]
-    moves = 2 * d
+    axes = np.arange(x.shape[0]) if live is None else np.flatnonzero(live)
+    if axes.size == 0:
+        return best, x
+    moves = 2 * axes.size
     # row k: the first step (an eighth of the box) halved k times, one halving
     # at a time; no search halves it more often than it sweeps
-    halvings = np.full((sweeps + 1, d), 0.5)
+    halvings = np.full((sweeps + 1, x.shape[0]), 0.5)
     halvings[0] = (hi - lo) / 8.0
     steps = np.multiply.accumulate(halvings, axis=0)
-    # move m changes coordinate m // 2 by shifts[k * moves + m] at step k: +step, then -step
-    shifts = np.empty((sweeps + 1, d, 2))
-    shifts[..., 0] = steps
-    shifts[..., 1] = -steps
+    # move m changes coordinate axes[m // 2] by shifts[k * moves + m] at step k: +step, then -step
+    shifts = np.empty((sweeps + 1, axes.size, 2))
+    shifts[..., 0] = steps[:, axes]
+    shifts[..., 1] = -steps[:, axes]
     shifts = shifts.ravel()
     # the first k whose step is below the floor: a halving to it ends the search
     floor = 1e-14 * max(1.0, float(np.max(hi - lo)))
@@ -181,7 +198,7 @@ def _pattern_maximize(fn, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, sweeps
     k_floor = int(below[0]) if below.size else sweeps + 1
     max_levels = max(1, _BLOCK_ROWS // moves)
     start_levels = min(max(1, _POLISH_ROWS // moves), max_levels)
-    row_axis = np.arange(min(max_levels, sweeps) * moves) // 2 % d  # the coordinate of each row of a batch
+    row_axis = axes[np.arange(min(max_levels, sweeps) * moves) // 2 % axes.size]  # each batch row's coordinate
     row_lo, row_hi = lo[row_axis], hi[row_axis]
     sweep, first, k, improved, levels = 0, 0, 0, False, start_levels
     while True:
@@ -341,15 +358,18 @@ def _polished_max(fn, exprs, ts: np.ndarray, states: np.ndarray, t_horizon: floa
     Without a box the state stays at the grid's witness, the search moves the
     time alone and the witness is {"t"}; with one it is {"t", "y"}.  The
     search is handed the grid's value, which is fn's at the witness bit for
-    bit, so it does not evaluate fn there again.
+    bit, so it does not evaluate fn there again, and moves only the
+    coordinates the expressions read.
     """
     best, wt, wy = _grid_max(fn, exprs, ts, states)
+    reads = frozenset().union(*(e.reads for e in exprs))
     if box:
+        live = ["t" in reads] + [f"y{i}" in reads for i in range(1, wy.shape[0] + 1)]
         val, arg = _pattern_maximize(lambda x: fn(x[:, 0], x[:, 1:]), np.append(wt, wy),
-                                     np.append(0.0, box[0]), np.append(t_horizon, box[1]), value=best)
+                                     np.append(0.0, box[0]), np.append(t_horizon, box[1]), value=best, live=live)
     else:
         val, arg = _pattern_maximize(lambda x: fn(x[:, 0], wy), np.array([wt]), np.zeros(1), np.array([t_horizon]),
-                                     value=best)
+                                     value=best, live=["t" in reads])
     if val > best:
         best, wt, wy = val, float(arg[0]), arg[1:]
     return best, {"t": wt, "y": wy.tolist()} if box else {"t": wt}
@@ -401,35 +421,51 @@ def estimate_constants(spec: ProblemSpec, dom: SamplingDomain) -> dict:
     return consts
 
 
-_COERCIVITY_RADII = (1e2, 1e3, 1e4)
+def check_coercivity(s: AffineOperator, k: BoxSet, u0) -> tuple[bool, float, float, bool]:
+    """(monotone, mu, liminf, exact) for assumption A6, read from S and K alone.
 
-
-def check_coercivity(s: AffineOperator, k: BoxSet, u0, dom: SamplingDomain) -> tuple[bool, float, float]:
-    """(monotone, mu_est, liminf_est) for assumption A6.
-
-    monotone and mu_est are S's own, exact from the symmetric part; the
-    liminf quotient <S(u), u - u0> / ||u||^2 is sampled at large radii.
-    A bounded feasible box makes the liminf vacuous (+inf).
+    monotone and mu are S's own, from the symmetric part A of M.  As u in K
+    grows along u / ||u|| -> d, <S(u), u - u0> / ||u||^2 tends to d^T A d,
+    so liminf is the least d^T A d over unit d in K's recession cone (d_i
+    free, >= 0, <= 0 or 0 as K is unbounded both ways, above, below or
+    neither); a bounded K gives +inf.  A minimizer lies inside one face of
+    the cone (the free coordinates and some signed ones), where it is an
+    eigenvector of A's principal submatrix whose signed entries are nonzero
+    and oriented as the cone requires.  liminf is the least eigenvalue, over
+    the faces, with such an eigenvector in eigh's basis: a repeated
+    eigenvalue's eigenspace that meets a face's inside also meets a lower
+    face's, where the eigenvalue appears again (3I on the orthant is 3 on
+    the faces {1} and {2}).  The faces are one eigh batch, each embedded at
+    full size with its other coordinates on a diagonal above every
+    eigenvalue.  Rounding can put the value an ulp below mu; it is clamped
+    to mu.  Past _FACE_CAP signed coordinates liminf is mu, a lower bound,
+    and exact is False.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     if not k.contains(u0, tol=ANCHOR_TOL):
         raise AnchorNotFeasible(f"anchor {u0.tolist()} is not in K")
-    if k.bounded:
-        return s.monotone, s.mu, math.inf
-    rng = _stream(dom.seed, 4)
-    dirs = rng.standard_normal((min(dom.y_samples, 2048), s.dim))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    liminf = math.inf
-    for radius in _COERCIVITY_RADII:
-        pts = k.project(radius * dirs)
-        norms = np.linalg.norm(pts, axis=1)
-        keep = norms >= 0.5 * radius
-        if not np.any(keep):
-            continue
-        kept = pts[keep]
-        quot = np.einsum("ij,ij->i", s(kept), kept - u0) / norms[keep] ** 2
-        liminf = min(liminf, float(np.min(quot)))
-    return s.monotone, s.mu, liminf
+    mu = s.mu
+    lo_open, hi_open = np.isinf(k.lo), np.isinf(k.hi)
+    if not np.any(lo_open | hi_open):  # K is bounded
+        return s.monotone, mu, math.inf, True
+    orient = hi_open * 1.0 - lo_open  # +1 where d_i >= 0, -1 where d_i <= 0, 0 free or fixed
+    signed = np.flatnonzero(orient)
+    if signed.size > _FACE_CAP:
+        return s.monotone, mu, mu, False
+    # row f: the coordinates of face f, the free ones and the signed ones of f's bits
+    on = np.repeat((lo_open & hi_open)[None], 2**signed.size, axis=0)
+    on[:, signed] = (np.arange(2**signed.size)[:, None] >> np.arange(signed.size)) & 1
+    if not on[0].any():  # the empty face holds no unit direction
+        on = on[1:]
+    sym = 0.5 * (s.M + s.M.T)
+    sub = sym * (on[:, :, None] & on[:, None, :])
+    diag = np.arange(s.dim)
+    sub[:, diag, diag] += ~on * (1.0 + np.sum(np.abs(sym)))
+    vals, vecs = np.linalg.eigh(sub)
+    # an eigenvector is inside its face when its entries there, oriented, are all > 0 or all < 0
+    weight = on * orient
+    inner = np.abs(np.sum(np.sign(vecs * weight[:, :, None]), axis=1)) == np.count_nonzero(weight, axis=1)[:, None]
+    return s.monotone, mu, max(mu, float(np.min(vals[inner]))), True
 
 
 def compute_rho(l_f: float, t_horizon: float, q: float) -> float:
@@ -482,8 +518,9 @@ class HypothesisReport:
     sampling: dict
 
     def as_dict(self) -> dict:
+        """The report as its JSON is written; nested dicts and lists are the report's own, not copies."""
         norms = {name: row.norm for name, row in CONSTANTS.items()}
-        return {**asdict(self), "expected_sup_norm_bound": self.delta, "norms": norms}
+        return {**vars(self), "expected_sup_norm_bound": self.delta, "norms": norms}
 
 
 def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) -> HypothesisReport:
@@ -498,7 +535,7 @@ def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) 
         raise DomainError(f"claimed bounds name constants that are not sampled: {unknown}")
     sampled = estimate_constants(spec, dom)
     witnesses = sampled.pop("witnesses")
-    monotone, mu, liminf = check_coercivity(spec.S, spec.K, spec.anchor_u0, dom)
+    monotone, mu, liminf, exact = check_coercivity(spec.S, spec.K, spec.anchor_u0)
     eta_s = compute_eta_s(spec.S, spec.anchor_u0)
     c = {**sampled, "mu": mu, "coercive_liminf": liminf, "eta_S": eta_s}
     rho = compute_rho(c["L_F"], spec.T, spec.q)
@@ -523,6 +560,9 @@ def verify(spec: ProblemSpec, dom: SamplingDomain, claimed: dict | None = None) 
         for name, declared in (claimed or {}).items()
         if sampled[name] > declared * (1.0 + 1e-9) + 1e-12
     ]
+    if not exact:
+        flags.append(f"coercive_liminf is mu, a lower bound: K has more than {_FACE_CAP} one-sided "
+                     "coordinates, too many recession-cone faces to enumerate")
     return HypothesisReport(
         constants=c, rho=rho, delta=delta, verdicts=verdicts,
         overall_pass=all(v["pass"] for v in verdicts.values()),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -248,6 +249,38 @@ def test_polish_of_tiny_boxes_follows_the_one_at_a_time_path(widths):
         assert np.array_equal(arg, ref_arg)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_polish_moves_only_the_coordinates_the_objective_reads(d):
+    rng = np.random.default_rng(500 + d)
+    for kind in ("smooth", "plateau"):
+        for _ in range(20):
+            live = np.zeros(d, dtype=bool)
+            live[rng.choice(d, int(rng.integers(1, d)), replace=False)] = True
+            inner = random_objective(rng, int(live.sum()), plateau=kind == "plateau")
+
+            def fn(x, inner=inner, live=live):
+                return inner(x[:, live])
+
+            lo = rng.uniform(-2.5, 0.0, d)
+            hi = lo + rng.uniform(0.1, 3.0, d)
+            # a dead coordinate may hold the box's widest side, which sets the step floor
+            hi[~live] = lo[~live] + rng.choice([0.5, 1e4], int((~live).sum()))
+            x0 = rng.uniform(-3.0, 3.0, d)
+            points = []
+            full = _pattern_maximize(fn, x0, lo, hi)
+            masked = _pattern_maximize(lambda x: points.append(x.copy()) or fn(x), x0, lo, hi, live=live)
+            assert masked[0] == full[0]
+            assert np.array_equal(masked[1], full[1])
+            # no evaluated point moves a dead coordinate off the (clipped) start
+            points = np.concatenate(points)
+            assert np.array_equal(points[:, ~live], np.broadcast_to(np.clip(x0, lo, hi)[~live], points[:, ~live].shape))
+    # with no live coordinate the search returns its start; handed the value there, it calls nothing
+    calls = []
+    x_in = np.clip(x0, lo, hi)
+    best, arg = _pattern_maximize(lambda x: calls.append(x) or fn(x), x_in, lo, hi, value=1.5, live=np.zeros(d, bool))
+    assert (best, calls) == (1.5, []) and np.array_equal(arg, x_in)
+
+
 def test_example_verify_polish_calls(example_problem, monkeypatch):
     calls = 0
     search = fdvi.hypotheses._pattern_maximize
@@ -264,8 +297,9 @@ def test_example_verify_polish_calls(example_problem, monkeypatch):
     verify(example_problem.spec, example_problem.sampling, claimed=example_problem.claimed)
     # 7 polishes (six constants and L_F), each started from its grid value; one
     # batch per sweep would take about 400 calls, and evaluating each start
-    # again 57
-    assert calls == 50
+    # again 57.  The field reads no t, so M0's polish, over the time alone,
+    # has no move to try and calls nothing (it took one call of 86 rows)
+    assert calls == 49
 
 
 # --- compute_rho -------------------------------------------------------------
@@ -356,29 +390,30 @@ def test_delta_requires_contraction():
 
 def test_coercivity_scaled_identity_on_orthant():
     s = AffineOperator(3.0 * np.eye(2), np.zeros(2))
-    monotone, mu, liminf = check_coercivity(s, BoxSet.orthant(2), np.zeros(2), small_domain())
+    monotone, mu, liminf, exact = check_coercivity(s, BoxSet.orthant(2), np.zeros(2))
     assert monotone and mu == pytest.approx(3.0)
-    assert liminf == pytest.approx(3.0, abs=1e-9)
+    # the eigenvalue 3 repeats, and the faces {1} and {2} find it exactly
+    assert (liminf, exact) == (3.0, True)
 
 
 def test_coercivity_zero_operator_fails():
     s = AffineOperator(np.zeros((2, 2)), np.zeros(2))
-    monotone, mu, liminf = check_coercivity(s, BoxSet.orthant(2), np.zeros(2), small_domain())
+    monotone, mu, liminf, _ = check_coercivity(s, BoxSet.orthant(2), np.zeros(2))
     assert monotone and mu == pytest.approx(0.0)
-    assert liminf <= 1e-12
+    assert liminf == 0.0
 
 
 def test_coercivity_rotation_monotone_but_not_coercive():
     rot = AffineOperator(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
-    monotone, mu, liminf = check_coercivity(rot, BoxSet.orthant(2), np.zeros(2), small_domain())
+    monotone, mu, liminf, _ = check_coercivity(rot, BoxSet.orthant(2), np.zeros(2))
     assert monotone and mu == pytest.approx(0.0, abs=1e-12)
-    assert abs(liminf) <= 1e-9
+    assert liminf == 0.0
 
 
 def test_coercivity_bounded_box_is_vacuous():
     s = AffineOperator(np.zeros((2, 2)), np.zeros(2))
-    _, _, liminf = check_coercivity(s, BoxSet([0.0, 0.0], [1.0, 1.0]), np.zeros(2), small_domain())
-    assert liminf == math.inf
+    _, _, liminf, exact = check_coercivity(s, BoxSet([0.0, 0.0], [1.0, 1.0]), np.zeros(2))
+    assert (liminf, exact) == (math.inf, True)
 
 
 def test_coercivity_anchor_must_be_feasible():
@@ -387,7 +422,112 @@ def test_coercivity_anchor_must_be_feasible():
     for k, u0 in ((BoxSet.orthant(2), [-1.0, 0.0]),
                   (BoxSet([0.0, 0.0], [1000.0, 1000.0]), [1000.001, 0.0])):
         with pytest.raises(AnchorNotFeasible):
-            check_coercivity(s, k, np.array(u0), small_domain())
+            check_coercivity(s, k, np.array(u0))
+
+
+def random_box(rng, m):
+    """A box K whose coordinates are each free, >= a, <= a or bounded on both sides."""
+    lo, hi = np.full(m, -math.inf), np.full(m, math.inf)
+    for i, kind in enumerate(rng.choice(["free", "ge", "le", "bounded"], m)):
+        a = rng.uniform(-2.0, 2.0)
+        if kind in ("ge", "bounded"):
+            lo[i] = a
+        if kind == "le":
+            hi[i] = a
+        if kind == "bounded":
+            hi[i] = a + rng.uniform(0.1, 3.0)
+    return BoxSet(lo, hi)
+
+
+def cone_scan(sym, k, dirs):
+    """Smallest d^T sym d over the unit rows of dirs clamped into K's recession cone and renormalised.
+
+    Returns inf when the cone is {0}.  Clamping is the projection onto the
+    cone, so every clamped row is a direction of the cone, and one within r
+    of a minimizer lands within 2r of it after renormalising.
+    """
+    d = np.where(np.isfinite(k.lo), np.maximum(dirs, 0.0), dirs)
+    d = np.where(np.isfinite(k.hi), np.minimum(d, 0.0), d)
+    norms = np.linalg.norm(d, axis=1)
+    d = d[norms > 0.0] / norms[norms > 0.0, None]
+    return float(np.min(np.einsum("ij,jk,ik->i", d, sym, d))) if d.size else math.inf
+
+
+def fibonacci_sphere(count):
+    """count nearly evenly spread unit vectors of R^3; every unit vector is within sqrt(4 pi / count) of one."""
+    i = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * i / count
+    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_coercivity_is_the_minimum_of_a_dense_direction_scan(m):
+    count = 100_000
+    if m == 2:
+        theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        dirs, radius = np.column_stack((np.cos(theta), np.sin(theta))), math.pi / count
+    else:
+        dirs, radius = fibonacci_sphere(count), math.sqrt(4.0 * math.pi / count)
+    rng = np.random.default_rng(300 + m)
+    kinds = set()
+    for _ in range(40):
+        s = AffineOperator(rng.uniform(-2.0, 2.0, (m, m)), rng.uniform(-1.0, 1.0, m))
+        k = random_box(rng, m)
+        kinds.add(tuple(np.isfinite(k.lo) * 1 + np.isfinite(k.hi) * 2))
+        monotone, mu, liminf, exact = check_coercivity(s, k, k.project(rng.uniform(-3.0, 3.0, m)))
+        assert (monotone, mu, exact) == (s.monotone, s.mu, True)
+        sym = 0.5 * (s.M + s.M.T)
+        scan = cone_scan(sym, k, dirs)
+        if k.bounded:
+            assert liminf == scan == math.inf
+            continue
+        # d^T A d is 2 ||A||-Lipschitz on the unit sphere
+        gap = 2.0 * np.linalg.norm(sym, 2) * 2.0 * radius
+        assert mu <= liminf <= scan + 1e-12
+        assert scan - liminf <= gap
+    assert len(kinds) > 10  # the boxes mix every kind of coordinate
+
+
+@pytest.mark.parametrize("m_mat, lo, hi, liminf", [
+    # eigenvalue 2 twice: its eigenspace meets the open face of {1, 2}, and the faces {1}, {2} find it
+    (np.diag([2.0, 2.0, 5.0]), [0.0, 0.0, 0.0], [math.inf] * 3, 2.0),
+    (3.0 * np.eye(3), [-math.inf, 0.0, -math.inf], [math.inf, math.inf, 1.0], 3.0),
+    # mu = -1 along (1, -1), which leaves the orthant; on it the minimum is 1, at e1 and e2
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), [0.0, 0.0], [math.inf, math.inf], 1.0),
+    # the same on the cone d1 >= 0, d2 <= 0, which holds (1, -1)
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), [0.0, -math.inf], [math.inf, 0.0], -1.0),
+    # a coordinate bounded on both sides drops out: only e1 is left
+    (np.array([[4.0, 2.0], [2.0, -7.0]]), [-math.inf, 0.0], [math.inf, 1.0], 4.0),
+], ids=["repeated", "3I-mixed", "orthant-cuts-mu", "cone-holds-mu", "bounded-coordinate"])
+def test_coercivity_exact_values(m_mat, lo, hi, liminf):
+    s = AffineOperator(m_mat, np.zeros(len(lo)))
+    k = BoxSet(lo, hi)
+    monotone, mu, value, exact = check_coercivity(s, k, k.project(np.zeros(len(lo))))
+    assert (value, exact) == (pytest.approx(liminf, abs=1e-15), True)
+    assert value >= mu
+
+
+def test_coercivity_over_the_face_cap_reports_mu(example_spec, monkeypatch):
+    s = AffineOperator(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+    assert check_coercivity(s, BoxSet.orthant(2), np.zeros(2))[2:] == (pytest.approx(1.0, abs=1e-15), True)
+    cap = fdvi.hypotheses._FACE_CAP
+    big = AffineOperator(np.eye(cap + 1), np.zeros(cap + 1))
+    assert check_coercivity(big, BoxSet.orthant(cap + 1), np.zeros(cap + 1)) == (True, big.mu, big.mu, False)
+    monkeypatch.setattr(fdvi.hypotheses, "_FACE_CAP", 1)
+    # two signed coordinates are over a cap of one: mu = -1 is a lower bound of the liminf 1
+    monotone, mu, liminf, exact = check_coercivity(s, BoxSet.orthant(2), np.zeros(2))
+    assert (liminf, exact) == (mu, False) and mu == pytest.approx(-1.0)
+    # a coordinate bounded on both sides is not signed, and a bounded K needs no faces
+    assert check_coercivity(s, BoxSet([0.0, 0.0], [math.inf, 1.0]), np.zeros(2))[2:] == (1.0, True)
+    assert check_coercivity(s, BoxSet([0.0, 0.0], [1.0, 1.0]), np.zeros(2))[2:] == (math.inf, True)
+    report = verify(example_spec, small_domain(y_samples=64))
+    assert report.constants["coercive_liminf"] == report.constants["mu"] == 3.0
+    assert report.verdicts["A6_coercivity"]["liminf_quotient"] == 3.0
+    assert report.flags[-1].startswith("coercive_liminf is mu, a lower bound")
+    monkeypatch.undo()
+    assert not any("coercive_liminf" in flag for flag in verify(example_spec, small_domain(y_samples=64)).flags)
 
 
 @pytest.mark.parametrize("offset, inside", [(1e-13, True), (1e-10, False)])
@@ -403,7 +543,7 @@ def test_anchor_membership_has_one_tolerance(offset, inside):
         loaded = False
     k = BoxSet.orthant(2)
     try:
-        check_coercivity(AffineOperator(3.0 * np.eye(2), np.zeros(2)), k, doc["anchor_u0"], small_domain())
+        check_coercivity(AffineOperator(3.0 * np.eye(2), np.zeros(2)), k, doc["anchor_u0"])
         checked = True
     except AnchorNotFeasible:
         checked = False
@@ -437,7 +577,7 @@ def test_every_consumer_reads_the_operators_monotonicity(example_spec, m_mat, mo
             solve_vi(single)
         with pytest.raises(NonMonotoneError):
             dataclasses.replace(example_spec, S=s)
-    assert check_coercivity(s, BoxSet.orthant(2), np.zeros(2), small_domain())[0] is monotone
+    assert check_coercivity(s, BoxSet.orthant(2), np.zeros(2))[0] is monotone
 
 
 # --- estimate_constants --------------------------------------------------------
@@ -1044,9 +1184,14 @@ def test_verify_scaled_field_raises_rho(example_spec):
 
 
 def test_verify_report_is_deterministic(example_spec):
-    import json
-
     dom = small_domain(y_samples=512)
     r1 = verify(example_spec, dom, claimed={"eta_Q": 7.85})
     r2 = verify(example_spec, dom, claimed={"eta_Q": 7.85})
     assert json.dumps(r1.as_dict(), sort_keys=True) == json.dumps(r2.as_dict(), sort_keys=True)
+
+
+def test_report_as_dict_is_the_deep_copy_plus_the_derived_keys(example_problem):
+    report = verify(example_problem.spec, example_problem.sampling, claimed=example_problem.claimed)
+    norms = {name: row.norm for name, row in CONSTANTS.items()}
+    expected = {**dataclasses.asdict(report), "expected_sup_norm_bound": report.delta, "norms": norms}
+    assert json.dumps(report.as_dict()) == json.dumps(expected)
