@@ -196,9 +196,11 @@ def build_problem(doc: dict) -> LoadedProblem:
     if t_horizon <= 0.0:
         raise ConfigError("/T", "horizon must be positive")
     n = _integer(_require(doc, "n", ""), "/n")
+    if n < 1:
+        raise ConfigError("/n", "dimension n must be positive")
     m = _integer(_require(doc, "m", ""), "/m")
-    if n < 1 or m < 1:
-        raise ConfigError("/n", "dimensions n and m must be positive")
+    if m < 1:
+        raise ConfigError("/m", "dimension m must be positive")
     alpha = _number(_require(doc, "alpha", ""), "/alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError("/alpha", f"membership level must lie in [0, 1], got {alpha}")

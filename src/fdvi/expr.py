@@ -9,16 +9,23 @@ than unary minus):
     power   := primary ['^' unary]
     primary := NUMBER | 'pi' | 'e' | 't' | 'y<k>' | NAME '(' expr [',' expr] ')' | '(' expr ')'
 
-Variables are t and y1..yn where n is fixed at parse time.  Evaluation
-works on scalars or numpy arrays (t of shape (k,), y of shape (k, n))
-and raises instead of propagating NaN/inf: the whole tree walk runs under
-one numpy errstate that turns overflow into EvalOverflowError.
+Variables are t and y1..yn where n is fixed at parse time; a literal
+beyond the float range is a syntax error.
 
-value_and_gradient walks the same tree in forward mode: next to each value
-it carries the y-gradient as a sparse map {coordinate: partial} over the
-coordinates the subexpression reads, with one derivative rule per operator
-and per function.  The verifier's field slope (FuzzyBoxField.slope) is
-built on it.
+One table, _RULES, keyed by operator symbol and function name, holds each
+operation's arity (the parser reads it), numpy implementation, domain
+check and derivative rule (the partial in each argument, from the
+arguments' values and the node's own value).  An Expression compiles its
+tree once, at its first evaluation, into nested closures over the table
+(Expression.compiled).  Evaluation works on scalars or numpy arrays (t of
+shape (k,), y of shape (k, n)) and raises instead of propagating NaN/inf:
+it runs under one numpy errstate that turns overflow into
+EvalOverflowError.
+
+value_and_gradient walks the tree in forward mode over the same table:
+next to each value it carries the y-gradient as a sparse map {coordinate:
+partial} over the coordinates the subexpression reads.  The verifier's
+field slope (FuzzyBoxField.slope) is built on it.
 
 Expression.reads is the set of variables an expression reads, from its
 syntax alone; the verifier samples each constant only along the axes
@@ -28,9 +35,11 @@ syntax alone; the verifier samples each constant only along the axes
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,20 +85,6 @@ class Call:
 Node = Num | Const | Var | Neg | BinOp | Call
 
 _CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
-
-# name -> (arity, numpy implementation)
-_FUNCTIONS = {
-    "sin": (1, np.sin),
-    "cos": (1, np.cos),
-    "tan": (1, np.tan),
-    "atan": (1, np.arctan),
-    "exp": (1, np.exp),
-    "log": (1, np.log),
-    "abs": (1, np.abs),
-    "sqrt": (1, np.sqrt),
-    "min": (2, np.minimum),
-    "max": (2, np.maximum),
-}
 _ALIASES = {"arctan": "atan"}
 
 
@@ -112,8 +107,13 @@ class Expression:
             node = stack.pop()
             if isinstance(node, Var):
                 out.add(f"y{node.index}" if node.index else "t")  # y01 reads y1
-            stack.extend(_operands(node))
+            stack.extend(_parts(node)[1])
         return frozenset(out)
+
+    @cached_property
+    def compiled(self):
+        """The expression as one closure (t, y) -> value, built at its first evaluation."""
+        return _compile(self.root)
 
 
 # --- Tokenizer -----------------------------------------------------------
@@ -217,14 +217,17 @@ class _Parser:
         tok = self.cur
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if math.isinf(value):  # Num(inf) would make evaluate return inf
+                raise ExprSyntaxError(tok.pos, "a number within the float range", tok.text)
+            return Num(value)
         if tok.kind == "name":
             self.advance()
             name = _ALIASES.get(tok.text, tok.text)
             if self.cur.kind == "op" and self.cur.text == "(":
-                if name not in _FUNCTIONS:
+                if name not in _RULES:
                     raise UnknownIdentifier(tok.text, tok.pos, "not a known function")
-                arity = _FUNCTIONS[name][0]
+                arity = _RULES[name].arity
                 self.advance()
                 args = [self.expr()]
                 while self.cur.kind == "op" and self.cur.text == ",":
@@ -246,7 +249,7 @@ class _Parser:
                         tok.text, tok.pos, f"state has coordinates y1..y{self.nvars}"
                     )
                 return Var(name, k)
-            if name in _FUNCTIONS:
+            if name in _RULES:
                 raise ExprSyntaxError(self.cur.pos, f"'(' after function {name!r}", self.cur.text)
             raise UnknownIdentifier(tok.text, tok.pos)
         if tok.kind == "op" and tok.text == "(":
@@ -266,55 +269,6 @@ def parse(source: str, n: int) -> Expression:
 
 
 # --- Evaluation ----------------------------------------------------------
-
-
-def _binop(node: BinOp, a, b):
-    """The value of node from its operands' values; domain violations raise EvalDomainError."""
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        if np.any(np.asarray(b) == 0.0):
-            raise EvalDomainError(to_source(node), "division by zero")
-        return a / b
-    # power
-    if np.any((a < 0.0) & (b != np.floor(b))):
-        raise EvalDomainError(to_source(node), "negative base with non-integer exponent")
-    if np.any((a == 0.0) & (b < 0.0)):
-        raise EvalDomainError(to_source(node), "zero base with negative exponent")
-    return np.power(a, b)
-
-
-def _call(node: Call, args):
-    """The value of node from its arguments' values; domain violations raise EvalDomainError."""
-    name = node.name
-    if name == "log" and np.any(np.asarray(args[0]) <= 0.0):
-        raise EvalDomainError(to_source(node), "log of a nonpositive value")
-    if name == "sqrt" and np.any(np.asarray(args[0]) < 0.0):
-        raise EvalDomainError(to_source(node), "sqrt of a negative value")
-    return _FUNCTIONS[name][1](*args)
-
-
-def _ev(node: Node, t, y):
-    if isinstance(node, Num):
-        return np.float64(node.value)  # numpy arithmetic, so overflow trips the errstate
-    if isinstance(node, Const):
-        return _CONSTS[node.name]
-    if isinstance(node, Var):
-        if node.index == 0:
-            return t
-        return y[..., node.index - 1]
-    if isinstance(node, Neg):
-        return -_ev(node.operand, t, y)
-    if isinstance(node, BinOp):
-        return _binop(node, _ev(node.left, t, y), _ev(node.right, t, y))
-    return _call(node, [_ev(a, t, y) for a in node.args])
-
-
-# --- Forward-mode derivatives ----------------------------------------------
 #
 # A gradient is a dict {0-based y coordinate: partial derivative}, holding
 # exactly the coordinates the subexpression reads, so a row costs work in the
@@ -324,112 +278,154 @@ def _ev(node: Node, t, y):
 _ONE = np.float64(1.0)
 
 
-def _linear(*terms) -> dict:
-    """sum of coef * grad over the (coef, grad) terms, per coordinate, in term order."""
-    out: dict = {}
-    for coef, grad in terms:
-        for k, g in grad.items():
-            term = g if coef is _ONE else coef * g
-            out[k] = out[k] + term if k in out else term
-    return out
+class _Rule(NamedTuple):
+    arity: int
+    impl: Callable  # the value from the arguments' values
+    domain: Callable | None  # the arguments' values -> the violation's text, or None inside the domain
+    grad: Callable  # (arguments' values, their gradients, the node's value) -> the node's gradient
 
 
-def _binop_grad(op: str, a, da: dict, b, db: dict, value) -> dict:
-    if op == "+":
-        return _linear((_ONE, da), (_ONE, db))
-    if op == "-":
-        return _linear((_ONE, da), (-_ONE, db))
-    if op == "*":
-        return _linear((b, da), (a, db))
-    if op == "/":
-        return _linear((1.0 / b, da), (-value / b, db))
-    # power: d(a^b) = b a^(b-1) da + a^b log(a) db; the log term only when b reads y
+def _chain(*partials):
+    """The chain rule: sum of partials[i](*args, value) * grads[i] over the arguments i that read y."""
+    def grad(args, grads, value):
+        out: dict = {}
+        for partial_i, da in zip(partials, grads):
+            if da:
+                coef = partial_i(*args, value)
+                for k, g in da.items():
+                    term = g if coef is _ONE else coef * g
+                    out[k] = out[k] + term if k in out else term
+        return out
+    return grad
+
+
+def _select(take_left):
+    """min/max: every partial is the taken argument's, row by row, so a partial of the other stays out."""
+    def grad(args, grads, value):
+        (a, b), (da, db) = args, grads
+        left = take_left(a, b)
+        return {k: np.where(left, da.get(k, 0.0), db.get(k, 0.0)) for k in da.keys() | db.keys()}
+    return grad
+
+
+def _power_domain(a, b):
+    if np.any((a < 0.0) & (b != np.floor(b))):
+        return "negative base with non-integer exponent"
+    if np.any((a == 0.0) & (b < 0.0)):
+        return "zero base with negative exponent"
+    return None
+
+
+def _power_base_partial(a, b, value):
     coef = b * np.power(a, b - 1.0)
     if np.any(b == 0.0):  # a^0 is constant, also at a = 0
         coef = np.where(b == 0.0, 0.0, coef)
-    if not db:
-        return _linear((coef, da))
-    return _linear((coef, da), (value * np.log(a), db))
+    return coef
 
 
-def _call_grad(name: str, args, value) -> dict:
-    if name in ("min", "max"):
-        (a, da), (b, db) = args
-        left = a <= b if name == "min" else a >= b  # ties take the left
-        return {k: np.where(left, da.get(k, 0.0), db.get(k, 0.0)) for k in da.keys() | db.keys()}
-    a, da = args[0]
-    if name == "sin":
-        coef = np.cos(a)
-    elif name == "cos":
-        coef = -np.sin(a)
-    elif name == "tan":
-        coef = 1.0 + value * value
-    elif name == "atan":
-        coef = 1.0 / (1.0 + a * a)
-    elif name == "exp":
-        coef = value
-    elif name == "log":
-        coef = 1.0 / a
-    elif name == "abs":
-        coef = np.sign(a)  # sign(0) = 0
-    else:  # sqrt
-        coef = 0.5 / value
-    return _linear((coef, da))
+_NEG = "u-"  # unary minus; not an identifier, so no call can name it
+
+# Operator symbol or function name -> rule.  The parser reads function
+# arities here; names are identifiers, so they never reach an operator.
+# + - * / use the operator module: numpy names an overflow of scalars
+# "... in scalar multiply", and that text reaches the user.
+_RULES = {
+    "+": _Rule(2, operator.add, None, _chain(lambda a, b, v: _ONE, lambda a, b, v: _ONE)),
+    "-": _Rule(2, operator.sub, None, _chain(lambda a, b, v: _ONE, lambda a, b, v: -_ONE)),
+    "*": _Rule(2, operator.mul, None, _chain(lambda a, b, v: b, lambda a, b, v: a)),
+    "/": _Rule(2, operator.truediv, lambda a, b: "division by zero" if np.any(np.asarray(b) == 0.0) else None,
+               _chain(lambda a, b, v: 1.0 / b, lambda a, b, v: -v / b)),
+    # d(a^b) = b a^(b-1) da + a^b log(a) db; the log term only when b reads y
+    "^": _Rule(2, np.power, _power_domain, _chain(_power_base_partial, lambda a, b, v: v * np.log(a))),
+    _NEG: _Rule(1, operator.neg, None, _chain(lambda a, v: -_ONE)),
+    "sin": _Rule(1, np.sin, None, _chain(lambda a, v: np.cos(a))),
+    "cos": _Rule(1, np.cos, None, _chain(lambda a, v: -np.sin(a))),
+    "tan": _Rule(1, np.tan, None, _chain(lambda a, v: 1.0 + v * v)),
+    "atan": _Rule(1, np.arctan, None, _chain(lambda a, v: 1.0 / (1.0 + a * a))),
+    "exp": _Rule(1, np.exp, None, _chain(lambda a, v: v)),
+    "log": _Rule(1, np.log, lambda a: "log of a nonpositive value" if np.any(np.asarray(a) <= 0.0) else None,
+                 _chain(lambda a, v: 1.0 / a)),
+    "abs": _Rule(1, np.abs, None, _chain(lambda a, v: np.sign(a))),  # sign(0) = 0
+    "sqrt": _Rule(1, np.sqrt, lambda a: "sqrt of a negative value" if np.any(np.asarray(a) < 0.0) else None,
+                  _chain(lambda a, v: 0.5 / v)),
+    "min": _Rule(2, np.minimum, None, _select(operator.le)),  # ties take the left
+    "max": _Rule(2, np.maximum, None, _select(operator.ge)),
+}
+
+
+def _parts(node: Node) -> tuple:
+    """(rule key, operands) of node; a leaf has the key None and no operands."""
+    if isinstance(node, Neg):
+        return _NEG, (node.operand,)
+    if isinstance(node, BinOp):
+        return node.op, (node.left, node.right)
+    if isinstance(node, Call):
+        return node.name, node.args
+    return None, ()
+
+
+def _apply(rule: _Rule, node: Node, *args):
+    """rule's value at args; a domain violation raises EvalDomainError naming node."""
+    if rule.domain is not None:
+        violation = rule.domain(*args)
+        if violation:
+            raise EvalDomainError(to_source(node), violation)
+    return rule.impl(*args)
+
+
+def _compile(node: Node):
+    """node as a closure (t, y) -> value, calling the table's implementations and domain checks."""
+    key, operands = _parts(node)
+    if key is None:
+        if isinstance(node, Var):
+            k = node.index - 1
+            return (lambda t, y: y[..., k]) if k >= 0 else (lambda t, y: t)
+        # numpy scalars, so arithmetic on constants trips the errstate too
+        value = _CONSTS[node.name] if isinstance(node, Const) else np.float64(node.value)
+        return lambda t, y: value
+    rule = _RULES[key]
+    run = rule.impl if rule.domain is None else partial(_apply, rule, node)
+    if len(operands) == 1:
+        a = _compile(operands[0])
+        return lambda t, y: run(a(t, y))
+    a, b = map(_compile, operands)
+    return lambda t, y: run(a(t, y), b(t, y))
 
 
 def _dv(node: Node, t, y):
-    """(value, gradient) of node at (t, y); values check their domain as _ev's do."""
-    if isinstance(node, Var) and node.index > 0:
-        return y[..., node.index - 1], {node.index - 1: _ONE}
-    if isinstance(node, (Num, Const, Var)):
-        return _ev(node, t, y), {}
-    if isinstance(node, Neg):
-        a, da = _dv(node.operand, t, y)
-        return -a, _linear((-_ONE, da))
-    if isinstance(node, BinOp):
-        a, da = _dv(node.left, t, y)
-        b, db = _dv(node.right, t, y)
-        value = _binop(node, a, b)
-        if not (da or db):
-            return value, {}
-        with np.errstate(all="ignore"):  # a partial may be inf or nan where the value is finite
-            return value, _binop_grad(node.op, a, da, b, db, value)
-    args = [_dv(arg, t, y) for arg in node.args]
-    value = _call(node, [a for a, _ in args])
-    if not any(grad for _, grad in args):
+    """(value, gradient) of node at (t, y) in forward mode; values check their domain as evaluate's do."""
+    key, operands = _parts(node)
+    if key is None:
+        if isinstance(node, Var) and node.index > 0:
+            return y[..., node.index - 1], {node.index - 1: _ONE}
+        return _compile(node)(t, y), {}
+    rule = _RULES[key]
+    args, grads = zip(*(_dv(arg, t, y) for arg in operands))
+    value = _apply(rule, node, *args)
+    if not any(grads):
         return value, {}
-    with np.errstate(all="ignore"):
-        return value, _call_grad(node.name, args, value)
-
-
-def _operands(node: Node) -> tuple:
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Call):
-        return node.args
-    return ()
+    with np.errstate(all="ignore"):  # a partial may be inf or nan where the value is finite
+        return value, rule.grad(args, grads, value)
 
 
 def _nonfinite_site(node: Node, t, y) -> Node | None:
     """The innermost subexpression whose value is not finite, if any."""
-    for child in _operands(node):
+    for child in _parts(node)[1]:
         site = _nonfinite_site(child, t, y)
         if site is not None:
             return site
-    return None if np.all(np.isfinite(_ev(node, t, y))) else node
+    return None if np.all(np.isfinite(_compile(node)(t, y))) else node
 
 
-def _walk(walk, e: Expression, t, y):
-    """walk(e.root, t, y) on validated inputs, with value overflow raised as EvalOverflowError."""
+def _walk(run, e: Expression, t, y):
+    """run(t, y) on validated inputs, with value overflow raised as EvalOverflowError."""
     y = np.asarray(y, dtype=float)
     if e.nvars > 0 and y.shape[-1] != e.nvars:
         raise EvalDomainError(e.source, f"state has {y.shape[-1]} coordinates, expression expects {e.nvars}")
     t = np.asarray(t, dtype=float)[()]  # a 0-d t becomes a numpy scalar
     try:
         with np.errstate(all="raise", under="ignore"):
-            return walk(e.root, t, y)
+            return run(t, y)
     except FloatingPointError as exc:
         # Only the failing call pays for locating the subexpression.
         with np.errstate(all="ignore"):
@@ -446,7 +442,7 @@ def evaluate(e: Expression, t, y):
     finite input whose value overflows raises EvalOverflowError naming
     the innermost offending subexpression.
     """
-    return _walk(_ev, e, t, y)
+    return _walk(e.compiled, e, t, y)
 
 
 def value_and_gradient(e: Expression, t, y):
@@ -460,7 +456,7 @@ def value_and_gradient(e: Expression, t, y):
     and a tie takes the left argument.  A partial may be inf or nan where
     the derivative does not exist, e.g. sqrt or a fractional power at 0.
     """
-    return _walk(_dv, e, t, y)
+    return _walk(partial(_dv, e.root), e, t, y)
 
 
 # --- Pretty printer ------------------------------------------------------

@@ -247,7 +247,7 @@ def _solve_newton_box(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarra
 _TIKHONOV_EPS = (1e-2, 1e-4, 1e-6)
 
 
-def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray) -> tuple[np.ndarray, int]:
+def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray) -> np.ndarray:
     """mu ~ 0: Tikhonov solves at eps in {1e-2,1e-4,1e-6}, extrapolated to eps = 0.
 
     Quadratic extrapolation of the regularization path approximates the
@@ -280,7 +280,7 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
             residual=res,
             iterations=max_iter,
         )
-    return u_star, 3
+    return u_star
 
 
 def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, start=None) -> np.ndarray:
@@ -302,7 +302,7 @@ def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, star
     if inst.s.strongly_monotone:
         u, _ = _solve_strong(inst, mu, tol, max_iter, u0)
     elif inst.w.ndim == 1:
-        u, _ = _solve_monotone(inst, tol, max_iter, u0)
+        u = _solve_monotone(inst, tol, max_iter, u0)
     else:
         raise DimensionMismatch(f"a monotone S with mu = {mu:.3e} takes one instance, got a batch of {inst.w.shape[0]}")
     return u

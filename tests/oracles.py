@@ -5,12 +5,20 @@ level_arrays, the lag weights of fdvi.fractional); these pointwise forms
 are the tests' oracles for them: the fuzzy field and the grid sup norm at
 one point, and the product-trapezoid fractional integral at one node built
 from exact kernel moments.
+
+fdvi.expr compiles each expression from one rule table; the tree walkers
+at the end of this file are its reference: one isinstance chain for
+values and one for forward-mode gradients, with the operators' value and
+derivative rules written out separately.  Both must agree bit for bit,
+errors and their messages included.
 """
+
+import math
 
 import numpy as np
 
-from fdvi.errors import DomainError
-from fdvi.expr import evaluate
+from fdvi.errors import DomainError, EvalDomainError, EvalOverflowError
+from fdvi.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, to_source
 from fdvi.fuzzy import FuzzyBox, FuzzyIntervalNumber
 from fdvi.special import gamma
 
@@ -84,3 +92,190 @@ def frac_integral_moments(q: float, phi, i: int) -> np.ndarray:
     wl = (right * m0 - m1) / grid.h  # weight of the left endpoint of each panel
     wr = (m1 - left * m0) / grid.h  # weight of the right endpoint
     return (wl @ phi.values[:i] + wr @ phi.values[1 : i + 1]) / gamma(q)
+
+
+# --- tree-walking expression evaluator ----------------------------------------
+
+_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
+
+# name -> (arity, numpy implementation)
+_FUNCTIONS = {
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "tan": (1, np.tan),
+    "atan": (1, np.arctan),
+    "exp": (1, np.exp),
+    "log": (1, np.log),
+    "abs": (1, np.abs),
+    "sqrt": (1, np.sqrt),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+}
+
+
+def _binop(node: BinOp, a, b):
+    """The value of node from its operands' values; domain violations raise EvalDomainError."""
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        if np.any(np.asarray(b) == 0.0):
+            raise EvalDomainError(to_source(node), "division by zero")
+        return a / b
+    # power
+    if np.any((a < 0.0) & (b != np.floor(b))):
+        raise EvalDomainError(to_source(node), "negative base with non-integer exponent")
+    if np.any((a == 0.0) & (b < 0.0)):
+        raise EvalDomainError(to_source(node), "zero base with negative exponent")
+    return np.power(a, b)
+
+
+def _call(node: Call, args):
+    """The value of node from its arguments' values; domain violations raise EvalDomainError."""
+    name = node.name
+    if name == "log" and np.any(np.asarray(args[0]) <= 0.0):
+        raise EvalDomainError(to_source(node), "log of a nonpositive value")
+    if name == "sqrt" and np.any(np.asarray(args[0]) < 0.0):
+        raise EvalDomainError(to_source(node), "sqrt of a negative value")
+    return _FUNCTIONS[name][1](*args)
+
+
+def _ev(node, t, y):
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Const):
+        return _CONSTS[node.name]
+    if isinstance(node, Var):
+        if node.index == 0:
+            return t
+        return y[..., node.index - 1]
+    if isinstance(node, Neg):
+        return -_ev(node.operand, t, y)
+    if isinstance(node, BinOp):
+        return _binop(node, _ev(node.left, t, y), _ev(node.right, t, y))
+    return _call(node, [_ev(a, t, y) for a in node.args])
+
+
+_ONE = np.float64(1.0)
+
+
+def _linear(*terms) -> dict:
+    """sum of coef * grad over the (coef, grad) terms, per coordinate, in term order."""
+    out: dict = {}
+    for coef, grad in terms:
+        for k, g in grad.items():
+            term = g if coef is _ONE else coef * g
+            out[k] = out[k] + term if k in out else term
+    return out
+
+
+def _binop_grad(op: str, a, da: dict, b, db: dict, value) -> dict:
+    if op == "+":
+        return _linear((_ONE, da), (_ONE, db))
+    if op == "-":
+        return _linear((_ONE, da), (-_ONE, db))
+    if op == "*":
+        return _linear((b, da), (a, db))
+    if op == "/":
+        return _linear((1.0 / b, da), (-value / b, db))
+    # power: d(a^b) = b a^(b-1) da + a^b log(a) db; the log term only when b reads y
+    coef = b * np.power(a, b - 1.0)
+    if np.any(b == 0.0):  # a^0 is constant, also at a = 0
+        coef = np.where(b == 0.0, 0.0, coef)
+    if not db:
+        return _linear((coef, da))
+    return _linear((coef, da), (value * np.log(a), db))
+
+
+def _call_grad(name: str, args, value) -> dict:
+    if name in ("min", "max"):
+        (a, da), (b, db) = args
+        left = a <= b if name == "min" else a >= b  # ties take the left
+        return {k: np.where(left, da.get(k, 0.0), db.get(k, 0.0)) for k in da.keys() | db.keys()}
+    a, da = args[0]
+    if name == "sin":
+        coef = np.cos(a)
+    elif name == "cos":
+        coef = -np.sin(a)
+    elif name == "tan":
+        coef = 1.0 + value * value
+    elif name == "atan":
+        coef = 1.0 / (1.0 + a * a)
+    elif name == "exp":
+        coef = value
+    elif name == "log":
+        coef = 1.0 / a
+    elif name == "abs":
+        coef = np.sign(a)
+    else:  # sqrt
+        coef = 0.5 / value
+    return _linear((coef, da))
+
+
+def _dv(node, t, y):
+    if isinstance(node, Var) and node.index > 0:
+        return y[..., node.index - 1], {node.index - 1: _ONE}
+    if isinstance(node, (Num, Const, Var)):
+        return _ev(node, t, y), {}
+    if isinstance(node, Neg):
+        a, da = _dv(node.operand, t, y)
+        return -a, _linear((-_ONE, da))
+    if isinstance(node, BinOp):
+        a, da = _dv(node.left, t, y)
+        b, db = _dv(node.right, t, y)
+        value = _binop(node, a, b)
+        if not (da or db):
+            return value, {}
+        with np.errstate(all="ignore"):
+            return value, _binop_grad(node.op, a, da, b, db, value)
+    args = [_dv(arg, t, y) for arg in node.args]
+    value = _call(node, [a for a, _ in args])
+    if not any(grad for _, grad in args):
+        return value, {}
+    with np.errstate(all="ignore"):
+        return value, _call_grad(node.name, args, value)
+
+
+def _operands(node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _nonfinite_site(node, t, y):
+    for child in _operands(node):
+        site = _nonfinite_site(child, t, y)
+        if site is not None:
+            return site
+    return None if np.all(np.isfinite(_ev(node, t, y))) else node
+
+
+def _walk(walk, e, t, y):
+    y = np.asarray(y, dtype=float)
+    if e.nvars > 0 and y.shape[-1] != e.nvars:
+        raise EvalDomainError(e.source, f"state has {y.shape[-1]} coordinates, expression expects {e.nvars}")
+    t = np.asarray(t, dtype=float)[()]
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return walk(e.root, t, y)
+    except FloatingPointError as exc:
+        with np.errstate(all="ignore"):
+            site = _nonfinite_site(e.root, t, y) or e.root
+        raise EvalOverflowError(to_source(site), str(exc)) from None
+
+
+def walk_evaluate(e, t, y):
+    """fdvi.expr.evaluate by walking the tree."""
+    return _walk(_ev, e, t, y)
+
+
+def walk_value_and_gradient(e, t, y):
+    """fdvi.expr.value_and_gradient by walking the tree."""
+    return _walk(_dv, e, t, y)

@@ -161,6 +161,9 @@ def _edited(path, value):
     (("sampling", "seed"), -1, "/sampling"),
     (("sampling", "seed"), 2**64, "/sampling"),
     (("sampling", "seed"), 2.5, "/sampling/seed"),
+    (("n",), 0, "/n"),
+    (("m",), 0, "/m"),
+    (("c1", 0), "2*1e999", "/c1/0"),  # a literal beyond the float range
 ])
 def test_config_errors_point_at_the_offending_value(path, value, pointer):
     with pytest.raises(ConfigError) as err:
@@ -272,7 +275,7 @@ def test_cli_solve_cycle_operator_on_the_whole_space(tmp_path):
     assert diag["converged"] and diag["N"] == 64
 
 
-@pytest.mark.parametrize("override", ["solver.vi_tol=NaN", "solver.picard_tol=NaN"])
+@pytest.mark.parametrize("override", ["solver.vi_tol=NaN", "solver.picard_tol=NaN", "fuzzy.0.scale=2*1e999"])
 def test_cli_nan_override_is_config_error(tmp_path, config_path, override, capsys):
     rc = main(["solve", "--config", config_path, "--out", str(tmp_path / "out"), "--override", override])
     assert rc == 1

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdvi.errors import ArityError, EvalDomainError, EvalOverflowError, ExprSyntaxError, UnknownIdentifier
 from fdvi.expr import evaluate, parse, to_source, value_and_gradient
+from oracles import walk_evaluate, walk_value_and_gradient
 
 
 def ev(source, t=0.0, y=0.0, n=1):
@@ -94,6 +95,9 @@ def test_syntax_error_carries_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse("1 + * 2", 1)
     assert err.value.offset == 4
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("y1 * 1.5e400 + 1", 1)  # a literal beyond the float range
+    assert err.value.offset == 5
     with pytest.raises(ExprSyntaxError):
         parse("sin(t", 1)
     with pytest.raises(ExprSyntaxError):
@@ -183,6 +187,92 @@ def test_overflow_raises_eval_overflow_error(source, t, ys):
     except EvalOverflowError:
         return
     assert np.all(np.isfinite(value))
+
+
+# --- bit identity with the tree walkers ----------------------------------------
+
+# every operator and function of the grammar; "neg" is unary minus
+_OPERATIONS = ["+", "-", "*", "/", "^", "neg", "min", "max",
+               "sin", "cos", "tan", "atan", "arctan", "exp", "log", "abs", "sqrt"]
+
+
+def _spell(op, a, b):
+    if op in ("+", "-", "*", "/", "^"):
+        return f"({a} {op} {b})"
+    if op == "neg":
+        return f"-{a}"
+    return f"{op}({a}, {b})" if op in ("min", "max") else f"{op}({a})"
+
+
+def _grammar_expressions():
+    """Expressions over y1, y2 built from every operation, constant and variable of the grammar."""
+    leaves = st.sampled_from(["y1", "y2", "y1", "y2", "t", "pi", "e", "0", "1", "2", "0.5", "1.7", "1e300"])
+    return st.recursive(leaves, lambda sub: st.builds(_spell, st.sampled_from(_OPERATIONS), sub, sub),
+                        max_leaves=6)
+
+
+# zeros, ties, signs and magnitudes that reach every domain check, kink and overflow
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.5, 0.5, 1e-320, 1e200, -1e300, 800.0]),
+                    st.floats(-10.0, 10.0))
+
+
+def _outcome(fn, e, t, y):
+    """fn's result, or the type and text of the evaluation error it raised."""
+    try:
+        return fn(e, t, y), None
+    except EvalDomainError as exc:  # EvalOverflowError too
+        return None, (type(exc), str(exc))
+
+
+def _bits(x):
+    return type(x), np.shape(x), np.asarray(x).tobytes()
+
+
+def _assert_same_as_the_tree_walkers(e, t, y):
+    value, err = _outcome(evaluate, e, t, y)
+    ref, ref_err = _outcome(walk_evaluate, e, t, y)
+    assert err == ref_err
+    if err is None:
+        assert _bits(value) == _bits(ref)
+    pair, err = _outcome(value_and_gradient, e, t, y)
+    ref_pair, ref_err = _outcome(walk_value_and_gradient, e, t, y)
+    assert err == ref_err
+    if err is None:
+        (value, grad), (ref, ref_grad) = pair, ref_pair
+        assert _bits(value) == _bits(ref)
+        assert grad.keys() == ref_grad.keys()
+        assert all(_bits(grad[k]) == _bits(ref_grad[k]) for k in grad)
+
+
+@seed(20240611)
+@given(_grammar_expressions(), hnp.arrays(np.float64, 3, elements=_COORDS),
+       hnp.arrays(np.float64, (3, 2), elements=_COORDS))
+@settings(max_examples=250, deadline=None, database=None)
+def test_compiled_rules_match_the_tree_walkers(source, ts, ys):
+    # values, gradients and error messages, bit for bit, on a batch and on each of its rows
+    e = parse(source, 2)
+    _assert_same_as_the_tree_walkers(e, ts, ys)
+    for t, y in zip(ts, ys):
+        _assert_same_as_the_tree_walkers(e, t, y)
+
+
+@pytest.mark.parametrize("source, t, y", [
+    ("1e300 * t", 1e200, [0.0, 0.0]),  # numpy scalars name a "scalar multiply"
+    ("t / 1e-300", 1e200, [0.0, 0.0]),
+    ("-(y1 * y1) + exp(y2)", 0.0, [1e200, 800.0]),  # the first overflow in evaluation order
+    ("exp(y1) - exp(y2)", 0.0, [[1.0, 800.0], [800.0, 1.0]]),
+    ("min(y1, y2) + max(y2, 2*y1)", 0.0, [[0.0, 0.0], [1.0, 2.0]]),  # ties take the left
+    ("max(sqrt(y1), y2)", 0.0, [0.0, 1.0]),  # the inf partial of the branch not taken stays out
+    ("min(y2, sqrt(y1))", 0.0, [0.0, -1.0]),
+    ("y1^0 + (y2 - 1)^0", 0.0, [0.0, 1.0]),
+    ("y1^y2", 0.0, [[-2.0, 3.0], [2.0, 0.5]]),
+    ("(y1 - 1)^-2", 0.0, [1.0, 0.0]),
+    ("y1^0.5", 0.0, [-2.0, 0.0]),
+    ("1/y1", 0.0, [[1e-320, 1.0]]),
+    ("log(y1 - y2) + sqrt(y2)", 0.0, [[2.0, -1.0]]),
+])
+def test_compiled_rules_match_the_tree_walkers_at_edges(source, t, y):
+    _assert_same_as_the_tree_walkers(parse(source, 2), t, np.array(y))
 
 
 # --- forward-mode derivatives -------------------------------------------------
