@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fractional import GridFunction
 from .hypotheses import compute_rho, estimate_field_lipschitz, verify
-from .solver import BandRun, band_envelope, picard_solve, solve_band
+from .solver import band_envelope, picard_solve, solve_band
 from .vi import AffineOperator, BoxSet, VIInstance, solve_vi, vi_residual
 
 EXIT_OK = 0
@@ -238,7 +238,12 @@ def cmd_verify(args) -> int:
 def cmd_vi(args) -> int:
     w = np.array(_parse_float_list(args.w, "w"))
     rows = [r for r in args.M.split(";") if r.strip() != ""]
-    mat = np.array([_parse_float_list(r, "M row") for r in rows])
+    mat = [_parse_float_list(r, "M row") for r in rows]
+    width = max(map(len, mat), default=0)
+    for k, (text, row) in enumerate(zip(rows, mat), 1):
+        if len(row) < width:
+            raise ConfigError("/", f"M row {k} {text!r} has {len(row)} entries, expected {width}")
+    mat = np.array(mat)
     b = np.array(_parse_float_list(args.b, "b"))
     lo = np.array(_parse_float_list(args.k_lo, "K-lo"))
     hi = np.array(_parse_float_list(args.k_hi, "K-hi"))

@@ -23,23 +23,25 @@ finite (sqrt at 0, say) makes L_F inf: the field is not Lipschitz on the
 box, and A1 and the contraction verdict fail.  S's monotonicity is read from
 AffineOperator and the anchor's membership in K from BoxSet.contains.
 
-Every objective is batch-native.  Sampling evaluates each constant's
-objective over the (time, state) grid in cache-sized blocks of at most
-_BLOCK_ROWS rows, and only along the axes its expressions read
+Every objective is batch-native.  One loop, _grid_max, samples each
+constant's objective over the (time, state) grid in cache-sized blocks of
+at most _BLOCK_ROWS rows, and only along the axes its expressions read
 (Expression.reads): a constant none of whose expressions reads t is sampled
 at the first time only, one none of whose expressions reads y at the first
 state only.  The skipped rows or columns would repeat the first one, so the
 value and the witness, the first maximum in (time, state) order, are those
-of the full grid.  eta_g, eta_Q, M1 and M2 are sums of one term per
-expression (SumObjective).  When no expression of such a sum reads both t
-and y, each expression is evaluated once, over the axis it reads, and a
-bound per time row (the sum with each y-reading term at its largest) picks
-the rows worth evaluating: rounded addition, abs, square and sqrt are all
-monotone, so no row's value exceeds its bound, and the rows skipped cannot
-hold the maximum (see _separable_max).  The value and witness are again
-the full grid's, bit for bit.  The polish starts from the grid's value,
-moves only the coordinates its objective reads (M0's, the time alone, if
-the field reads t) and evaluates
+of the full grid.  The rows go in time order, except those of a separable
+sum: eta_g, eta_Q, M1 and M2 are sums of one term per expression
+(SumObjective), and when no expression of such a sum reads both t and y,
+each expression is evaluated once, over the axis it reads, and a bound per
+time row (the sum with each y-reading term at its largest) orders the rows
+and ends the loop: rounded addition, abs, square and sqrt are all
+monotone, so no row's value exceeds its bound, and the rows whose bound is
+below the best value cannot hold the maximum.  Each block's first maximum
+replaces the best when it is larger, or equal at an earlier time, so the
+value and witness are again the full grid's, bit for bit.  The polish
+starts from the grid's value, moves only the coordinates its objective
+reads (M0's, the time alone, if the field reads t) and evaluates
 speculatively: one batch holds the rest of the current pattern-search sweep
 and later sweeps at the step each would use if no move improved, so the
 halvings that end a search take a few objective calls instead of one per
@@ -248,8 +250,8 @@ class SumObjective(NamedTuple):
 
     pre is np.abs or np.square, post None (the identity) or np.sqrt.  As data
     rather than a closure, _grid_max can see that the objective is a sum and
-    bound its rows (_separable_max); called, it evaluates the sum like any
-    other objective, for the blocked pass and the polish.
+    bound its rows; called, it evaluates the sum like any other objective,
+    for the rows in time order and the polish.
     """
 
     exprs: tuple
@@ -290,64 +292,56 @@ def _grid_max(fn, exprs, ts: np.ndarray, states: np.ndarray):
     y only through the expressions exprs.  An axis that none of them reads is
     sampled at its first point alone: every row (or column) of the full grid
     would hold the same values, so its first maximum in (time, state) order
-    lies in the first one, and value and witness are the same bits.  A
-    SumObjective none of whose expressions reads both t and y goes to
-    _separable_max, which evaluates each expression once and only the rows
-    that can hold the maximum.  Any other objective is evaluated on every
-    row, with times in blocks of at most _BLOCK_ROWS grid rows.
+    lies in the first one, and value and witness are the same bits.
+
+    Times go in blocks of at most _BLOCK_ROWS grid rows, in time order
+    unless fn is a SumObjective none of whose expressions reads both t and
+    y.  Such a sum evaluates each expression once, over the one axis it
+    reads: a (T, 1) column of times or an (S,) row of states.  Row i's bound
+    UB_i is the sum with each y-reading term replaced by its maximum over
+    the states, added in the same order.  Rounded addition is monotone in
+    each operand, the terms are taken after pre and post is monotone, so
+    UB_i is at least every value of row i, bit for bit.  The sum's rows go
+    in order of decreasing bound (ties in time order), in blocks that double
+    from one row, until the next bound is below the best value found.
+    Each block is evaluated with its rows in time order, and its argmax,
+    its first maximum in (time, state) order, replaces the best when it is
+    larger, or equal at an earlier time: the witness is the full grid's
+    whatever order the blocks come in, and a row whose bound equals the
+    best value may still tie.
     """
     reads = frozenset().union(*(e.reads for e in exprs))
     if "t" not in reads:
         ts = ts[:1]
     if reads <= {"t"}:
         states = states[:1]
+    per_block = max(1, _BLOCK_ROWS // states.shape[0])
     if isinstance(fn, SumObjective) and not any("t" in e.reads and len(e.reads) > 1 for e in fn.exprs):
-        return _separable_max(fn, ts, states)
-    per_block = max(1, _BLOCK_ROWS // states.shape[0])
-    best, wt, wy = -math.inf, 0.0, states[0]
-    for start in range(0, ts.shape[0], per_block):
-        block = ts[start : start + per_block]
-        vals = fn(block[:, None], states)
+        reads_y = [bool(e.reads - {"t"}) for e in fn.exprs]
+        column = (ts.shape[0], 1)
+        terms = [fn.pre(evaluate(e, ts[:1, None], states)) if on_y
+                 else np.broadcast_to(fn.pre(evaluate(e, ts[:, None], states[:1])), column)
+                 for e, on_y in zip(fn.exprs, reads_y)]
+        bound = np.broadcast_to(fn.total([np.max(v) if on_y else v for v, on_y in zip(terms, reads_y)]), column)[:, 0]
+        order = np.argsort(-bound, kind="stable")
+        bound, rows = bound[order], 1
+
+        def block_values(start, rows):
+            block = np.sort(order[start : start + rows])
+            vals = fn.total([v if on_y else v[block] for v, on_y in zip(terms, reads_y)])
+            return block, np.broadcast_to(vals, (block.shape[0], states.shape[0]))
+    else:
+        bound, rows = None, per_block
+
+        def block_values(start, rows):
+            return range(start, start + rows), fn(ts[start : start + rows, None], states)
+
+    best, wi, wj, start = -math.inf, 0, 0, 0
+    while start < ts.shape[0] and (bound is None or bound[start] >= best):
+        block, vals = block_values(start, rows)
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[i, j] > best:
-            best, wt, wy = float(vals[i, j]), float(block[i]), states[j]
-    return best, wt, wy
-
-
-def _separable_max(fn: SumObjective, ts: np.ndarray, states: np.ndarray):
-    """_grid_max of a sum each of whose expressions reads t, or y, or neither, but not both.
-
-    Each expression is evaluated once, over the one axis it reads: a (T, 1)
-    column of times or an (S,) row of states.  Row i's bound UB_i is the sum
-    with each y-reading term replaced by its maximum over the states, added
-    in the same order.  Rounded addition is monotone in each operand, the
-    terms are taken after pre and post is monotone, so UB_i is at least
-    every value of row i, bit for bit.  Rows are evaluated in order of
-    decreasing bound (ties in time order), in blocks that double from one
-    row up to _BLOCK_ROWS grid rows, until the next bound is below the best
-    value found; a row whose bound equals it may still tie.  The witness is
-    the first row, in time order, whose maximum is the best value, at the
-    first state attaining it in that row: the blocked pass's witness.
-    """
-    reads_y = [bool(e.reads - {"t"}) for e in fn.exprs]
-    column = (ts.shape[0], 1)
-    terms = [fn.pre(evaluate(e, ts[:1, None], states)) if on_y
-             else np.broadcast_to(fn.pre(evaluate(e, ts[:, None], states[:1])), column)
-             for e, on_y in zip(fn.exprs, reads_y)]
-    bound = np.broadcast_to(fn.total([np.max(v) if on_y else v for v, on_y in zip(terms, reads_y)]), column)[:, 0]
-    order = np.argsort(-bound, kind="stable")
-    per_block = max(1, _BLOCK_ROWS // states.shape[0])
-    best, wi, wj, start, rows = -math.inf, 0, 0, 0, 1
-    while start < order.shape[0] and bound[order[start]] >= best:
-        block = order[start : start + rows]
-        vals = fn.total([v if on_y else v[block] for v, on_y in zip(terms, reads_y)])
-        vals = np.broadcast_to(vals, (block.shape[0], states.shape[0]))
-        row_max = np.max(vals, axis=1)
-        top = row_max.max()
-        tied = np.flatnonzero(row_max == top)
-        r = int(tied[np.argmin(block[tied])])  # the first tied row in time order
-        if top > best or (top == best and block[r] < wi):
-            best, wi, wj = float(top), int(block[r]), int(np.argmax(vals[r]))
+        if (top := vals[i, j]) > best or (top == best and block[i] < wi):
+            best, wi, wj = float(top), int(block[i]), int(j)
         start, rows = start + rows, min(2 * rows, per_block)
     return best, float(ts[wi]), states[wj]
 

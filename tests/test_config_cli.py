@@ -458,6 +458,24 @@ def test_cli_verify_malformed_json_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("q, failing", [
+    (["log(t)", "log(y1)"], "log(t)"),
+    (["log(y1)", "log(t)"], "log(y1)"),
+    (["log(t*y1) + 1", "log(t)"], "log(t * y1)"),
+    (["log(t)", "log(t*y1) + 1"], "log(t)"),
+])
+def test_cli_verify_names_the_first_failing_q_entry(tmp_path, capsys, q, failing):
+    # both entries fail on the sampling grid, which holds t = 0 and states <= 0;
+    # the error names the first in order, whether or not the sum is separable
+    doc = example_config()
+    doc["Q"] = q
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: log of a nonpositive value in subexpression {failing}"]
+
+
 def test_cli_verify_creates_report_directory(tmp_path, config_path):
     report_path = tmp_path / "a" / "b" / "report.json"
     rc = main(["verify", "--config", config_path, "--out", str(report_path)])
@@ -567,6 +585,14 @@ def test_cli_vi_dimension_error_exit_1():
     rc = main(["vi", "--w", "1,1,1", "--M", "1,0;0,1", "--b", "0,0",
                "--K-lo", "0,0", "--K-hi", "inf,inf"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("m, named", [("1,2;3", "M row 2 '3' has 1 entries, expected 2"),
+                                      ("1;2,3", "M row 1 '1' has 1 entries, expected 2")])
+def test_cli_vi_ragged_matrix_names_the_short_row(capsys, m, named):
+    rc = main(["vi", "--w", "1,1", "--M", m, "--b", "0,0", "--K-lo=-1,-1", "--K-hi", "1,1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: /: {named}\n"
 
 
 @pytest.mark.parametrize("flags", [

@@ -849,7 +849,7 @@ def _support_norm(field):
     ("cos(y1) + 0.5", "t^2", "ty"),  # each expression reads one axis, the objective both
     ("2", "-pi", ""),  # a constant field: every point ties
 ])
-@pytest.mark.parametrize("block_rows", [2**15, 700])
+@pytest.mark.parametrize("block_rows", [2**15, 700, 1])
 def test_grid_max_over_the_axes_read_matches_the_full_grid(scale, offset, reads, block_rows, monkeypatch):
     monkeypatch.setattr(fdvi.hypotheses, "_BLOCK_ROWS", block_rows)
     field = FuzzyBoxField([
