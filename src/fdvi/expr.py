@@ -12,11 +12,15 @@ than unary minus):
 Variables are t and y1..yn where n is fixed at parse time; a literal
 beyond the float range is a syntax error.
 
-One table, _RULES, keyed by operator symbol and function name, holds each
-operation's arity (the parser reads it), numpy implementation, domain
-check and derivative rule (the partial in each argument, from the
-arguments' values and the node's own value).  An Expression compiles its
-tree once, at its first evaluation, into nested closures over the table
+The tree has three leaves (Num, Const, Var) and one operation node,
+Apply(key, args), whose key is its entry in one table, _RULES: the
+operator symbol, the function name, or "u-" for unary minus.  The table
+holds each operation's arity (the parser reads it), numpy implementation,
+domain check and derivative rule (the partial in each argument, from the
+arguments' values and the node's own value).  Every walker reads node.args
+(a leaf has none) and the table entry, never an operation's class; the
+printer's _PREC is keyed like the table.  An Expression compiles its tree
+once, at its first evaluation, into nested closures over the table
 (Expression.compiled).  Evaluation works on scalars or numpy arrays (t of
 shape (k,), y of shape (k, n)) and raises instead of propagating NaN/inf:
 it runs under one numpy errstate that turns overflow into
@@ -51,39 +55,31 @@ from .errors import ArityError, EvalDomainError, EvalOverflowError, ExprSyntaxEr
 @dataclass(frozen=True)
 class Num:
     value: float
+    args = ()  # a leaf; a class attribute, not a field
 
 
 @dataclass(frozen=True)
 class Const:
     name: str  # "pi" or "e"
+    args = ()
 
 
 @dataclass(frozen=True)
 class Var:
     name: str   # "t" or "y<k>"
     index: int  # 0 for t, 1-based coordinate otherwise
+    args = ()
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Apply:
+    key: str     # the operation's _RULES key: operator symbol, function name, or "u-" (_NEG)
+    args: tuple  # the operands, in order
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * / ^
-    left: "Node"
-    right: "Node"
+Node = Num | Const | Var | Apply
 
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-
-
-Node = Num | Const | Var | Neg | BinOp | Call
-
+_NEG = "u-"  # unary minus; not an identifier, so no call can name it
 _CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 _ALIASES = {"arctan": "atan"}
 
@@ -107,7 +103,7 @@ class Expression:
             node = stack.pop()
             if isinstance(node, Var):
                 out.add(f"y{node.index}" if node.index else "t")  # y01 reads y1
-            stack.extend(_parts(node)[1])
+            stack.extend(node.args)
         return frozenset(out)
 
     @cached_property
@@ -190,27 +186,27 @@ class _Parser:
         node = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.term())
+            node = Apply(op, (node, self.term()))
         return node
 
     def term(self) -> Node:
         node = self.unary()
         while self.cur.kind == "op" and self.cur.text in "*/":
             op = self.advance().text
-            node = BinOp(op, node, self.unary())
+            node = Apply(op, (node, self.unary()))
         return node
 
     def unary(self) -> Node:
         if self.cur.kind == "op" and self.cur.text == "-":
             self.advance()
-            return Neg(self.unary())
+            return Apply(_NEG, (self.unary(),))
         return self.power()
 
     def power(self) -> Node:
         base = self.primary()
         if self.cur.kind == "op" and self.cur.text == "^":
             self.advance()
-            return BinOp("^", base, self.unary())  # right-assoc, exponent may be signed
+            return Apply("^", (base, self.unary()))  # right-assoc, exponent may be signed
         return base
 
     def primary(self) -> Node:
@@ -236,7 +232,7 @@ class _Parser:
                 self.expect_op(")")
                 if len(args) != arity:
                     raise ArityError(name, arity, len(args), tok.pos)
-                return Call(name, tuple(args))
+                return Apply(name, tuple(args))
             if name in _CONSTS:
                 return Const(name)
             if name == "t":
@@ -323,8 +319,6 @@ def _power_base_partial(a, b, value):
     return coef
 
 
-_NEG = "u-"  # unary minus; not an identifier, so no call can name it
-
 # Operator symbol or function name -> rule.  The parser reads function
 # arities here; names are identifiers, so they never reach an operator.
 # + - * / use the operator module: numpy names an overflow of scalars
@@ -353,18 +347,7 @@ _RULES = {
 }
 
 
-def _parts(node: Node) -> tuple:
-    """(rule key, operands) of node; a leaf has the key None and no operands."""
-    if isinstance(node, Neg):
-        return _NEG, (node.operand,)
-    if isinstance(node, BinOp):
-        return node.op, (node.left, node.right)
-    if isinstance(node, Call):
-        return node.name, node.args
-    return None, ()
-
-
-def _apply(rule: _Rule, node: Node, *args):
+def _apply(rule: _Rule, node: Apply, *args):
     """rule's value at args; a domain violation raises EvalDomainError naming node."""
     if rule.domain is not None:
         violation = rule.domain(*args)
@@ -375,32 +358,30 @@ def _apply(rule: _Rule, node: Node, *args):
 
 def _compile(node: Node):
     """node as a closure (t, y) -> value, calling the table's implementations and domain checks."""
-    key, operands = _parts(node)
-    if key is None:
+    if not node.args:
         if isinstance(node, Var):
             k = node.index - 1
             return (lambda t, y: y[..., k]) if k >= 0 else (lambda t, y: t)
         # numpy scalars, so arithmetic on constants trips the errstate too
         value = _CONSTS[node.name] if isinstance(node, Const) else np.float64(node.value)
         return lambda t, y: value
-    rule = _RULES[key]
+    rule = _RULES[node.key]
     run = rule.impl if rule.domain is None else partial(_apply, rule, node)
-    if len(operands) == 1:
-        a = _compile(operands[0])
+    if len(node.args) == 1:
+        a = _compile(node.args[0])
         return lambda t, y: run(a(t, y))
-    a, b = map(_compile, operands)
+    a, b = map(_compile, node.args)
     return lambda t, y: run(a(t, y), b(t, y))
 
 
 def _dv(node: Node, t, y):
     """(value, gradient) of node at (t, y) in forward mode; values check their domain as evaluate's do."""
-    key, operands = _parts(node)
-    if key is None:
+    if not node.args:
         if isinstance(node, Var) and node.index > 0:
             return y[..., node.index - 1], {node.index - 1: _ONE}
         return _compile(node)(t, y), {}
-    rule = _RULES[key]
-    args, grads = zip(*(_dv(arg, t, y) for arg in operands))
+    rule = _RULES[node.key]
+    args, grads = zip(*(_dv(arg, t, y) for arg in node.args))
     value = _apply(rule, node, *args)
     if not any(grads):
         return value, {}
@@ -410,7 +391,7 @@ def _dv(node: Node, t, y):
 
 def _nonfinite_site(node: Node, t, y) -> Node | None:
     """The innermost subexpression whose value is not finite, if any."""
-    for child in _parts(node)[1]:
+    for child in node.args:
         site = _nonfinite_site(child, t, y)
         if site is not None:
             return site
@@ -420,8 +401,9 @@ def _nonfinite_site(node: Node, t, y) -> Node | None:
 def _walk(run, e: Expression, t, y):
     """run(t, y) on validated inputs, with value overflow raised as EvalOverflowError."""
     y = np.asarray(y, dtype=float)
-    if e.nvars > 0 and y.shape[-1] != e.nvars:
-        raise EvalDomainError(e.source, f"state has {y.shape[-1]} coordinates, expression expects {e.nvars}")
+    if e.nvars > 0 and (y.ndim == 0 or y.shape[-1] != e.nvars):
+        got = f"has {y.shape[-1]} coordinates" if y.ndim else "is a scalar"
+        raise EvalDomainError(e.source, f"state {got}, expression expects {e.nvars}")
     t = np.asarray(t, dtype=float)[()]  # a 0-d t becomes a numpy scalar
     try:
         with np.errstate(all="raise", under="ignore"):
@@ -461,47 +443,40 @@ def value_and_gradient(e: Expression, t, y):
 
 # --- Pretty printer ------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+# Binding strength by _RULES key; any other key prints as a call, which
+# binds like a leaf.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, _NEG: 3, "^": 4}
+_ATOM = 5
 
 
 def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
+    return _PREC.get(node.key, _ATOM) if node.args else _ATOM
 
 
 def to_source(node: Node) -> str:
     """Render an AST back to parseable text (reparses to an equal tree)."""
     if isinstance(node, Num):
         return repr(node.value)
-    if isinstance(node, Const):
+    if not node.args:
         return node.name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_source(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        lp = _prec(node.left)
-        rp = _prec(node.right)
-        ls = to_source(node.left)
-        rs = to_source(node.right)
-        p = _PREC[node.op]
-        if node.op == "^":
-            # right-assoc; a^b^c prints without parens, (a^b)^c keeps them
-            if lp <= p:
-                ls = f"({ls})"
-            if rp < p and not isinstance(node.right, Neg):
-                rs = f"({rs})"
-        else:
-            if lp < p:
-                ls = f"({ls})"
-            # -, / are left-assoc: parenthesize right child of equal precedence
-            if rp < p or (rp == p and node.op in "-/"):
-                rs = f"({rs})"
-        return f"{ls} {node.op} {rs}"
-    return f"{node.name}({', '.join(to_source(a) for a in node.args)})"
+    p = _PREC.get(node.key)
+    parts = [to_source(a) for a in node.args]
+    if p is None:
+        return f"{node.key}({', '.join(parts)})"
+    if node.key == _NEG:
+        return f"-({parts[0]})" if _prec(node.args[0]) < p else f"-{parts[0]}"
+    (left, right), (ls, rs) = node.args, parts
+    lp, rp = _prec(left), _prec(right)
+    if node.key == "^":
+        # right-assoc; a^b^c prints without parens, (a^b)^c keeps them
+        if lp <= p:
+            ls = f"({ls})"
+        if rp < p and right.key != _NEG:
+            rs = f"({rs})"
+    else:
+        if lp < p:
+            ls = f"({ls})"
+        # -, / are left-assoc: parenthesize right child of equal precedence
+        if rp < p or (rp == p and node.key in "-/"):
+            rs = f"({rs})"
+    return f"{ls} {node.key} {rs}"

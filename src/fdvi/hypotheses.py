@@ -3,8 +3,10 @@
 The assumptions quantify over all of R^n; numerically we sample a declared
 state box and report constants "as sampled over Y", refined by a local
 pattern search around the best sample.  All sampled estimates are lower
-bounds of the true suprema, monotone under sample-count refinement with a
-fixed seed (counter-based streams, order-independent max reductions).
+bounds of the true suprema.  With a fixed seed, a refined grid extends the
+coarse one (counter-based streams), so the grid maximum never falls under
+sample-count refinement; the polished value can, since the search may
+start from a different witness and climb less.
 A6 is not sampled: S is affine, so check_coercivity reads S's modulus mu
 and the coercivity liminf exactly from M and K (the liminf from the
 faces of K's recession cone, or mu, a lower bound, when they are too many).

@@ -7,10 +7,10 @@ one point, and the product-trapezoid fractional integral at one node built
 from exact kernel moments.
 
 fdvi.expr compiles each expression from one rule table; the tree walkers
-at the end of this file are its reference: one isinstance chain for
-values and one for forward-mode gradients, with the operators' value and
-derivative rules written out separately.  Both must agree bit for bit,
-errors and their messages included.
+at the end of this file are its reference: one if-chain over the node's
+kind and operation for values and one for forward-mode gradients, with the
+operators' value and derivative rules written out separately.  Both must
+agree bit for bit, errors and their messages included.
 """
 
 import math
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from fdvi.errors import DomainError, EvalDomainError, EvalOverflowError
-from fdvi.expr import BinOp, Call, Const, Neg, Num, Var, evaluate, to_source
+from fdvi.expr import Apply, Const, Num, Var, evaluate, to_source
 from fdvi.fuzzy import FuzzyBox, FuzzyIntervalNumber
 from fdvi.special import gamma
 
@@ -113,15 +113,15 @@ _FUNCTIONS = {
 }
 
 
-def _binop(node: BinOp, a, b):
+def _binop(node: Apply, a, b):
     """The value of node from its operands' values; domain violations raise EvalDomainError."""
-    if node.op == "+":
+    if node.key == "+":
         return a + b
-    if node.op == "-":
+    if node.key == "-":
         return a - b
-    if node.op == "*":
+    if node.key == "*":
         return a * b
-    if node.op == "/":
+    if node.key == "/":
         if np.any(np.asarray(b) == 0.0):
             raise EvalDomainError(to_source(node), "division by zero")
         return a / b
@@ -133,14 +133,18 @@ def _binop(node: BinOp, a, b):
     return np.power(a, b)
 
 
-def _call(node: Call, args):
+def _call(node: Apply, args):
     """The value of node from its arguments' values; domain violations raise EvalDomainError."""
-    name = node.name
+    name = node.key
     if name == "log" and np.any(np.asarray(args[0]) <= 0.0):
         raise EvalDomainError(to_source(node), "log of a nonpositive value")
     if name == "sqrt" and np.any(np.asarray(args[0]) < 0.0):
         raise EvalDomainError(to_source(node), "sqrt of a negative value")
     return _FUNCTIONS[name][1](*args)
+
+
+_NEG = "u-"  # the key of unary minus
+_BINARY = ("+", "-", "*", "/", "^")
 
 
 def _ev(node, t, y):
@@ -152,10 +156,10 @@ def _ev(node, t, y):
         if node.index == 0:
             return t
         return y[..., node.index - 1]
-    if isinstance(node, Neg):
-        return -_ev(node.operand, t, y)
-    if isinstance(node, BinOp):
-        return _binop(node, _ev(node.left, t, y), _ev(node.right, t, y))
+    if node.key == _NEG:
+        return -_ev(node.args[0], t, y)
+    if node.key in _BINARY:
+        return _binop(node, _ev(node.args[0], t, y), _ev(node.args[1], t, y))
     return _call(node, [_ev(a, t, y) for a in node.args])
 
 
@@ -220,37 +224,27 @@ def _dv(node, t, y):
         return y[..., node.index - 1], {node.index - 1: _ONE}
     if isinstance(node, (Num, Const, Var)):
         return _ev(node, t, y), {}
-    if isinstance(node, Neg):
-        a, da = _dv(node.operand, t, y)
+    if node.key == _NEG:
+        a, da = _dv(node.args[0], t, y)
         return -a, _linear((-_ONE, da))
-    if isinstance(node, BinOp):
-        a, da = _dv(node.left, t, y)
-        b, db = _dv(node.right, t, y)
+    if node.key in _BINARY:
+        a, da = _dv(node.args[0], t, y)
+        b, db = _dv(node.args[1], t, y)
         value = _binop(node, a, b)
         if not (da or db):
             return value, {}
         with np.errstate(all="ignore"):
-            return value, _binop_grad(node.op, a, da, b, db, value)
+            return value, _binop_grad(node.key, a, da, b, db, value)
     args = [_dv(arg, t, y) for arg in node.args]
     value = _call(node, [a for a, _ in args])
     if not any(grad for _, grad in args):
         return value, {}
     with np.errstate(all="ignore"):
-        return value, _call_grad(node.name, args, value)
-
-
-def _operands(node) -> tuple:
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Call):
-        return node.args
-    return ()
+        return value, _call_grad(node.key, args, value)
 
 
 def _nonfinite_site(node, t, y):
-    for child in _operands(node):
+    for child in node.args:
         site = _nonfinite_site(child, t, y)
         if site is not None:
             return site

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdvi.errors import ArityError, EvalDomainError, EvalOverflowError, ExprSyntaxError, UnknownIdentifier
-from fdvi.expr import evaluate, parse, to_source, value_and_gradient
+from fdvi.expr import _RULES as RULE_TABLE
+from fdvi.expr import Apply, Num, Var, evaluate, parse, to_source, value_and_gradient
 from oracles import walk_evaluate, walk_value_and_gradient
 
 
@@ -75,6 +76,44 @@ def test_round_trip_pretty_print():
         assert again.root == ast.root, src
 
 
+# the exact text to_source prints; error messages quote it
+@pytest.mark.parametrize("source, text", [
+    ("-2^2", "-2.0 ^ 2.0"),
+    ("(-2)^2", "(-2.0) ^ 2.0"),
+    ("2^-3^2", "2.0 ^ -3.0 ^ 2.0"),
+    ("2^(-3)^2", "2.0 ^ (-3.0) ^ 2.0"),
+    ("2^3^2", "2.0 ^ 3.0 ^ 2.0"),
+    ("(2^3)^2", "(2.0 ^ 3.0) ^ 2.0"),
+    ("(t*y1)^(t/y1)", "(t * y1) ^ (t / y1)"),
+    ("2-(3-4)", "2.0 - (3.0 - 4.0)"),
+    ("2-3-4", "2.0 - 3.0 - 4.0"),
+    ("16/(4/2)", "16.0 / (4.0 / 2.0)"),
+    ("16/4/2", "16.0 / 4.0 / 2.0"),
+    ("(2+3)*4", "(2.0 + 3.0) * 4.0"),
+    ("-(t*y1)", "-(t * y1)"),
+    ("(-t)*y1", "-t * y1"),
+    ("2*-t", "2.0 * -t"),
+    ("--t", "--t"),
+    ("-t^-y1", "-t ^ -y1"),
+    ("arctan(y1)", "atan(y1)"),
+    ("min(t, max(y1, 0.5))", "min(t, max(y1, 0.5))"),
+    ("cos(y1)*0.5 - sqrt(abs(t))/3", "cos(y1) * 0.5 - sqrt(abs(t)) / 3.0"),
+    ("1e300*t", "1e+300 * t"),
+    (".5e-3*y1", "0.0005 * y1"),
+    ("e^pi", "e ^ pi"),
+])
+def test_printed_text(source, text):
+    assert to_source(parse(source, 1).root) == text
+
+
+@pytest.mark.parametrize("key", RULE_TABLE)
+def test_every_operation_prints_and_reparses(key):
+    t, y1 = Var("t", 0), Var("y1", 1)
+    for operands in ((y1, Num(0.5)), (Apply("+", (t, y1)), Apply("^", (y1, t)))):
+        node = Apply(key, operands[:RULE_TABLE[key].arity])
+        assert parse(to_source(node), 1).root == node, to_source(node)
+
+
 def test_vectorized_evaluation_matches_scalar():
     e = parse("0.9*cos(y1) + t^2", 1)
     ts = np.linspace(0.0, 1.0, 7)
@@ -139,6 +178,14 @@ def test_eval_domain_errors():
         ev("y1*y1", y=1e200)
     with pytest.raises(EvalOverflowError, match="1.0 / y1"):
         ev("1/y1", y=1e-320)  # nonzero divisor, quotient overflows
+
+
+def test_scalar_state_is_a_domain_error():
+    e = parse("y1", 1)
+    for fn in (evaluate, value_and_gradient):
+        with pytest.raises(EvalDomainError, match="state is a scalar, expression expects 1"):
+            fn(e, 0.0, 1.0)
+    assert evaluate(parse("2*t", 0), 0.5, 1.0) == 1.0  # an expression over no coordinates reads no state
 
 
 def test_domain_checks_cover_vectorized_inputs():
