@@ -1,13 +1,12 @@
 """Small arithmetic expression language for problem configs.
 
-Grammar (standard precedence, ^ right-associative and binding tighter
-than unary minus):
-
-    expr    := term (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := primary ['^' unary]
-    primary := NUMBER | 'pi' | 'e' | 't' | 'y<k>' | NAME '(' expr [',' expr] ')' | '(' expr ')'
+The grammar is stated by one syntax table, _SYNTAX: the binary operators
++ - * / ^ and unary minus, each with its binding strength and the level at
+which it reads each operand (standard precedence; ^ right-associative and
+binding tighter than unary minus).  Operands are numbers, pi, e, t, y<k>,
+calls NAME '(' expr [',' expr] ')' and parenthesised expressions.  The
+precedence-climbing parser and the printer read that table, and the
+tokenizer's operator class spells exactly its keys.
 
 Variables are t and y1..yn where n is fixed at parse time; a literal
 beyond the float range is a syntax error.
@@ -18,8 +17,8 @@ operator symbol, the function name, or "u-" for unary minus.  The table
 holds each operation's arity (the parser reads it), numpy implementation,
 domain check and derivative rule (the partial in each argument, from the
 arguments' values and the node's own value).  Every walker reads node.args
-(a leaf has none) and the table entry, never an operation's class; the
-printer's _PREC is keyed like the table.  An Expression compiles its tree
+(a leaf has none) and the table entry, never an operation's class;
+_SYNTAX is keyed like the table.  An Expression compiles its tree
 once, at its first evaluation, into nested closures over the table
 (Expression.compiled).  Evaluation works on scalars or numpy arrays (t of
 shape (k,), y of shape (k, n)) and raises instead of propagating NaN/inf:
@@ -80,6 +79,28 @@ class Apply:
 Node = Num | Const | Var | Apply
 
 _NEG = "u-"  # unary minus; not an identifier, so no call can name it
+
+
+class _Syntax(NamedTuple):
+    binds: int  # the binding strength: a node binds at it, a leaf or call at _ATOM
+    operands: tuple  # the level each operand is read at, in order
+
+
+# The grammar: operator syntax, keyed like _RULES; any other key is a call.
+# An operand is read at its level, so it takes only operators that bind at
+# least as tightly (parser), and one that binds more loosely is parenthesised
+# (printer).  + - * / are left-associative: their right operand is read one
+# level up.  Unary minus reads a unary; ^ reads an atom as its base and a
+# signed exponent, so it is right-associative and binds tighter than a sign.
+_SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(1, 6)
+_SYNTAX = {
+    "+": _Syntax(_SUM, (_SUM, _PRODUCT)),
+    "-": _Syntax(_SUM, (_SUM, _PRODUCT)),
+    "*": _Syntax(_PRODUCT, (_PRODUCT, _UNARY)),
+    "/": _Syntax(_PRODUCT, (_PRODUCT, _UNARY)),
+    _NEG: _Syntax(_UNARY, (_UNARY,)),
+    "^": _Syntax(_POWER, (_ATOM, _UNARY)),
+}
 _CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 _ALIASES = {"arctan": "atan"}
 
@@ -114,15 +135,17 @@ class Expression:
 
 # --- Tokenizer -----------------------------------------------------------
 
+# Whitespace matches no group, so finditer skips it; any other character
+# that starts no token is the "bad" one.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | end
     text: str
     pos: int
@@ -130,23 +153,10 @@ class _Token:
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            # Skip trailing whitespace before declaring failure.
-            rest = source[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExprSyntaxError(bad, "a number, name or operator", source[bad])
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(m.start(), "a number, name or operator", m.group())
+        tokens.append(_Token(m.lastgroup, m.group(), m.start()))
     tokens.append(_Token("end", "", len(source)))
     return tokens
 
@@ -171,43 +181,32 @@ class _Parser:
         return tok
 
     def expect_op(self, op: str) -> None:
-        if self.cur.kind == "op" and self.cur.text == op:
+        if self.cur.text == op:  # only an op token spells an operator
             self.advance()
             return
         raise ExprSyntaxError(self.cur.pos, repr(op), self.cur.text or "end of input")
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.read(_SUM)
         if self.cur.kind != "end":
             raise ExprSyntaxError(self.cur.pos, "end of input", self.cur.text)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            node = Apply(op, (node, self.term()))
-        return node
+    def read(self, level: int) -> Node:
+        """The longest expression at the cursor that binds at least as tightly as level.
 
-    def term(self) -> Node:
-        node = self.unary()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance().text
-            node = Apply(op, (node, self.unary()))
-        return node
-
-    def unary(self) -> Node:
-        if self.cur.kind == "op" and self.cur.text == "-":
+        Each operator takes the tree read so far as its left operand.  The
+        right operands' levels make that an atom wherever a ^ can follow.
+        """
+        if self.cur.text == "-" and _SYNTAX[_NEG].binds >= level:
             self.advance()
-            return Apply(_NEG, (self.unary(),))
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.primary()
-        if self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
-            return Apply("^", (base, self.unary()))  # right-assoc, exponent may be signed
-        return base
+            node = Apply(_NEG, (self.read(_SYNTAX[_NEG].operands[0]),))
+        else:
+            node = self.primary()
+        while self.cur.text in _SYNTAX and _SYNTAX[self.cur.text].binds >= level:
+            key = self.advance().text
+            node = Apply(key, (node, self.read(_SYNTAX[key].operands[1])))
+        return node
 
     def primary(self) -> Node:
         tok = self.cur
@@ -220,15 +219,15 @@ class _Parser:
         if tok.kind == "name":
             self.advance()
             name = _ALIASES.get(tok.text, tok.text)
-            if self.cur.kind == "op" and self.cur.text == "(":
+            if self.cur.text == "(":
                 if name not in _RULES:
                     raise UnknownIdentifier(tok.text, tok.pos, "not a known function")
                 arity = _RULES[name].arity
                 self.advance()
-                args = [self.expr()]
-                while self.cur.kind == "op" and self.cur.text == ",":
+                args = [self.read(_SUM)]
+                while self.cur.text == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.read(_SUM))
                 self.expect_op(")")
                 if len(args) != arity:
                     raise ArityError(name, arity, len(args), tok.pos)
@@ -248,9 +247,9 @@ class _Parser:
             if name in _RULES:
                 raise ExprSyntaxError(self.cur.pos, f"'(' after function {name!r}", self.cur.text)
             raise UnknownIdentifier(tok.text, tok.pos)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.text == "(":
             self.advance()
-            node = self.expr()
+            node = self.read(_SUM)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(tok.pos, "a number, name or '('", tok.text or "end of input")
@@ -443,40 +442,24 @@ def value_and_gradient(e: Expression, t, y):
 
 # --- Pretty printer ------------------------------------------------------
 
-# Binding strength by _RULES key; any other key prints as a call, which
-# binds like a leaf.
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, _NEG: 3, "^": 4}
-_ATOM = 5
 
-
-def _prec(node: Node) -> int:
-    return _PREC.get(node.key, _ATOM) if node.args else _ATOM
+def _binds(node: Node) -> int:
+    return _SYNTAX[node.key].binds if node.args and node.key in _SYNTAX else _ATOM
 
 
 def to_source(node: Node) -> str:
-    """Render an AST back to parseable text (reparses to an equal tree)."""
+    """Render an AST back to parseable text that reparses to an equal tree.
+
+    An operand is parenthesised exactly when it binds more loosely than the
+    level its operator reads it at.
+    """
     if isinstance(node, Num):
         return repr(node.value)
     if not node.args:
         return node.name
-    p = _PREC.get(node.key)
     parts = [to_source(a) for a in node.args]
-    if p is None:
+    if node.key not in _SYNTAX:
         return f"{node.key}({', '.join(parts)})"
-    if node.key == _NEG:
-        return f"-({parts[0]})" if _prec(node.args[0]) < p else f"-{parts[0]}"
-    (left, right), (ls, rs) = node.args, parts
-    lp, rp = _prec(left), _prec(right)
-    if node.key == "^":
-        # right-assoc; a^b^c prints without parens, (a^b)^c keeps them
-        if lp <= p:
-            ls = f"({ls})"
-        if rp < p and right.key != _NEG:
-            rs = f"({rs})"
-    else:
-        if lp < p:
-            ls = f"({ls})"
-        # -, / are left-assoc: parenthesize right child of equal precedence
-        if rp < p or (rp == p and node.key in "-/"):
-            rs = f"({rs})"
-    return f"{ls} {node.key} {rs}"
+    levels = _SYNTAX[node.key].operands
+    parts = [f"({s})" if _binds(a) < level else s for a, s, level in zip(node.args, parts, levels)]
+    return f"-{parts[0]}" if node.key == _NEG else f"{parts[0]} {node.key} {parts[1]}"

@@ -107,14 +107,23 @@ class GridFunction:
 
     @classmethod
     def read_csv(cls, path) -> "GridFunction":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # header
-            rows = [[float(x) for x in row] for row in reader]
-        data = np.asarray(rows)
-        ts = data[:, 0]
-        grid = UniformGrid(float(ts[-1]), len(ts) - 1)
-        return cls(grid, data[:, 1:])
+        """Read what to_csv wrote; a t column that is not the grid's nodes, bit for bit, is a DomainError."""
+        return _read_csv(path)[1]
+
+
+def _read_csv(path) -> tuple[list[str], GridFunction]:
+    """The header and the grid function of a CSV that GridFunction.to_csv wrote, in one pass."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        data = np.asarray([[float(x) for x in row] for row in reader])
+    ts = data[:, 0]
+    grid = UniformGrid(float(ts[-1]), len(ts) - 1)
+    off = np.flatnonzero(ts.view(np.int64) != grid.nodes.view(np.int64))
+    if off.size:
+        i = off[0]
+        raise DomainError(f"{path}, line {i + 2}: t = {ts[i]:.17g} is not node {i} of the grid, {grid.nodes[i]:.17g}")
+    return header, GridFunction(grid, data[:, 1:])
 
 
 @lru_cache(maxsize=8)

@@ -36,7 +36,6 @@ boundary term is the grid's own (UniformGrid.t_over_T).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -52,7 +51,8 @@ from .errors import (
     NonfiniteValue,
 )
 from .expr import Expression, evaluate
-from .fractional import GridFunction, UniformGrid, caputo_residual, frac_integral, frac_integral_all, trapezoid_integral
+from .fractional import (GridFunction, UniformGrid, _read_csv, caputo_residual, frac_integral, frac_integral_all,
+                         trapezoid_integral)
 from .problem import ProblemSpec, SelectionPolicy, SolverConfig
 from .vi import VIInstance, solve_vi, vi_residual
 
@@ -167,9 +167,7 @@ class SolutionBundle:
 
 def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
     """Read a bundle CSV back into (y, u, f) grid functions."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-    data = GridFunction.read_csv(path)
+    header, data = _read_csv(path)
     n = sum(1 for name in header if name.startswith("y"))
     m = sum(1 for name in header if name.startswith("u"))
     y = GridFunction(data.grid, data.values[:, :n])

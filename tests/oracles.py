@@ -7,17 +7,20 @@ one point, and the product-trapezoid fractional integral at one node built
 from exact kernel moments.
 
 fdvi.expr compiles each expression from one rule table; the tree walkers
-at the end of this file are its reference: one if-chain over the node's
+near the end of this file are its reference: one if-chain over the node's
 kind and operation for values and one for forward-mode gradients, with the
 operators' value and derivative rules written out separately.  Both must
-agree bit for bit, errors and their messages included.
+agree bit for bit, errors and their messages included.  The recursive-descent
+parser at the very end is the reference for fdvi.expr's table-driven parser.
 """
 
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from fdvi.errors import DomainError, EvalDomainError, EvalOverflowError
+from fdvi.errors import ArityError, DomainError, EvalDomainError, EvalOverflowError, ExprSyntaxError, UnknownIdentifier
 from fdvi.expr import Apply, Const, Num, Var, evaluate, to_source
 from fdvi.fuzzy import FuzzyBox, FuzzyIntervalNumber
 from fdvi.special import gamma
@@ -273,3 +276,155 @@ def walk_evaluate(e, t, y):
 def walk_value_and_gradient(e, t, y):
     """fdvi.expr.value_and_gradient by walking the tree."""
     return _walk(_dv, e, t, y)
+
+
+# --- recursive-descent parser ----------------------------------------------------
+#
+# fdvi.expr parses by precedence climbing over one syntax table; this is its
+# reference: one method per grammar level, with the operator set and its
+# precedence written into the methods, over a tokenizer that matches one token
+# at a time.  Both must give equal trees, or the same error type and text.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),]))"
+)
+_ALIASES = {"arctan": "atan"}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # num | name | op | end
+    text: str
+    pos: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None or m.end() == pos:
+            # Skip trailing whitespace before declaring failure.
+            rest = source[pos:]
+            if rest.strip() == "":
+                break
+            bad = pos + len(rest) - len(rest.lstrip())
+            raise ExprSyntaxError(bad, "a number, name or operator", source[bad])
+        if m.group("num") is not None:
+            tokens.append(_Token("num", m.group("num"), m.start("num")))
+        elif m.group("name") is not None:
+            tokens.append(_Token("name", m.group("name"), m.start("name")))
+        else:
+            tokens.append(_Token("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(_Token("end", "", len(source)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, source: str, nvars: int):
+        self.source = source
+        self.nvars = nvars
+        self.tokens = _tokenize(source)
+        self.i = 0
+
+    @property
+    def cur(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.cur
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        if self.cur.kind == "op" and self.cur.text == op:
+            self.advance()
+            return
+        raise ExprSyntaxError(self.cur.pos, repr(op), self.cur.text or "end of input")
+
+    def parse(self):
+        node = self.expr()
+        if self.cur.kind != "end":
+            raise ExprSyntaxError(self.cur.pos, "end of input", self.cur.text)
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.cur.kind == "op" and self.cur.text in "+-":
+            op = self.advance().text
+            node = Apply(op, (node, self.term()))
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.cur.kind == "op" and self.cur.text in "*/":
+            op = self.advance().text
+            node = Apply(op, (node, self.unary()))
+        return node
+
+    def unary(self):
+        if self.cur.kind == "op" and self.cur.text == "-":
+            self.advance()
+            return Apply(_NEG, (self.unary(),))
+        return self.power()
+
+    def power(self):
+        base = self.primary()
+        if self.cur.kind == "op" and self.cur.text == "^":
+            self.advance()
+            return Apply("^", (base, self.unary()))  # right-assoc, exponent may be signed
+        return base
+
+    def primary(self):
+        tok = self.cur
+        if tok.kind == "num":
+            self.advance()
+            value = float(tok.text)
+            if math.isinf(value):  # Num(inf) would make evaluate return inf
+                raise ExprSyntaxError(tok.pos, "a number within the float range", tok.text)
+            return Num(value)
+        if tok.kind == "name":
+            self.advance()
+            name = _ALIASES.get(tok.text, tok.text)
+            if self.cur.kind == "op" and self.cur.text == "(":
+                if name not in _FUNCTIONS:
+                    raise UnknownIdentifier(tok.text, tok.pos, "not a known function")
+                arity = _FUNCTIONS[name][0]
+                self.advance()
+                args = [self.expr()]
+                while self.cur.kind == "op" and self.cur.text == ",":
+                    self.advance()
+                    args.append(self.expr())
+                self.expect_op(")")
+                if len(args) != arity:
+                    raise ArityError(name, arity, len(args), tok.pos)
+                return Apply(name, tuple(args))
+            if name in _CONSTS:
+                return Const(name)
+            if name == "t":
+                return Var("t", 0)
+            m = re.fullmatch(r"y(\d+)", name)
+            if m:
+                k = int(m.group(1))
+                if not 1 <= k <= self.nvars:
+                    raise UnknownIdentifier(
+                        tok.text, tok.pos, f"state has coordinates y1..y{self.nvars}"
+                    )
+                return Var(name, k)
+            if name in _FUNCTIONS:
+                raise ExprSyntaxError(self.cur.pos, f"'(' after function {name!r}", self.cur.text)
+            raise UnknownIdentifier(tok.text, tok.pos)
+        if tok.kind == "op" and tok.text == "(":
+            self.advance()
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError(tok.pos, "a number, name or '('", tok.text or "end of input")
+
+
+def descent_parse(source: str, n: int):
+    """The root of fdvi.expr.parse(source, n), by recursive descent."""
+    return _Parser(source, n).parse()

@@ -13,6 +13,7 @@ import fdvi.fuzzy
 from fdvi.cli import main
 from fdvi.config import apply_overrides, build_problem, example_config, load_config
 from fdvi.errors import ConfigError
+from fdvi.fractional import GridFunction
 from fdvi.hypotheses import SamplingDomain, verify
 from fdvi.problem import SolverConfig
 from fdvi.solver import SolutionBundle, read_solution_csv
@@ -547,6 +548,24 @@ def test_cli_band_single_pair_matches_solve(tmp_path, config_path):
     band_csv = (out_b / "band_alpha1_lambda0.csv").read_bytes()
     solve_csv = (out_s / "solution.csv").read_bytes()
     assert band_csv == solve_csv
+
+
+def test_cli_csvs_read_back_bit_exactly(tmp_path, config_path):
+    # the solve's, every band run's and the envelope's CSV, read and written again
+    assert main(["solve", "--config", config_path, "--out", str(tmp_path / "solve")]) == 0
+    assert main(["band", "--config", config_path, "--out", str(tmp_path / "band"),
+                 "--alpha", "0,1", "--lambda=-1,1"]) == 0
+    solution = tmp_path / "solve" / "solution.csv"
+    paths = [solution, *sorted((tmp_path / "band").glob("*.csv"))]
+    assert [p.name for p in paths[-2:]] == ["band_alpha1_lambda1.csv", "envelope.csv"]
+    again = tmp_path / "again.csv"
+    for path in paths:
+        columns = path.read_text().splitlines()[0].split(",")[1:]
+        GridFunction.read_csv(path).to_csv(again, columns)
+        assert again.read_bytes() == path.read_bytes(), path.name
+    y, u, f = read_solution_csv(solution)
+    SolutionBundle(y, u, f, alpha=1.0, lam=np.zeros(y.dim), diagnostics={}).write_csv(again)
+    assert again.read_bytes() == solution.read_bytes()
 
 
 def test_cli_vi_closed_form(capsys):

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fdvi.errors import ArityError, EvalDomainError, EvalOverflowError, ExprSyntaxError, UnknownIdentifier
+from fdvi.expr import _NEG, _SYNTAX, _TOKEN_RE
 from fdvi.expr import _RULES as RULE_TABLE
-from fdvi.expr import Apply, Num, Var, evaluate, parse, to_source, value_and_gradient
-from oracles import walk_evaluate, walk_value_and_gradient
+from fdvi.expr import Apply, Const, Num, Var, evaluate, parse, to_source, value_and_gradient
+from oracles import descent_parse, walk_evaluate, walk_value_and_gradient
 
 
 def ev(source, t=0.0, y=0.0, n=1):
@@ -101,6 +104,8 @@ def test_round_trip_pretty_print():
     ("1e300*t", "1e+300 * t"),
     (".5e-3*y1", "0.0005 * y1"),
     ("e^pi", "e ^ pi"),
+    ("y1+(t+y1)", "y1 + (t + y1)"),
+    ("y1*(t/y1)", "y1 * (t / y1)"),
 ])
 def test_printed_text(source, text):
     assert to_source(parse(source, 1).root) == text
@@ -112,6 +117,70 @@ def test_every_operation_prints_and_reparses(key):
     for operands in ((y1, Num(0.5)), (Apply("+", (t, y1)), Apply("^", (y1, t)))):
         node = Apply(key, operands[:RULE_TABLE[key].arity])
         assert parse(to_source(node), 1).root == node, to_source(node)
+
+
+_LEAVES = [Num(0.0), Num(0.5), Num(2.0), Num(1e300), Num(5e-324), Const("pi"), Const("e"),
+           Var("t", 0), Var("y1", 1), Var("y2", 2)]
+
+
+def _random_tree(rng, depth):
+    """A random tree over every _RULES key; its leaves are the kind the parser builds."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_LEAVES)
+    key = rng.choice(list(RULE_TABLE))
+    return Apply(key, tuple(_random_tree(rng, depth - 1) for _ in range(RULE_TABLE[key].arity)))
+
+
+def test_printed_trees_reparse_to_equal_trees():
+    rng = random.Random(20261020)
+    for _ in range(5000):
+        tree = _random_tree(rng, 4)
+        assert parse(to_source(tree), 2).root == tree, to_source(tree)
+
+
+def test_token_operators_are_the_syntax_table_keys():
+    for key in _SYNTAX.keys() - {_NEG}:
+        assert [(m.lastgroup, m.group()) for m in _TOKEN_RE.finditer(key)] == [("op", key)]
+    ops = {c for c in map(chr, range(sys.maxunicode + 1))
+           if (m := _TOKEN_RE.fullmatch(c)) is not None and m.lastgroup == "op"}
+    assert ops - set("(),") == _SYNTAX.keys() - {_NEG}
+
+
+# grammar tokens, whitespace and characters that start no token; pieces run
+# together when joined, so "y1" "e" reads as one name
+_PIECES = ["0", "1", "2.5", ".5e-3", "1e309", "3.", "1e", "\u0663", "t", "y1", "y2", "y3", "y0", "y01",
+           "pi", "e", "sin", "arctan", "min", "max", "neg", "u", "foo",
+           "+", "-", "*", "/", "^", "(", ")", ",", "(", ")", "-",
+           " ", "  ", "\t", "\n", "\u00a0", "$", "#", ".", "\u00e9", "!", "_"]
+
+
+def _random_source(rng):
+    """Random pieces run together, or a printed random tree with one character dropped, doubled or replaced."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 10)))
+    text = to_source(_random_tree(rng, 3))
+    i = rng.randrange(len(text))
+    return rng.choice([text, text[:i] + text[i + 1:], text[:i] + text[i] + text[i:],
+                       text[:i] + rng.choice(_PIECES) + text[i + 1:]])
+
+
+def _parsed(parser, source):
+    """parser's tree for source, or the type and text of the error it raised."""
+    try:
+        return parser(source)
+    except Exception as exc:  # every error counts, with its offset in the text
+        return type(exc), str(exc)
+
+
+def test_table_parser_matches_the_recursive_descent_parser():
+    rng = random.Random(20261021)
+    parsed = 0
+    for _ in range(20000):
+        source = _random_source(rng)
+        tree = _parsed(lambda s: parse(s, 2).root, source)
+        assert tree == _parsed(lambda s: descent_parse(s, 2), source), repr(source)
+        parsed += not isinstance(tree, tuple)
+    assert parsed > 2000  # trees are compared, not only errors
 
 
 def test_vectorized_evaluation_matches_scalar():

@@ -390,6 +390,18 @@ def test_solution_csv_round_trip(tmp_path, solved):
     assert np.array_equal(f.values, bundle.f.values)
 
 
+def test_solution_csv_with_an_edited_time_is_rejected(tmp_path, solved):
+    path = tmp_path / "solution.csv"
+    solved(500).write_csv(path)
+    lines = path.read_bytes().split(b"\r\n")
+    t, rest = lines[101].split(b",", 1)  # node 100
+    edited = math.nextafter(float(t), 1.0)
+    lines[101] = b"%r,%s" % (edited, rest)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(DomainError, match=rf"line 102: t = {edited:.17g} is not node 100 of the grid, {t.decode()}"):
+        read_solution_csv(path)
+
+
 # --- solve_band ---------------------------------------------------------------
 
 
