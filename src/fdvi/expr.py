@@ -360,7 +360,8 @@ def _compile(node: Node):
     if not node.args:
         if isinstance(node, Var):
             k = node.index - 1
-            return (lambda t, y: y[..., k]) if k >= 0 else (lambda t, y: t)
+            # [()] reads a 1-D state's coordinate as a numpy scalar, as _walk reads a 0-d t
+            return (lambda t, y: y[..., k][()]) if k >= 0 else (lambda t, y: t)
         # numpy scalars, so arithmetic on constants trips the errstate too
         value = _CONSTS[node.name] if isinstance(node, Const) else np.float64(node.value)
         return lambda t, y: value
@@ -376,9 +377,7 @@ def _compile(node: Node):
 def _dv(node: Node, t, y):
     """(value, gradient) of node at (t, y) in forward mode; values check their domain as evaluate's do."""
     if not node.args:
-        if isinstance(node, Var) and node.index > 0:
-            return y[..., node.index - 1], {node.index - 1: _ONE}
-        return _compile(node)(t, y), {}
+        return _compile(node)(t, y), ({node.index - 1: _ONE} if isinstance(node, Var) and node.index > 0 else {})
     rule = _RULES[node.key]
     args, grads = zip(*(_dv(arg, t, y) for arg in node.args))
     value = _apply(rule, node, *args)

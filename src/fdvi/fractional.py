@@ -115,8 +115,15 @@ def _read_csv(path) -> tuple[list[str], GridFunction]:
     """The header and the grid function of a CSV that GridFunction.to_csv wrote, in one pass."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        data = np.asarray([[float(x) for x in row] for row in reader])
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise DomainError(f"{path}, line {reader.line_num}: {len(row)} fields, the header {len(header)}")
+            rows.append([float(x) for x in row])
+    if not rows:
+        raise DomainError(f"{path}, line {reader.line_num + 1}: the file ends before its first data row")
+    data = np.asarray(rows)
     ts = data[:, 0]
     grid = UniformGrid(float(ts[-1]), len(ts) - 1)
     off = np.flatnonzero(ts.view(np.int64) != grid.nodes.view(np.int64))

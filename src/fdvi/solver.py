@@ -10,7 +10,9 @@ and u solved from the variational inequality at all nodes in one batched
 solve.  The bracket B is linear, so the fuzzy part B[f] (phi_part) and the
 control part B[g(t,y)u] + l (psi_part) share one convolution of the whole
 right-hand side.  Picard sweeps iterate the operator from y = 0; each
-sweep applies it once.  The damped step y <- (1 - theta) y + theta T(y) is
+sweep applies it once, and the loop applies it once more at the converged
+y, under the same overflow guard, for the bundle's u, f and certificates.
+The damped step y <- (1 - theta) y + theta T(y) is
 accelerated by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011) over
 the last ANDERSON_MEMORY sweeps: with the residuals f = T(y) - y and the
 columns dY, dF of differences of the recent iterates and residuals, the
@@ -155,14 +157,9 @@ class SolutionBundle:
 
     def write_csv(self, path) -> None:
         """Write "t, y1..yn, u1..um, f1..fn" rows at full double precision."""
-        n, m = self.y.dim, self.u.dim
-        columns = (
-            [f"y{i + 1}" for i in range(n)]
-            + [f"u{j + 1}" for j in range(m)]
-            + [f"f{i + 1}" for i in range(n)]
-        )
-        values = np.hstack([self.y.values, self.u.values, self.f.values])
-        GridFunction(self.y.grid, values).to_csv(path, columns)
+        parts = (("y", self.y), ("u", self.u), ("f", self.f))
+        columns = [f"{name}{i + 1}" for name, part in parts for i in range(part.dim)]
+        GridFunction(self.y.grid, np.hstack([part.values for _, part in parts])).to_csv(path, columns)
 
 
 def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
@@ -170,10 +167,8 @@ def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
     header, data = _read_csv(path)
     n = sum(1 for name in header if name.startswith("y"))
     m = sum(1 for name in header if name.startswith("u"))
-    y = GridFunction(data.grid, data.values[:, :n])
-    u = GridFunction(data.grid, data.values[:, n : n + m])
-    f = GridFunction(data.grid, data.values[:, n + m : 2 * n + m])
-    return y, u, f
+    ends = (0, n, n + m, 2 * n + m)
+    return tuple(GridFunction(data.grid, data.values[:, a:b]) for a, b in zip(ends, ends[1:]))
 
 
 def _apply_operator(spec, cfg, policy, y):
@@ -244,7 +239,7 @@ def picard_solve(
     that does not contract is swept exactly as without mixing.  The
     residual history holds the sup-node change of each sweep's step.
     Raises MaxPicardExceeded with that history when the cap is hit and
-    NonfiniteValue if an iterate blows up.
+    NonfiniteValue if an application blows up, the final one included.
     """
     cfg = cfg or SolverConfig()
     policy = policy or SelectionPolicy.constant(0.0, spec.n)
@@ -257,15 +252,17 @@ def picard_solve(
         y = GridFunction(grid, np.tile(cfg.y0, (grid.N + 1, 1)))
     history: list[float] = []
     past: list[tuple[np.ndarray, np.ndarray, float]] = []
-    converged = False
-    for sweep in range(1, cfg.max_picard + 1):
+    # the pass after the converged sweep only applies the operator, at the returned y
+    for sweep in range(1, cfg.max_picard + 2):
         try:
             # Overflow raises here instead of warning, and inf/NaN never
             # get past the expression evaluator or GridFunction.
             with np.errstate(over="raise"):
-                ty = _apply_operator(spec, cfg, policy, y)[0]
-                f = ty - y.values
-                current = (y.values, f, float(np.max(np.abs(f))))
+                ty, u, f, rhs, ic1, ic2, w = _apply_operator(spec, cfg, policy, y)
+                if history and history[-1] <= cfg.picard_tol:
+                    break
+                fy = ty - y.values
+                current = (y.values, fy, float(np.max(np.abs(fy))))
                 new_vals = _next_iterate(ty, current, past, cfg.damping)
                 res = float(np.max(np.abs(new_vals - y.values)))
                 past.append(current)
@@ -277,17 +274,11 @@ def picard_solve(
                 iteration=sweep, node=-1,
             ) from exc
         history.append(res)
-        if res <= cfg.picard_tol:
-            converged = True
-            break
-    if not converged:
-        raise MaxPicardExceeded(
-            f"no fixed point within {cfg.max_picard} sweeps (last change {history[-1]:.3e})",
-            residual_history=history,
-        )
-    # Recompute the trajectories at the final y so the bundle is self-consistent,
-    # and measure how far one more application of the operator moves it.
-    ty, u, f, rhs, ic1, ic2, w = _apply_operator(spec, cfg, policy, y)
+        if sweep == cfg.max_picard and res > cfg.picard_tol:
+            raise MaxPicardExceeded(
+                f"no fixed point within {cfg.max_picard} sweeps (last change {res:.3e})",
+                residual_history=history,
+            )
     recheck = float(np.max(np.abs(ty - y.values)))
     max_vi = float(np.max(vi_residual(VIInstance(spec.K, w, spec.S), u.values)))
     # The formula pins the operator output at t = 0 to the c1 trapezoid exactly;

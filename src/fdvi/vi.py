@@ -6,7 +6,9 @@ The constant term w is one vector (m,) or a batch (k, m) of independent
 problems that share K and S; solutions and residuals then come row by row.
 For a strongly monotone S each solution is unique and the projected
 fixed-point iteration u <- P_K(u - gamma (w + S(u))) with gamma = mu / L^2
-is a contraction, run on all rows at once.  L is the exact spectral norm
+is a contraction, run on all rows at once.  It returns the first iterate
+whose every row has ||u - P_K(u - F(u))|| <= tol, F = w + S, and steps
+from the same F(u) when not.  L is the exact spectral norm
 ||M||_2: the contraction holds for gamma < 2 mu / L^2, which an
 underestimate of L can break.  For merely monotone S the solver takes a
 single instance and aims at the least-norm element of the solution set via
@@ -180,9 +182,10 @@ class _ComponentMajor:
         self.lo = inst.k.lo.reshape(col)
         self.hi = inst.k.hi.reshape(col)
 
-    def residual_sq(self, u: np.ndarray):
-        """Squared natural-map residual of each column of the component-major u."""
-        return _column_sumsq(u - np.clip(u - (self.w + (self.M @ u + self.b)), self.lo, self.hi))
+    def residual_sq(self, u: np.ndarray) -> tuple:
+        """The squared natural-map residual of each column of the component-major u, and F(u) = w + M u + b."""
+        fu = self.w + (self.M @ u + self.b)
+        return _column_sumsq(u - np.clip(u - fu, self.lo, self.hi)), fu
 
 
 def vi_residual(inst: VIInstance, u):
@@ -195,24 +198,24 @@ def vi_residual(inst: VIInstance, u):
         raise DimensionMismatch(f"point has shape {u.shape}, instance dimension {inst.k.dim}")
     shape = np.broadcast_shapes(u.shape, inst.w.shape)
     cm = _ComponentMajor(inst, np.broadcast_to(inst.w, shape))
-    res = np.sqrt(cm.residual_sq(np.ascontiguousarray(np.broadcast_to(u, shape).T)))
+    res = np.sqrt(cm.residual_sq(np.ascontiguousarray(np.broadcast_to(u, shape).T))[0])
     return float(res) if res.ndim == 0 else res
 
 
 def _solve_strong(inst: VIInstance, mu: float, tol: float, max_iter: int, u0: np.ndarray) -> tuple[np.ndarray, int]:
-    """Projected iteration on every row at once; stops when the worst row certifies."""
+    """Projected iteration on every row at once; (the first iterate whose worst row certifies, steps taken)."""
     lip = inst.s.lipschitz
     gamma = mu / (lip * lip)
     cm = _ComponentMajor(inst, inst.w)
     u = np.broadcast_to(u0.reshape(cm.b.shape), cm.w.shape)
-    for it in range(1, max_iter + 1):
-        u_next = np.clip(u - gamma * (cm.w + (cm.M @ u + cm.b)), cm.lo, cm.hi)
+    for it in range(max_iter + 1):
+        sq, fu = cm.residual_sq(u)
         # the root is monotone, so the largest row norm is the root of the largest sum
-        r_gamma = math.sqrt(float(np.max(_column_sumsq(u_next - u))))
-        u = u_next
-        if r_gamma <= tol and math.sqrt(float(np.max(cm.residual_sq(u)))) <= tol:
-            return np.ascontiguousarray(u.T), it
-    res = np.atleast_1d(np.sqrt(cm.residual_sq(u)))
+        if math.sqrt(float(np.max(sq))) <= tol:
+            return np.array(u.T, order="C"), it  # a copy, also of the broadcast start
+        if it < max_iter:
+            u = np.clip(u - gamma * fu, cm.lo, cm.hi)
+    res = np.atleast_1d(np.sqrt(sq))
     worst = int(np.argmax(res))
     raise NotConvergedError(
         f"projected fixed point did not reach tol {tol} in {max_iter} iterations (worst row {worst})",

@@ -158,7 +158,7 @@ def _ev(node, t, y):
     if isinstance(node, Var):
         if node.index == 0:
             return t
-        return y[..., node.index - 1]
+        return y[..., node.index - 1][()]  # a 1-D state's coordinate is a numpy scalar, as a 0-d t is
     if node.key == _NEG:
         return -_ev(node.args[0], t, y)
     if node.key in _BINARY:
@@ -224,7 +224,7 @@ def _call_grad(name: str, args, value) -> dict:
 
 def _dv(node, t, y):
     if isinstance(node, Var) and node.index > 0:
-        return y[..., node.index - 1], {node.index - 1: _ONE}
+        return _ev(node, t, y), {node.index - 1: _ONE}
     if isinstance(node, (Num, Const, Var)):
         return _ev(node, t, y), {}
     if node.key == _NEG:

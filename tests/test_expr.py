@@ -249,6 +249,12 @@ def test_eval_domain_errors():
         ev("1/y1", y=1e-320)  # nonzero divisor, quotient overflows
 
 
+@pytest.mark.parametrize("source", ["1e300 * t", "1e300 * y1"])
+def test_overflow_text_is_the_same_for_time_and_state(source):
+    with pytest.raises(EvalOverflowError, match="^overflow encountered in scalar multiply in subexpression"):
+        evaluate(parse(source, 1), 1e200, np.array([1e200]))
+
+
 def test_scalar_state_is_a_domain_error():
     e = parse("y1", 1)
     for fn in (evaluate, value_and_gradient):
@@ -386,6 +392,7 @@ def test_compiled_rules_match_the_tree_walkers(source, ts, ys):
     ("y1^0.5", 0.0, [-2.0, 0.0]),
     ("1/y1", 0.0, [[1e-320, 1.0]]),
     ("log(y1 - y2) + sqrt(y2)", 0.0, [[2.0, -1.0]]),
+    ("1e300 * y1", 0.0, [1e200, 0.0]),  # a 1-D state's coordinate is a numpy scalar too
 ])
 def test_compiled_rules_match_the_tree_walkers_at_edges(source, t, y):
     _assert_same_as_the_tree_walkers(parse(source, 2), t, np.array(y))

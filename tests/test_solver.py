@@ -373,6 +373,39 @@ def test_picard_overflow_outside_expressions_detected():
     assert isinstance(err.value.__cause__, FloatingPointError)
 
 
+def _counted_applications(monkeypatch, fail_at=None):
+    """Count the calls of _apply_operator; call number fail_at raises FloatingPointError."""
+    calls = []
+
+    def apply(*args):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise FloatingPointError("overflow encountered in multiply")
+        return _apply_operator(*args)
+
+    monkeypatch.setattr(fdvi.solver, "_apply_operator", apply)
+    return calls
+
+
+def test_overflow_in_the_final_application_is_a_nonfinite_value(example_spec, monkeypatch):
+    # the application after the converged sweep runs under the sweeps' overflow guard
+    cfg = SolverConfig(N=64)
+    iterations = picard_solve(example_spec, cfg).diagnostics["iterations"]
+    calls = _counted_applications(monkeypatch, fail_at=iterations + 1)
+    with pytest.raises(NonfiniteValue) as err:
+        picard_solve(example_spec, cfg)
+    assert err.value.iteration == iterations + 1 == len(calls)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+
+
+def test_sweep_cap_applies_the_operator_once_per_sweep(example_spec, monkeypatch):
+    iterations = picard_solve(example_spec, SolverConfig(N=64)).diagnostics["iterations"]
+    calls = _counted_applications(monkeypatch)
+    with pytest.raises(MaxPicardExceeded) as err:
+        picard_solve(example_spec, SolverConfig(N=64, max_picard=iterations - 1))
+    assert len(err.value.residual_history) == iterations - 1 == len(calls)
+
+
 def test_picard_domain_error_propagates():
     # a domain violation is not a blow-up: log(0) at the zero start surfaces as is
     spec = scalar_spec(c1="log(y1)", c2="0")
@@ -400,6 +433,19 @@ def test_solution_csv_with_an_edited_time_is_rejected(tmp_path, solved):
     path.write_bytes(b"\r\n".join(lines))
     with pytest.raises(DomainError, match=rf"line 102: t = {edited:.17g} is not node 100 of the grid, {t.decode()}"):
         read_solution_csv(path)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (b"t,y1\r\n", 2, "the file ends before its first data row"),
+    (b"t,y1\r\n0,1\r\n0.5\r\n1,2\r\n", 3, "1 fields, the header 2"),
+    (b"t,y1\r\n0,1\r\n0.5,1,7\r\n1,2\r\n", 3, "3 fields, the header 2"),
+])
+def test_malformed_solution_csv_names_the_file_and_line(tmp_path, text, line, message):
+    path = tmp_path / "solution.csv"
+    path.write_bytes(text)
+    for read in (read_solution_csv, GridFunction.read_csv):
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(path))}, line {line}: {message}$"):
+            read(path)
 
 
 # --- solve_band ---------------------------------------------------------------

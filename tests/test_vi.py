@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdvi.errors import DimensionMismatch, NonMonotoneError, NotConvergedError
+from fdvi.solver import control_map
 from fdvi.vi import (
     AffineOperator,
     BoxSet,
@@ -197,6 +198,31 @@ def test_batch_not_converged_names_worst_row():
     assert err.value.residual == pytest.approx(np.max(res))
 
 
+def test_example_node_batch_returns_after_one_projected_step(example_spec, solved):
+    # S = 3I on the orthant with Q at a converged y: the first step certifies every row
+    spec = example_spec
+    assert np.array_equal(spec.S.M, 3.0 * np.eye(spec.m)) and np.array_equal(spec.K.lo, np.zeros(spec.m))
+    assert np.all(spec.K.hi == np.inf)
+    inst = VIInstance(spec.K, control_map(spec, solved(500).y)[1], spec.S)
+    u0 = spec.K.project(spec.anchor_u0)
+    u, steps = _solve_strong(inst, spec.S.mu, 1e-10, 100_000, u0)
+    assert steps == 1
+    assert np.max(vi_residual(inst, u)) <= 1e-10
+    with pytest.raises(NotConvergedError):
+        _solve_strong(inst, spec.S.mu, 1e-10, 0, u0)
+
+
+def test_a_certified_start_returns_a_copy_after_no_step():
+    # w >= 0 on the orthant: u = 0 solves every row
+    inst = orthant_instance(np.array([[1.0, 0.0], [2.0, 3.0]]))
+    for w in (inst.w, inst.w[0]):
+        u0 = np.zeros(2)
+        u, steps = _solve_strong(VIInstance(inst.k, w, inst.s), 3.0, 1e-12, 100_000, u0)
+        assert steps == 0 and np.array_equal(u, np.zeros_like(w))
+        u[...] = 1.0  # writable, and not the start
+        assert np.array_equal(u0, np.zeros(2))
+
+
 def test_batch_rejected_on_monotone_path():
     s = AffineOperator(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(DimensionMismatch):
@@ -285,13 +311,13 @@ def _row_major_solve(inst, mu, tol, max_iter, u0):
     lip = inst.s.lipschitz
     gamma = mu / (lip * lip)
     u = np.broadcast_to(u0, inst.w.shape)
-    for it in range(1, max_iter + 1):
-        u_next = inst.k.project(u - gamma * inst.operator(u))
-        r_gamma = float(np.max(np.linalg.norm(u_next - u, axis=-1)))
-        u = u_next
-        if r_gamma <= tol and np.max(_row_major_residual(inst, u)) <= tol:
+    for it in range(max_iter + 1):
+        fu = inst.operator(u)
+        res = np.atleast_1d(np.linalg.norm(u - inst.k.project(u - fu), axis=-1))
+        if np.max(res) <= tol:
             return u, it
-    res = np.atleast_1d(_row_major_residual(inst, u))
+        if it < max_iter:
+            u = inst.k.project(u - gamma * fu)
     worst = int(np.argmax(res))
     raise NotConvergedError("row-major oracle", residual=float(res[worst]), iterations=max_iter, node=worst)
 
