@@ -377,7 +377,9 @@ def _compile(node: Node):
 def _dv(node: Node, t, y):
     """(value, gradient) of node at (t, y) in forward mode; values check their domain as evaluate's do."""
     if not node.args:
-        return _compile(node)(t, y), ({node.index - 1: _ONE} if isinstance(node, Var) and node.index > 0 else {})
+        if isinstance(node, Var) and node.index > 0:
+            return y[..., node.index - 1][()], {node.index - 1: _ONE}
+        return _compile(node)(t, y), {}
     rule = _RULES[node.key]
     args, grads = zip(*(_dv(arg, t, y) for arg in node.args))
     value = _apply(rule, node, *args)

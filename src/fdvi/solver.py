@@ -157,9 +157,14 @@ class SolutionBundle:
 
     def write_csv(self, path) -> None:
         """Write "t, y1..yn, u1..um, f1..fn" rows at full double precision."""
-        parts = (("y", self.y), ("u", self.u), ("f", self.f))
-        columns = [f"{name}{i + 1}" for name, part in parts for i in range(part.dim)]
-        GridFunction(self.y.grid, np.hstack([part.values for _, part in parts])).to_csv(path, columns)
+        n, m = self.y.dim, self.u.dim
+        columns = (
+            [f"y{i + 1}" for i in range(n)]
+            + [f"u{j + 1}" for j in range(m)]
+            + [f"f{i + 1}" for i in range(n)]
+        )
+        values = np.hstack([self.y.values, self.u.values, self.f.values])
+        GridFunction(self.y.grid, values).to_csv(path, columns)
 
 
 def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
@@ -167,8 +172,10 @@ def read_solution_csv(path) -> tuple[GridFunction, GridFunction, GridFunction]:
     header, data = _read_csv(path)
     n = sum(1 for name in header if name.startswith("y"))
     m = sum(1 for name in header if name.startswith("u"))
-    ends = (0, n, n + m, 2 * n + m)
-    return tuple(GridFunction(data.grid, data.values[:, a:b]) for a, b in zip(ends, ends[1:]))
+    y = GridFunction(data.grid, data.values[:, :n])
+    u = GridFunction(data.grid, data.values[:, n : n + m])
+    f = GridFunction(data.grid, data.values[:, n + m : 2 * n + m])
+    return y, u, f
 
 
 def _apply_operator(spec, cfg, policy, y):

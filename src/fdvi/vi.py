@@ -7,8 +7,9 @@ problems that share K and S; solutions and residuals then come row by row.
 For a strongly monotone S each solution is unique and the projected
 fixed-point iteration u <- P_K(u - gamma (w + S(u))) with gamma = mu / L^2
 is a contraction, run on all rows at once.  It returns the first iterate
-whose every row has ||u - P_K(u - F(u))|| <= tol, F = w + S, and steps
-from the same F(u) when not.  L is the exact spectral norm
+whose every row has ||u - P_K(u - F(u))|| <= tol, F = w + S; each F(u)
+serves both the step and that residual, which is taken only after a step
+short enough for the iterate to certify.  L is the exact spectral norm
 ||M||_2: the contraction holds for gamma < 2 mu / L^2, which an
 underestimate of L can break.  For merely monotone S the solver takes a
 single instance and aims at the least-norm element of the solution set via
@@ -182,10 +183,13 @@ class _ComponentMajor:
         self.lo = inst.k.lo.reshape(col)
         self.hi = inst.k.hi.reshape(col)
 
-    def residual_sq(self, u: np.ndarray) -> tuple:
-        """The squared natural-map residual of each column of the component-major u, and F(u) = w + M u + b."""
-        fu = self.w + (self.M @ u + self.b)
-        return _column_sumsq(u - np.clip(u - fu, self.lo, self.hi)), fu
+    def operator(self, u: np.ndarray) -> np.ndarray:
+        """F(u) = w + M u + b of the component-major u."""
+        return self.w + (self.M @ u + self.b)
+
+    def residual_sq(self, u: np.ndarray, fu: np.ndarray):
+        """Squared natural-map residual of each column of the component-major u, from its F(u)."""
+        return _column_sumsq(u - np.clip(u - fu, self.lo, self.hi))
 
 
 def vi_residual(inst: VIInstance, u):
@@ -198,23 +202,32 @@ def vi_residual(inst: VIInstance, u):
         raise DimensionMismatch(f"point has shape {u.shape}, instance dimension {inst.k.dim}")
     shape = np.broadcast_shapes(u.shape, inst.w.shape)
     cm = _ComponentMajor(inst, np.broadcast_to(inst.w, shape))
-    res = np.sqrt(cm.residual_sq(np.ascontiguousarray(np.broadcast_to(u, shape).T))[0])
+    u = np.ascontiguousarray(np.broadcast_to(u, shape).T)
+    res = np.sqrt(cm.residual_sq(u, cm.operator(u)))
     return float(res) if res.ndim == 0 else res
 
 
 def _solve_strong(inst: VIInstance, mu: float, tol: float, max_iter: int, u0: np.ndarray) -> tuple[np.ndarray, int]:
-    """Projected iteration on every row at once; (the first iterate whose worst row certifies, steps taken)."""
+    """Projected iteration on every row at once; (the first iterate whose worst row certifies, steps taken).
+
+    A row's step ||u - P_K(u - gamma F(u))|| is at most max(1, gamma) times
+    its residual ||u - P_K(u - F(u))|| (Gafni & Bertsekas, 1984), so after a
+    longer step no iterate can certify and its residual is not taken.
+    """
     lip = inst.s.lipschitz
     gamma = mu / (lip * lip)
+    longest = max(1.0, gamma) * tol  # a longer step proves its row uncertified
     cm = _ComponentMajor(inst, inst.w)
     u = np.broadcast_to(u0.reshape(cm.b.shape), cm.w.shape)
     for it in range(max_iter + 1):
-        sq, fu = cm.residual_sq(u)
+        fu = cm.operator(u)
+        u_next = np.clip(u - gamma * fu, cm.lo, cm.hi)
         # the root is monotone, so the largest row norm is the root of the largest sum
-        if math.sqrt(float(np.max(sq))) <= tol:
-            return np.array(u.T, order="C"), it  # a copy, also of the broadcast start
-        if it < max_iter:
-            u = np.clip(u - gamma * fu, cm.lo, cm.hi)
+        if it == max_iter or math.sqrt(float(np.max(_column_sumsq(u_next - u)))) <= longest:
+            sq = cm.residual_sq(u, fu)
+            if math.sqrt(float(np.max(sq))) <= tol:
+                return np.array(u.T, order="C"), it  # a copy, also of the broadcast start
+        u = u_next
     res = np.atleast_1d(np.sqrt(sq))
     worst = int(np.argmax(res))
     raise NotConvergedError(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -306,18 +307,22 @@ def _row_major_residual(inst, u):
     return np.linalg.norm(u - inst.k.project(u - inst.operator(u)), axis=-1)
 
 
-def _row_major_solve(inst, mu, tol, max_iter, u0):
-    """The projected iteration on (k, m) rows, as it ran before the batch went component-major."""
+def _row_major_solve(inst, mu, tol, max_iter, u0, gated=True):
+    """Row-major twin of _solve_strong on (k, m) rows: one F(u) per iterate for its step and its
+    natural-residual test, the test taken after a step of at most max(1, gamma) tol, or always
+    when not gated."""
     lip = inst.s.lipschitz
     gamma = mu / (lip * lip)
     u = np.broadcast_to(u0, inst.w.shape)
     for it in range(max_iter + 1):
         fu = inst.operator(u)
-        res = np.atleast_1d(np.linalg.norm(u - inst.k.project(u - fu), axis=-1))
-        if np.max(res) <= tol:
-            return u, it
-        if it < max_iter:
-            u = inst.k.project(u - gamma * fu)
+        u_next = inst.k.project(u - gamma * fu)
+        step = np.max(np.linalg.norm(u_next - u, axis=-1))
+        if it == max_iter or not gated or step <= max(1.0, gamma) * tol:
+            res = np.atleast_1d(np.linalg.norm(u - inst.k.project(u - fu), axis=-1))
+            if np.max(res) <= tol:
+                return u, it
+        u = u_next
     worst = int(np.argmax(res))
     raise NotConvergedError("row-major oracle", residual=float(res[worst]), iterations=max_iter, node=worst)
 
@@ -366,6 +371,26 @@ def test_component_major_loop_matches_row_major_oracle(m, box):
                 assert new[0] == ref[0] and np.array_equal(new[1], ref[1]) and new[2] == ref[2]
             u = _solve_strong(inst, s.mu, 1e-12, 100_000, u0)[0]
             assert np.array_equal(vi_residual(inst, u), _row_major_residual(inst, u))
+
+
+def test_step_gate_skips_no_certifying_iterate():
+    # the solver and its row-major twin return the iterate, bit for bit, of a loop that
+    # tests every iterate; S scaled by 0.05 has L < 1, so gamma = mu / L^2 is mostly > 1
+    rng = np.random.default_rng(83)
+    gammas = []
+    for m, scale in itertools.product((1, 2, 3, 5), (1.0, 0.05)):
+        for _ in range(8):
+            s = random_strongly_monotone(rng, m)
+            s = AffineOperator(scale * s.M, s.b)
+            gammas.append(s.mu / s.lipschitz**2)
+            k = _boxes(rng, m)["bounded"]
+            inst = VIInstance(k, rng.uniform(-3.0, 3.0, size=(20, m)), s)
+            u0 = k.project(np.zeros(m))
+            for tol in (1e-6, 1e-12):
+                every = _row_major_solve(inst, s.mu, tol, 100_000, u0, gated=False)
+                for u, it in (_solve_strong(inst, s.mu, tol, 100_000, u0), _row_major_solve(inst, s.mu, tol, 100_000, u0)):
+                    assert it == every[1] and np.array_equal(u, every[0])
+    assert min(gammas) < 1.0 < max(gammas)
 
 
 def test_residual_broadcasts_a_point_against_a_batch():
