@@ -12,9 +12,11 @@ serves both the step and that residual, which is taken only after a step
 short enough for the iterate to certify.  L is the exact spectral norm
 ||M||_2: the contraction holds for gamma < 2 mu / L^2, which an
 underestimate of L can break.  For merely monotone S the solver takes a
-single instance and aims at the least-norm element of the solution set via
-Tikhonov regularization extrapolated to zero, polished by semismooth Newton
-when that misses tol.
+single instance and runs proximal point steps from P_K(start): each step is
+the strongly monotone VI of S + c I, anchored at the last step, with c
+falling tenfold per step, and the first step whose residual is within tol
+is returned.  The steps converge to a solution; started at 0, they reach
+the least-norm one on the degenerate instances the tests pin.
 
 The batch runs component-major: the iteration and the residual transpose
 the (k, m) rows once to an (m, k) array, so each clamp, each product with M
@@ -239,7 +241,7 @@ def _solve_strong(inst: VIInstance, mu: float, tol: float, max_iter: int, u0: np
 
 
 def _solve_newton_box(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray) -> np.ndarray:
-    """Semismooth Newton on the normal map for box sets (used on the mu ~ 0 path)."""
+    """Semismooth Newton on the normal map for box sets (each proximal step of the mu ~ 0 path)."""
     k = inst.k
     m = inst.s.M
     eye = np.eye(inst.s.dim)
@@ -260,47 +262,40 @@ def _solve_newton_box(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarra
     return k.project(z)
 
 
-_TIKHONOV_EPS = (1e-2, 1e-4, 1e-6)
+_PROXIMAL_STEPS = 12
 
 
 def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray) -> np.ndarray:
-    """mu ~ 0: Tikhonov solves at eps in {1e-2,1e-4,1e-6}, extrapolated to eps = 0.
+    """mu ~ 0: proximal point steps (Rockafellar, 1976) from u0 toward a solution.
 
-    Quadratic extrapolation of the regularization path approximates the
-    least-norm solution.  Each eps is a semismooth Newton solve, with the
-    projected iteration as the fallback.  A point above tol gets one Newton
-    solve of the original instance; the result must certify at tol.
+    Step j solves the strongly monotone VI with operator (w - c u_j) + (S + c I)
+    to tol by semismooth Newton, with the projected iteration from Newton's
+    point as the fallback; c starts at ||M||_2 (1 if that is 0) and falls
+    tenfold per step.  It returns the first step whose residual on the
+    instance itself is within tol.
     """
-    sols = []
+    c = inst.s.lipschitz or 1.0
     u = u0
-    for eps in _TIKHONOV_EPS:
-        sub = VIInstance(inst.k, inst.w, inst.s.shifted(eps))
+    for step in range(1, _PROXIMAL_STEPS + 1):
+        sub = VIInstance(inst.k, inst.w - c * u, inst.s.shifted(c))
         u = _solve_newton_box(sub, tol, 100, u)
-        if vi_residual(sub, u) > max(10.0 * tol, 1e-9):
-            u, _ = _solve_strong(sub, eps, tol, max_iter, u)
-        sols.append(u)
-    e = np.asarray(_TIKHONOV_EPS)
-    weights = []
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        weights.append(np.prod([-e[j] for j in others]) / np.prod([e[i] - e[j] for j in others]))
-    u_star = inst.k.project(sum(w * s for w, s in zip(weights, sols)))
-    res = vi_residual(inst, u_star)
-    if res > tol:
-        u_star = _solve_newton_box(inst, tol, 100, u_star)
-        res = vi_residual(inst, u_star)
-    if res > tol:
-        raise NotConvergedError(
-            "Tikhonov extrapolation did not certify a solution "
-            "(the monotone problem may have an empty solution set)",
-            residual=res,
-            iterations=max_iter,
-        )
-    return u_star
+        try:  # returns Newton's u at once when it certifies
+            u, _ = _solve_strong(sub, inst.s.mu + c, tol, max_iter, u)
+        except NotConvergedError:
+            break  # u is this step's Newton point
+        if vi_residual(inst, u) <= tol:
+            return u
+        c /= 10.0
+    raise NotConvergedError(
+        f"{step} proximal steps did not certify a solution at tol {tol} "
+        "(the monotone problem may have an empty solution set)",
+        residual=vi_residual(inst, u),
+        iterations=step,
+    )
 
 
 def solve_vi(inst: VIInstance, tol: float = 1e-10, max_iter: int = 100_000, start=None) -> np.ndarray:
-    """Solve the VI: the unique solution for strongly monotone S, one near the least-norm one otherwise.
+    """Solve the VI: the unique solution for strongly monotone S, else one reached by proximal steps.
 
     A batch w of shape (k, m) is solved as k independent rows, every row
     started from P_K(start), and returns (k, m) once every row's residual is

@@ -600,6 +600,13 @@ def test_cli_vi_non_monotone_exit_3():
     assert rc == 3
 
 
+def test_cli_vi_no_solution_exit_2(capsys):
+    rc = main(["vi", "--w", "1,0", "--M", "0,0;0,0", "--b", "0,0",
+               "--K-lo=-inf,-inf", "--K-hi", "inf,inf"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("did not converge: 12 proximal steps")
+
+
 def test_cli_vi_dimension_error_exit_1():
     rc = main(["vi", "--w", "1,1,1", "--M", "1,0;0,1", "--b", "0,0",
                "--K-lo", "0,0", "--K-hi", "inf,inf"])

@@ -134,7 +134,8 @@ def test_monotone_zero_operator_on_bounded_box():
 
 
 def test_monotone_path_certifies_at_tol():
-    # mu ~ 4e-17; the extrapolated Tikhonov point alone has residual 4.5e-9
+    # mu ~ 4e-17 and K = [-1, 1]^4 is bounded, so a solution exists; the point
+    # returned must have residual within tol itself, not within a looser bound
     m_mat = np.array([
         [3.471065086426164, -0.48467862394704464, 1.4191247264537241, -0.06565123747667924],
         [-0.9342436113126096, 1.3353215608466722, -0.9691641371921422, -1.0325374246403394],
@@ -146,6 +147,64 @@ def test_monotone_path_certifies_at_tol():
     assert abs(inst.s.mu) <= 1e-12
     u = solve_vi(inst, tol=1e-10)
     assert vi_residual(inst, u) <= 1e-10
+
+
+def solvable_monotone_family(seed=5):
+    """20 merely monotone instances for each m in (2, 4, 8), each with a known solution.
+
+    M = A - A^T + B B^T with B of max(1, m // 2) columns; every coordinate of
+    K is bounded on at least one side; w puts a chosen point u* of K at a
+    solution: F(u*) = 0 where u* is interior, >= 0 at a lower and <= 0 at an
+    upper bound.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in (2, 4, 8):
+        for _ in range(20):
+            a = rng.normal(size=(m, m))
+            bm = rng.normal(size=(m, max(1, m // 2)))
+            m_mat = a - a.T + bm @ bm.T
+            kind = rng.integers(0, 3, size=m)  # 0 lower bound only, 1 upper only, 2 both
+            lo = np.where(kind != 1, rng.uniform(-2.0, 0.0, m), -np.inf)
+            hi = np.where(kind != 0, rng.uniform(0.5, 2.0, m), np.inf)
+            where = rng.integers(0, 3, size=m)  # u*_i at lo, at hi, or interior
+            where = np.where((where == 0) & ~np.isfinite(lo), 2, where)
+            where = np.where((where == 1) & ~np.isfinite(hi), 2, where)
+            mid = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi),
+                           np.where(np.isfinite(lo), lo + 1.0, hi - 1.0))
+            u_star = np.where(where == 0, lo, np.where(where == 1, hi, mid + rng.uniform(-0.2, 0.2, m)))
+            f_star = np.where(where == 0, rng.uniform(0.0, 1.0, m),
+                              np.where(where == 1, -rng.uniform(0.0, 1.0, m), 0.0))
+            out.append(VIInstance(BoxSet(lo, hi), f_star - m_mat @ u_star, AffineOperator(m_mat, np.zeros(m))))
+    return out
+
+
+def test_monotone_path_certifies_random_solvable_instances():
+    for inst in solvable_monotone_family():
+        assert inst.s.monotone and not inst.s.strongly_monotone
+        assert vi_residual(inst, solve_vi(inst, tol=1e-10)) <= 1e-10
+
+
+@pytest.mark.parametrize("m_mat, w, lo, hi, least_norm", [
+    ([[1, 1], [1, 1]], [-1, -1], [-np.inf, -np.inf], [np.inf, np.inf], [0.5, 0.5]),  # u1 + u2 = 1
+    ([[1, 1], [1, 1]], [-1, -1], [0, 0], [np.inf, np.inf], [0.5, 0.5]),
+    ([[1, 0], [0, 0]], [1, 0], [-np.inf, -np.inf], [np.inf, np.inf], [-1, 0]),  # u1 = -1, u2 free
+    ([[1, 0], [0, 0]], [1, 0], [-1, 0.5], [1, 2], [-1, 0.5]),
+    ([[0, 0], [0, 0]], [0, -1], [-1, -1], [1, 1], [0, 1]),  # u2 = 1, u1 free
+])
+def test_monotone_path_returns_the_least_norm_solution(m_mat, w, lo, hi, least_norm):
+    inst = VIInstance(BoxSet(lo, hi), np.asarray(w, dtype=float),
+                      AffineOperator(np.asarray(m_mat, dtype=float), np.zeros(2)))
+    assert np.max(np.abs(solve_vi(inst, tol=1e-10) - least_norm)) <= 1e-8
+
+
+def test_monotone_path_failure_reports_its_proximal_steps():
+    # F = w is constant and nonzero on R^2: no solution, each step moves u by -w / c
+    inst = VIInstance(BoxSet([-np.inf] * 2, [np.inf] * 2), np.array([1.0, 0.0]),
+                      AffineOperator(np.zeros((2, 2)), np.zeros(2)))
+    with pytest.raises(NotConvergedError, match="12 proximal steps") as info:
+        solve_vi(inst, tol=1e-10)
+    assert (info.value.iterations, info.value.residual) == (12, 1.0)
 
 
 def test_non_monotone_rejected():
