@@ -96,6 +96,8 @@ class GridFunction:
         """
         if columns is None:
             columns = [f"v{i + 1}" for i in range(self.dim)]
+        elif len(columns) != self.dim:
+            raise DimensionMismatch(f"{len(columns)} column name(s) for {self.dim} column(s) of values")
         times = _csv_times(self.grid)
         row = ",".join(["%.17g"] * self.dim) + "\r\n"  # csv.writer's default terminator
         with open(path, "w", newline="") as fh:

@@ -18,12 +18,13 @@ falling tenfold per step, and the first step whose residual is within tol
 is returned.  The steps converge to a solution; started at 0, they reach
 the least-norm one on the degenerate instances the tests pin.
 
-The batch runs component-major: the iteration and the residual transpose
-the (k, m) rows once to an (m, k) array, so each clamp, each product with M
-and each sum of squares runs over k contiguous values instead of numpy's
-inner loop once per row over m values (k is the grid's node count, m often
-2).  The bits are the row-major ones: M @ u.T is (u @ M.T).T, and
-_column_sumsq adds each row's squares in the order np.linalg.norm does.
+The batch runs component-major: VIInstance._component_major, built once per
+instance, holds its rows transposed to an (m, k) array (k = 1 for one
+instance) and b, lo and hi as (m, 1) columns, so each clamp, each product
+with M and each sum of squares runs over k contiguous values instead of
+numpy's inner loop once per row over m values (k is the grid's node count,
+m often 2).  M @ u.T is (u @ M.T).T bit for bit, and every sum of squares
+adds a row's components left to right.
 """
 
 from __future__ import annotations
@@ -155,43 +156,20 @@ class VIInstance:
     def operator(self, u: np.ndarray) -> np.ndarray:
         return self.w + self.s(u)
 
+    @cached_property
+    def _component_major(self) -> tuple[np.ndarray, ...]:
+        """(w, b, lo, hi) component-major: w as (m, k), one column per instance, the others as (m, 1)."""
+        m = self.s.dim
+        return (np.ascontiguousarray(self.w.reshape(-1, m).T),
+                self.s.b.reshape(m, 1), self.k.lo.reshape(m, 1), self.k.hi.reshape(m, 1))
 
-def _column_sumsq(d: np.ndarray):
-    """Sum of squares down each column of a component-major (m, k) array, or of an (m,) vector.
 
-    The bits are those np.linalg.norm(d.T, axis=-1) takes the root of:
-    numpy adds fewer than 8 terms left to right, as the loop here does, and
-    8 or more pairwise, so those are summed in numpy's own row-major layout.
-    """
-    if d.shape[0] >= 8:
-        rows = np.ascontiguousarray(d.T)
-        return np.add.reduce(rows * rows, axis=-1)
+def _sumsq(d: np.ndarray) -> np.ndarray:
+    """Sum of squares down each column of a component-major (m, k) array, added left to right."""
     out = d[0] * d[0]
     for row in d[1:]:
         out += row * row
     return out
-
-
-class _ComponentMajor:
-    """A VI instance transposed once: w as (m, k) or (m,), with b, lo and hi as columns."""
-
-    __slots__ = ("w", "M", "b", "lo", "hi")
-
-    def __init__(self, inst: VIInstance, w: np.ndarray):
-        self.w = np.ascontiguousarray(w.T)
-        col = (-1,) + (1,) * (w.ndim - 1)
-        self.M = inst.s.M
-        self.b = inst.s.b.reshape(col)
-        self.lo = inst.k.lo.reshape(col)
-        self.hi = inst.k.hi.reshape(col)
-
-    def operator(self, u: np.ndarray) -> np.ndarray:
-        """F(u) = w + M u + b of the component-major u."""
-        return self.w + (self.M @ u + self.b)
-
-    def residual_sq(self, u: np.ndarray, fu: np.ndarray):
-        """Squared natural-map residual of each column of the component-major u, from its F(u)."""
-        return _column_sumsq(u - np.clip(u - fu, self.lo, self.hi))
 
 
 def vi_residual(inst: VIInstance, u):
@@ -203,10 +181,10 @@ def vi_residual(inst: VIInstance, u):
     if u.ndim > 2 or u.shape[-1] != inst.k.dim:
         raise DimensionMismatch(f"point has shape {u.shape}, instance dimension {inst.k.dim}")
     shape = np.broadcast_shapes(u.shape, inst.w.shape)
-    cm = _ComponentMajor(inst, np.broadcast_to(inst.w, shape))
-    u = np.ascontiguousarray(np.broadcast_to(u, shape).T)
-    res = np.sqrt(cm.residual_sq(u, cm.operator(u)))
-    return float(res) if res.ndim == 0 else res
+    w, b, lo, hi = inst._component_major
+    u = np.ascontiguousarray(np.broadcast_to(u, shape).reshape(-1, inst.k.dim).T)
+    res = np.sqrt(_sumsq(u - np.clip(u - (w + (inst.s.M @ u + b)), lo, hi)))
+    return float(res[0]) if len(shape) == 1 else res
 
 
 def _solve_strong(inst: VIInstance, mu: float, tol: float, max_iter: int, u0: np.ndarray) -> tuple[np.ndarray, int]:
@@ -219,18 +197,19 @@ def _solve_strong(inst: VIInstance, mu: float, tol: float, max_iter: int, u0: np
     lip = inst.s.lipschitz
     gamma = mu / (lip * lip)
     longest = max(1.0, gamma) * tol  # a longer step proves its row uncertified
-    cm = _ComponentMajor(inst, inst.w)
-    u = np.broadcast_to(u0.reshape(cm.b.shape), cm.w.shape)
+    mat = inst.s.M
+    w, b, lo, hi = inst._component_major
+    u = np.broadcast_to(u0.reshape(b.shape), w.shape)
     for it in range(max_iter + 1):
-        fu = cm.operator(u)
-        u_next = np.clip(u - gamma * fu, cm.lo, cm.hi)
+        fu = w + (mat @ u + b)
+        u_next = np.clip(u - gamma * fu, lo, hi)
         # the root is monotone, so the largest row norm is the root of the largest sum
-        if it == max_iter or math.sqrt(float(np.max(_column_sumsq(u_next - u)))) <= longest:
-            sq = cm.residual_sq(u, fu)
+        if it == max_iter or math.sqrt(float(np.max(_sumsq(u_next - u)))) <= longest:
+            sq = _sumsq(u - np.clip(u - fu, lo, hi))
             if math.sqrt(float(np.max(sq))) <= tol:
-                return np.array(u.T, order="C"), it  # a copy, also of the broadcast start
+                return np.array(u.T, order="C").reshape(inst.w.shape), it  # a copy, also of the broadcast start
         u = u_next
-    res = np.atleast_1d(np.sqrt(sq))
+    res = np.sqrt(sq)
     worst = int(np.argmax(res))
     raise NotConvergedError(
         f"projected fixed point did not reach tol {tol} in {max_iter} iterations (worst row {worst})",

@@ -165,6 +165,17 @@ def _edited(path, value):
     (("n",), 0, "/n"),
     (("m",), 0, "/m"),
     (("c1", 0), "2*1e999", "/c1/0"),  # a literal beyond the float range
+    (("T",), 0.0, "/T"),
+    (("alpha",), 1.5, "/alpha"),
+    ((), {k: v for k, v in example_config().items() if k != "q"}, "/q"),  # a required key is missing
+    (("fuzzy",), [], "/fuzzy"),
+    (("fuzzy", 0, "d"), 0.75, "/fuzzy/0/d"),  # the example's number is triangular
+    (("fuzzy", 0, "type"), "gaussian", "/fuzzy/0/type"),
+    (("g",), [], "/g"),
+    (("K", "type"), "ball", "/K/type"),
+    (("K", "lo"), [0.0], "/K"),
+    (("Q", 0), 1.0, "/Q/0"),
+    (("anchor_u0",), [0.0], "/anchor_u0"),
 ])
 def test_config_errors_point_at_the_offending_value(path, value, pointer):
     with pytest.raises(ConfigError) as err:
@@ -200,6 +211,9 @@ def test_overrides():
         apply_overrides(doc, ["solver.bogus=1"])
     with pytest.raises(ConfigError):
         apply_overrides(doc, ["no-equals-sign"])
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(doc, ["fuzzy.3.scale=1"])  # the example has one fuzzy component
+    assert err.value.pointer == "/fuzzy/3/scale"
 
 
 def test_malformed_json_reported(tmp_path):
@@ -207,6 +221,12 @@ def test_malformed_json_reported(tmp_path):
     path.write_text("{ not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_unreadable_config_reported(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config") as err:
+        load_config(tmp_path)  # a directory
+    assert err.value.pointer == "/"
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -517,6 +537,29 @@ def test_cli_band(tmp_path, config_path):
     assert len([f for f in files if f.startswith("band_")]) == 4
     status = json.loads((out / "band_runs.json").read_text())
     assert len(status) == 4 and all(s["converged"] for s in status)
+
+
+def test_cli_band_reports_failed_runs_and_envelopes_the_rest(tmp_path, config_path, capsys):
+    # with a steep field the lambda = -1 and +1 runs at alpha = 0 take 16 and 13 sweeps, the rest 9
+    out = tmp_path / "band"
+    with pytest.warns(UserWarning, match=r"rho = 15\.8"):
+        rc = main(["band", "--config", config_path, "--out", str(out), "--alpha", "0,1",
+                   "--lambda=-1,0,1", "--override", "fuzzy.0.scale=40*cos(y1)",
+                   "--override", "solver.max_picard=12"])
+    assert rc == 2
+    status = json.loads((out / "band_runs.json").read_text())
+    failed = [(s["alpha"], s["lambda"]) for s in status if not s["converged"]]
+    assert failed == [(0.0, [-1.0]), (0.0, [1.0])]
+    for s in status:
+        assert ("error" in s) != s["converged"] and ("csv" in s) == s["converged"]
+        assert s["converged"] or "MaxPicardExceeded" in s["error"]
+    assert not (out / "band_alpha0_lambda-1.csv").exists() and not (out / "band_alpha0_lambda1.csv").exists()
+    err = capsys.readouterr().err
+    assert "run alpha=0 lambda=-1 failed" in err and "run alpha=0 lambda=1 failed" in err
+    ys = np.stack([read_solution_csv(out / s["csv"])[0].values for s in status if s["converged"]])
+    assert len(ys) == 4
+    envelope = GridFunction.read_csv(out / "envelope.csv").values
+    assert np.array_equal(envelope, np.column_stack([ys.min(axis=0), ys.max(axis=0)]))
 
 
 def test_cli_band_empty_alpha_is_usage_error(tmp_path, config_path):

@@ -270,6 +270,15 @@ def test_grid_function_csv_round_trip(tmp_path):
     assert np.array_equal(again.values, phi.values)
 
 
+@pytest.mark.parametrize("columns", [["a"], ["a", "b", "c"]])
+def test_csv_column_names_must_match_the_values(tmp_path, columns):
+    # a header of another width is one read_csv rejects, so nothing is written
+    phi = GridFunction(UniformGrid(0.7, 4), np.zeros((5, 2)))
+    with pytest.raises(DimensionMismatch):
+        phi.to_csv(tmp_path / "phi.csv", columns)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _cell_by_cell_csv(phi, path):
     """The cell-by-cell csv.writer output that GridFunction.to_csv must reproduce."""
     with open(path, "w", newline="") as fh:

@@ -202,6 +202,11 @@ def test_selection_midpoint_is_offset():
     assert np.allclose(f.values[:, 0], grid.nodes, atol=1e-15)
 
 
+def test_selection_policy_of_the_wrong_dimension_is_rejected(example_spec):
+    with pytest.raises(DimensionMismatch, match="policy has dimension 2, problem n = 1"):
+        picard_solve(example_spec, SolverConfig(N=16), SelectionPolicy(np.zeros(2)))
+
+
 def test_selection_core_level_is_peak(example_spec):
     grid = UniformGrid(0.7, 40)
     y = GridFunction(grid, np.sin(grid.nodes))
