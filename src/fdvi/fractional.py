@@ -183,7 +183,7 @@ def _panel_weights(q: float, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     p1 = np.zeros(n + 1)
     p0[1:] = k[1:] ** q - k[:-1] ** q
     p1[1:] = k[1:] ** (q + 1.0) - k[:-1] ** (q + 1.0)
-    hk = h**q
+    hk = np.float64(h) ** q  # an overflow here warns, or raises under the sweep's errstate
     a = np.zeros(n + 1)
     b = np.zeros(n + 1)
     a[1:] = hk * (p1[1:] / (q + 1.0) - k[:-1] * p0[1:] / q)
@@ -245,41 +245,30 @@ def _second_differences(values: np.ndarray, h: float) -> np.ndarray:
     return ypp
 
 
-@lru_cache(maxsize=8)
-def _singular_mode_response(q: float, n: int, t_horizon: float) -> np.ndarray:
-    """Raw estimator response to y = t^q (the mode the plain scheme misestimates)."""
-    grid = UniformGrid(t_horizon, n)
-    tq = grid.nodes**q
-    ypp = _second_differences(tq[:, None], grid.h)
-    resp = frac_integral_all(2.0 - q, GridFunction(grid, ypp)).values[:, 0]
-    resp.flags.writeable = False
-    return resp
-
-
 def caputo_estimate(q: float, y: GridFunction) -> np.ndarray:
     """Estimate the Caputo derivative of order q in (1, 2] at all nodes.
 
     The scheme integrates the piecewise-linear interpolant of the discrete
-    second differences against the exact kernel (order 2-q), then adds a
-    starting correction so that the estimator is exact on 1, t, t^2 and t^q.
-    Without the correction the t^q mode (always present in mild solutions,
-    since the fractional integral of a nonvanishing forcing starts like t^q)
-    keeps an O(1) error at small fixed node indices.  The correction weight
-    is the third difference at the origin, which vanishes on quadratics.
+    second differences against the exact kernel (order 2-q), corrected so
+    that it is exact on 1, t, t^2 and t^q.  Without the correction the t^q
+    mode (always present in mild solutions, since the fractional integral of
+    a nonvanishing forcing starts like t^q) keeps an O(1) error at small
+    fixed node indices.  Its weight kappa, y's third difference at the origin
+    over that of t^q, vanishes on quadratics.  The integral is linear, so
+    kappa t^q's second differences are taken out before the one convolution
+    and its exact derivative, Gamma(q+1) kappa, is added after it.
     """
     if not 1.0 < q <= 2.0:
         raise DomainError(f"Caputo order must lie in (1, 2], got {q}")
     grid = y.grid
-    h = grid.h
-    ypp = _second_differences(y.values, h)
+    ypp = _second_differences(y.values, grid.h)
     if q == 2.0:
         return ypp
-    raw = frac_integral_all(2.0 - q, GridFunction(grid, ypp)).values
     pq = 3.0**q - 3.0 * 2.0**q + 3.0  # third difference of t^q at the origin, over h^q
-    resp = _singular_mode_response(q, grid.N, grid.T)
     d3 = y.values[3] - 3.0 * y.values[2] + 3.0 * y.values[1] - y.values[0]
-    kappa = d3 / (pq * h**q)
-    return raw + np.outer(gamma(q + 1.0) - resp, kappa)
+    kappa = d3 / (pq * grid.h**q)
+    ypp -= np.outer(_second_differences(grid.nodes[:, None] ** q, grid.h)[:, 0], kappa)
+    return frac_integral_all(2.0 - q, GridFunction(grid, ypp)).values + gamma(q + 1.0) * kappa
 
 
 def caputo_residual(q: float, y: GridFunction, rhs: GridFunction) -> float:

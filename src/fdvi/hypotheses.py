@@ -124,8 +124,9 @@ class SamplingDomain:
         hi = np.atleast_1d(np.asarray(self.y_box_hi, dtype=float))
         if lo.shape != hi.shape:
             raise DomainError("sampling box endpoints must have equal length")
-        if not np.isfinite((lo, hi)).all():
-            raise DomainError("sampling box endpoints must be finite")
+        with np.errstate(over="ignore"):  # an overflowing width is this error, not a warning
+            if not np.isfinite((lo, hi, hi - lo)).all():
+                raise DomainError("sampling box endpoints and width hi - lo must be finite")
         if np.any(hi <= lo):
             raise DomainError("sampling box must be nondegenerate (lo < hi)")
         if not all(isinstance(k, numbers.Integral) for k in (self.t_samples, self.y_samples)):
@@ -472,7 +473,15 @@ def compute_rho(l_f: float, t_horizon: float, q: float) -> float:
         raise DomainError(f"horizon must be positive, got {t_horizon}")
     if not 0.0 < q <= 2.0:
         raise DomainError(f"order q must lie in (0, 2], got {q}")
-    return 2.0 * l_f * t_horizon**q / gamma(q + 1.0)
+    return _over_gamma(2.0 * l_f, t_horizon, q)
+
+
+def _over_gamma(c: float, t_horizon: float, q: float) -> float:
+    """c T^q / Gamma(q+1); an overflowing T^q reads as inf, times c = 0 as 0."""
+    try:
+        return c * t_horizon**q / gamma(q + 1.0)
+    except OverflowError:
+        return math.inf if c else 0.0
 
 
 def compute_eta_s(s: AffineOperator, u0) -> float:
@@ -495,7 +504,7 @@ def compute_delta(
     """A-priori sup-norm radius of the fixed-point argument (requires rho < 1)."""
     if rho >= 1.0:
         raise DomainError(f"delta requires rho < 1, got rho = {rho}")
-    numerator = 2.0 * (m0 + eta_g * eta_s * (1.0 + eta_q)) * t_horizon**q / gamma(q + 1.0)
+    numerator = _over_gamma(2.0 * (m0 + eta_g * eta_s * (1.0 + eta_q)), t_horizon, q)
     numerator += (m1 + m2) * t_horizon
     return numerator / (1.0 - rho) + 1.0
 

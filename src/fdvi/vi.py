@@ -250,10 +250,12 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
     Step j solves the strongly monotone VI with operator (w - c u_j) + (S + c I)
     to tol by semismooth Newton, with the projected iteration from Newton's
     point as the fallback; c starts at ||M||_2 (1 if that is 0) and falls
-    tenfold per step.  It returns the first step whose residual on the
-    instance itself is within tol.
+    tenfold per step, but never below -2 mu, so that S + c I is strongly
+    monotone.  It returns the first step whose residual on the instance
+    itself is within tol.
     """
-    c = inst.s.lipschitz or 1.0
+    floor = -2.0 * min(inst.s.mu, 0.0)
+    c = max(inst.s.lipschitz or 1.0, floor)
     u = u0
     for step in range(1, _PROXIMAL_STEPS + 1):
         sub = VIInstance(inst.k, inst.w - c * u, inst.s.shifted(c))
@@ -264,7 +266,7 @@ def _solve_monotone(inst: VIInstance, tol: float, max_iter: int, u0: np.ndarray)
             break  # u is this step's Newton point
         if vi_residual(inst, u) <= tol:
             return u
-        c /= 10.0
+        c = max(c / 10.0, floor)
     raise NotConvergedError(
         f"{step} proximal steps did not certify a solution at tol {tol} "
         "(the monotone problem may have an empty solution set)",

@@ -176,6 +176,7 @@ def _edited(path, value):
     (("K", "lo"), [0.0], "/K"),
     (("Q", 0), 1.0, "/Q/0"),
     (("anchor_u0",), [0.0], "/anchor_u0"),
+    (("sampling", "y_box"), {"lo": [-1e308], "hi": [1e308]}, "/sampling"),  # hi - lo overflows
 ])
 def test_config_errors_point_at_the_offending_value(path, value, pointer):
     with pytest.raises(ConfigError) as err:
@@ -275,6 +276,26 @@ def test_cli_solve_blowup_exit_code(tmp_path):
     path.write_text(json.dumps(doc))
     rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, horizon, code", [
+    (["verify", "--out", "report.json"], "1e200", 3),
+    (["solve", "--out", "out"], "1e200", 2),
+    (["band", "--out", "band", "--alpha", "1", "--lambda=0"], "1e200", 2),
+    (["solve", "--out", "out"], "1e300", 2),  # h^q overflows in the quadrature weights too
+])
+def test_cli_overflowing_horizon_power_reads_as_inf(tmp_path, config_path, capsys, command, horizon, code):
+    # T^q is beyond the float range: rho = inf fails the contraction, and a
+    # sweep's overflow is a NonfiniteValue, not a traceback
+    argv = [command[0], "--config", config_path, "--override", f"T={horizon}", *command[1:]]
+    argv[argv.index("--out") + 1] = str(tmp_path / argv[argv.index("--out") + 1])
+    if command[0] == "verify":
+        assert main(argv) == code
+        assert "rho = inf" in capsys.readouterr().out
+    else:
+        with pytest.warns(UserWarning, match="rho = inf"):
+            assert main(argv) == code
+        assert "non-finite values while applying the operator at sweep 1" in capsys.readouterr().err
 
 
 _CYCLE4 = "3,-1,0,-1;-1,3,-1,0;0,-1,3,-1;-1,0,-1,3"  # I + the 4-cycle Laplacian: mu = 1, ||M||_2 = 5
@@ -568,6 +589,19 @@ def test_cli_band_empty_alpha_is_usage_error(tmp_path, config_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("alphas, lambdas, message", [
+    ("0", "0,x", "bad lambda list '0,x'"),
+    ("1.5", "0", "alpha 1.5 outside [0, 1]"),
+    ("0", "-2", "lambda -2.0 outside [-1, 1]"),
+])
+def test_cli_band_bad_level_or_selection_is_config_error(tmp_path, config_path, capsys, alphas, lambdas, message):
+    out = tmp_path / "band"
+    assert main(["band", "--config", config_path, "--out", str(out),
+                 "--alpha", alphas, f"--lambda={lambdas}"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alphas, lambdas", [
     ("0.1234561,0.1234562", "1"),  # equal to 6 significant digits
     ("1", "0.5,0.5"),  # exact duplicate
@@ -648,6 +682,19 @@ def test_cli_vi_no_solution_exit_2(capsys):
                "--K-lo=-inf,-inf", "--K-hi", "inf,inf"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("did not converge: 12 proximal steps")
+
+
+@pytest.mark.parametrize("lo, hi, code", [("-1,-1", "1,1", 0), ("-inf,-inf", "inf,inf", 2)])
+def test_cli_vi_with_mu_slightly_below_zero(capsys, lo, hi, code):
+    # mu = -1e-11 passes the monotonicity tolerance; no proximal shift may cancel it
+    rc = main(["vi", "--w", "0.5,-0.25", "--M=-1e-11,0;0,-1e-11", "--b", "0,0", f"--K-lo={lo}", "--K-hi", hi])
+    assert rc == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        payload = json.loads(out)
+        assert payload["u"] == [-1.0, 1.0] and payload["residual"] == 0.0
+    else:
+        assert err.startswith("did not converge: 12 proximal steps")
 
 
 def test_cli_vi_dimension_error_exit_1():

@@ -34,6 +34,11 @@ def test_exponential_value():
     assert ev("-1.4*exp(-t)", t=0.7) == pytest.approx(-1.4 * math.exp(-0.7), rel=1e-15)
 
 
+def test_parse_rejects_a_negative_dimension():
+    with pytest.raises(ValueError, match="nonnegative"):
+        parse("1", -1)
+
+
 def test_cosine_scaling():
     assert ev("0.9*cos(y1)", y=math.pi / 3) == pytest.approx(0.45, rel=1e-13)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import fdvi.fractional
 from fdvi.errors import DimensionMismatch, DomainError, GridTooCoarse, IndexOutOfRange
 from fdvi.fractional import (
     GridFunction,
@@ -47,6 +48,17 @@ def test_q2_constant_is_double_integral():
     grid = UniformGrid(1.3, 400)
     phi = GridFunction(grid, np.full(grid.N + 1, 2.5))
     assert frac_integral(2.0, phi, 400)[0] == pytest.approx(2.5 * 1.3**2 / 2.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: UniformGrid(0.0, 8), DomainError),
+    (lambda: UniformGrid(-0.7, 8), DomainError),
+    (lambda: UniformGrid(0.7, 1), DomainError),
+    (lambda: GridFunction(UniformGrid(0.7, 4), np.zeros(4)), DimensionMismatch),
+], ids=["T_zero", "T_negative", "N_one", "rows"])
+def test_grid_and_grid_function_shapes_are_checked(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_node_zero_returns_zero_and_bad_index_raises():
@@ -233,6 +245,21 @@ def test_caputo_exact_on_singular_mode():
     y = GridFunction(grid, grid.nodes**q)
     rhs = GridFunction(grid, np.full(grid.N + 1, gamma(q + 1.0)))
     assert caputo_residual(q, y, rhs) <= 1e-12
+
+
+def test_caputo_estimate_convolves_once_per_call(monkeypatch):
+    # the t^q correction is subtracted before the one convolution, with no
+    # second convolution of t^q kept per grid; a grid no other test uses
+    calls = []
+    convolve = fdvi.fractional.frac_integral_all
+    monkeypatch.setattr(fdvi.fractional, "frac_integral_all", lambda q, phi: calls.append(q) or convolve(q, phi))
+    q = 1.37
+    grid = UniformGrid(0.61, 37)
+    y = GridFunction(grid, np.column_stack([grid.nodes**q, np.cos(grid.nodes)]))
+    for _ in range(2):
+        est = fdvi.fractional.caputo_estimate(q, y)
+        assert np.max(np.abs(est[:, 0] - gamma(q + 1.0))) <= 1e-12
+    assert calls == [2.0 - q] * 2
 
 
 def test_caputo_q2_is_second_difference():

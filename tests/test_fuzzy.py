@@ -189,6 +189,12 @@ def test_fuzzy_metric_identity_and_symmetry():
     assert fuzzy_metric(a, b) == fuzzy_metric(b, a)
 
 
+def test_fuzzy_metric_dimension_mismatch():
+    tri = FuzzyIntervalNumber.triangular(-0.5, 0.0, 0.5)
+    with pytest.raises(DimensionMismatch):
+        fuzzy_metric(FuzzyBox([tri]), FuzzyBox([tri, tri]))
+
+
 def test_fuzzy_metric_matches_alpha_zero_supremum():
     # per-level distance is 0.5 (1 - alpha) | |cos y1| - |cos y2| |: sup at alpha = 0
     f = example_field()

@@ -42,10 +42,25 @@ def small_domain(seed=20260809, y_samples=1024):
 @pytest.mark.parametrize("lo, hi", [
     ([math.nan], [1.0]), ([0.0], [math.nan]), ([-math.inf], [1.0]), ([0.0], [math.inf]),
     ([0.0, -math.inf], [1.0, 1.0]),
+    ([-1e308], [1e308]),  # finite ends, but the width overflows
 ])
 def test_sampling_box_ends_must_be_finite(lo, hi):
     with pytest.raises(DomainError, match="finite"):
         SamplingDomain(lo, hi, t_samples=8, y_samples=64)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ([0.0, 0.0], [1.0], "equal length"),
+    ([0.0, 1.0], [1.0, 1.0], "nondegenerate"),
+])
+def test_sampling_box_must_be_a_box(lo, hi, message):
+    with pytest.raises(DomainError, match=message):
+        SamplingDomain(lo, hi, t_samples=8, y_samples=64)
+
+
+def test_sampling_box_of_another_dimension_is_rejected(example_spec):
+    with pytest.raises(DomainError, match="sampling box has dimension 2, problem n = 1"):
+        estimate_constants(example_spec, SamplingDomain([0.0, 0.0], [1.0, 1.0], t_samples=8, y_samples=64))
 
 
 @pytest.mark.parametrize("counts", [{"t_samples": 2.5}, {"y_samples": 64.0}, {"t_samples": "8"}])
@@ -318,6 +333,12 @@ def test_rho_at_unit_order():
     assert compute_rho(0.5, 1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("l_f, rho", [(0.5, math.inf), (0.0, 0.0)])
+def test_rho_reads_an_overflowing_horizon_power_as_inf(l_f, rho):
+    # 1e200 ** 1.6 is beyond the float range; rho is never NaN
+    assert compute_rho(l_f, 1e200, 1.6) == rho
+
+
 def test_rho_domain_errors():
     with pytest.raises(DomainError):
         compute_rho(-0.1, 1.0, 1.5)
@@ -378,6 +399,12 @@ def test_delta_matches_hand_formula():
     m0, eta_g, eta_s, eta_q, m1, m2, t, q, rho = 0.5, 3.27, 1 / 3, 9.25, 1.2, 0.9, 0.7, 1.6, 0.3953
     byhand = (2 * (m0 + eta_g * eta_s * (1 + eta_q)) * t**q / gamma(q + 1) + (m1 + m2) * t) / (1 - rho) + 1
     assert compute_delta(m0, eta_g, eta_s, eta_q, m1, m2, t, q, rho) == pytest.approx(byhand, rel=1e-14)
+
+
+def test_delta_reads_an_overflowing_horizon_power_as_inf():
+    assert compute_delta(0.5, 0, 1.0, 0, 0, 0, 1e200, 1.6, 0.0) == math.inf
+    # with no T^q term the rest stays finite, never NaN
+    assert compute_delta(0, 0, 1.0, 0, 1.0, 0, 1e200, 1.6, 0.0) == 1e200 + 1.0
 
 
 def test_delta_requires_contraction():

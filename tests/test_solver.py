@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -18,6 +19,8 @@ from fdvi.solver import (
     _y_free_column,
     control_map,
     phi_part,
+    BandRun,
+    band_envelope,
     picard_solve,
     psi_part,
     read_solution_csv,
@@ -149,6 +152,32 @@ def test_operator_is_one_bracket_of_the_whole_rhs(case, example_problem, rng):
 def test_solver_config_rejects_nonfinite_tolerances(name, value):
     with pytest.raises(DomainError, match=name):
         SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("changes", [{"damping": 0.0}, {"damping": 1.5}, {"max_picard": 0}])
+def test_solver_config_rejects_damping_and_sweep_caps_out_of_range(changes):
+    with pytest.raises(DomainError, match=next(iter(changes))):
+        SolverConfig(**changes)
+
+
+@pytest.mark.parametrize("field, changes, error", [
+    ("q", {"q": 1.0}, DomainError),
+    ("T", {"T": 0.0}, DomainError),
+    ("field", {"n": 2}, DimensionMismatch),
+    ("g", {"g": ()}, DimensionMismatch),
+    ("Q", {"Q": ()}, DimensionMismatch),
+    ("c1", {"c2": ()}, DimensionMismatch),
+    ("S", {"K": BoxSet.orthant(3)}, DimensionMismatch),
+    ("anchor", {"anchor_u0": [0.0]}, DimensionMismatch),
+])
+def test_problem_spec_checks_each_field(example_spec, field, changes, error):
+    with pytest.raises(error, match=field):
+        dataclasses.replace(example_spec, **changes)
+
+
+def test_band_envelope_needs_a_converged_run():
+    with pytest.raises(ValueError, match="no converged runs"):
+        band_envelope([BandRun(1.0, np.zeros(1), None, "MaxPicardExceeded: no fixed point")])
 
 
 # --- control_map ------------------------------------------------------------

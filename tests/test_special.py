@@ -59,6 +59,12 @@ def test_gamma_poles():
             gamma(x)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_gamma_rejects_non_finite_arguments(x):
+    with pytest.raises(DomainError, match="finite"):
+        gamma(x)
+
+
 def test_kernel_moment_full_interval_closed_form():
     for q in (1.1, 1.6, 2.0):
         for t in (0.35, 0.7):

@@ -207,6 +207,16 @@ def test_monotone_path_failure_reports_its_proximal_steps():
     assert (info.value.iterations, info.value.residual) == (12, 1.0)
 
 
+def test_monotone_path_stops_at_a_step_whose_projected_iteration_runs_out():
+    # one projected iteration is too few for this instance's first step, so the
+    # path stops there, with that step's Newton point, before its 12 steps
+    inst = solvable_monotone_family()[3]
+    with pytest.raises(NotConvergedError, match="^1 proximal steps") as info:
+        solve_vi(inst, tol=1e-10, max_iter=1)
+    assert info.value.iterations == 1 and info.value.residual > 1e-10
+    assert vi_residual(inst, solve_vi(inst, tol=1e-10)) <= 1e-10
+
+
 def test_non_monotone_rejected():
     s = AffineOperator(-np.eye(2), np.zeros(2))
     with pytest.raises(NonMonotoneError):
@@ -216,6 +226,16 @@ def test_non_monotone_rejected():
 def test_dimension_mismatch_detected():
     with pytest.raises(DimensionMismatch):
         VIInstance(BoxSet.orthant(2), np.zeros(3), AffineOperator(np.eye(2), np.zeros(2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineOperator(np.ones((2, 3)), np.zeros(2)),
+    lambda: AffineOperator(np.eye(2), np.zeros(3)),
+    lambda: BoxSet([0.0, 0.0], [1.0]),
+], ids=["M_not_square", "b_length", "box_bounds"])
+def test_operator_and_box_shapes_are_checked(make):
+    with pytest.raises(DimensionMismatch):
+        make()
 
 
 # --- batches ------------------------------------------------------------
