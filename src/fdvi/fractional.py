@@ -18,6 +18,7 @@ FFT convolution over all columns, with one cached kernel spectrum per
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -261,6 +262,8 @@ def caputo_estimate(q: float, y: GridFunction) -> np.ndarray:
     if not 1.0 < q <= 2.0:
         raise DomainError(f"Caputo order must lie in (1, 2], got {q}")
     grid = y.grid
+    if grid.h * grid.h < sys.float_info.min:  # the second differences divide by h^2
+        raise DomainError(f"Caputo estimate needs h^2 to be a normal float, got h = {grid.h:g} (T = {grid.T:g})")
     ypp = _second_differences(y.values, grid.h)
     if q == 2.0:
         return ypp

@@ -13,11 +13,11 @@ closed form is exact.  The Euclidean Hausdorff differs by at most a
 factor sqrt(n); they coincide for scalar problems.  The fuzzy metric,
 the sup over alpha of that distance between alpha-levels, is exact too:
 level endpoints are affine in alpha, so the sup sits at alpha = 0 or 1.
-FuzzyBoxField.levels is the one vectorised level-endpoint formula; it
-takes the scale/offset coefficients that FuzzyBoxField.coefficients
-evaluates once per state, and level_arrays composes the two.  The field's
-expressions, each component's scale then offset, are FuzzyBoxField.exprs:
-the solver evaluates them as columns and passes them to levels itself.
+FuzzyBoxField.levels is the one vectorised level-endpoint formula and the
+one reader of the field's coefficient layout: a trailing axis with a column
+per expression of FuzzyBoxField.exprs, each component's scale then offset.
+level_arrays evaluates the expressions into that layout; the solver hands
+levels its own columns of them.
 FuzzyBoxField.slope is the field's local slope in that metric, from the
 forward-mode y-gradients of the scale and offset expressions; its sup is
 the Lipschitz constant L_F the verifier reports.
@@ -25,6 +25,7 @@ the Lipschitz constant L_F the verifier reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +41,20 @@ class FuzzyIntervalNumber:
 
     params: tuple[float, float, float, float]
 
+    def __post_init__(self):
+        a, b, c, d = params = tuple(map(float, self.params))
+        # NaN fails the order; finite ends bound the middle two
+        if not (math.isfinite(a) and math.isfinite(d) and a <= b <= c <= d):
+            raise DomainError(f"fuzzy number parameters must be finite with a <= b <= c <= d, got {params}")
+        object.__setattr__(self, "params", params)
+
     @classmethod
     def triangular(cls, a: float, b: float, c: float) -> "FuzzyIntervalNumber":
-        if not a <= b <= c:
-            raise DomainError(f"triangular parameters must satisfy a <= b <= c, got {(a, b, c)}")
-        return cls((float(a), float(b), float(b), float(c)))
+        return cls((a, b, b, c))
 
     @classmethod
     def trapezoidal(cls, a: float, b: float, c: float, d: float) -> "FuzzyIntervalNumber":
-        if not a <= b <= c <= d:
-            raise DomainError(f"trapezoidal parameters must satisfy a <= b <= c <= d, got {(a, b, c, d)}")
-        return cls((float(a), float(b), float(c), float(d)))
+        return cls((a, b, c, d))
 
     def level(self, alpha: float) -> tuple[float, float]:
         """The alpha-level interval as (lo, hi); alpha = 0 is the support, alpha = 1 the core.
@@ -103,24 +107,13 @@ class FuzzyBoxField:
     def dim(self) -> int:
         return len(self.components)
 
-    def coefficients(self, ts, ys):
-        """Each component's scale e and offset d at the nodes, evaluated once.
+    def levels(self, coeffs, alpha: float):
+        """The alpha-level endpoints d + e * [w_i]_alpha as (lo, hi).
 
-        ts broadcasts against the leading axes of ys (shape (..., n)); the
-        result is two arrays of the broadcast shape plus a trailing axis n.
+        coeffs has a trailing axis of 2n columns in exprs order, each
+        component's scale e then its offset d; lo and hi have a trailing axis n.
         """
-        ts = np.asarray(ts, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        shape = np.broadcast_shapes(ts.shape, ys.shape[:-1]) + (self.dim,)
-        e = np.empty(shape)
-        d = np.empty(shape)
-        for i, comp in enumerate(self.components):
-            e[..., i] = evaluate(comp.scale, ts, ys)
-            d[..., i] = evaluate(comp.offset, ts, ys)
-        return e, d
-
-    def levels(self, e, d, alpha: float):
-        """The alpha-level endpoints d + e * [w_i]_alpha as (lo, hi), shaped like e."""
+        e, d = coeffs[..., 0::2], coeffs[..., 1::2]
         ivs = [comp.base.level(alpha) for comp in self.components]
         # in place, because the verifier's sampling grids are large; same bits as d + e * lo
         p = e * np.array([lo for lo, _ in ivs])
@@ -131,11 +124,16 @@ class FuzzyBoxField:
         return np.minimum(p, r, out=p), hi
 
     def level_arrays(self, ts, ys, alpha: float):
-        """Vectorized levels over nodes: (lo, hi) of shape (k, n) for (k,) times and (k, n) states."""
-        return self.levels(*self.coefficients(ts, ys), alpha)
+        """levels at the nodes: ts broadcasts against the leading axes of ys, shaped (..., n)."""
+        ts = np.asarray(ts, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        coeffs = np.empty(np.broadcast_shapes(ts.shape, ys.shape[:-1]) + (len(self.exprs),))
+        for j, expr in enumerate(self.exprs):
+            coeffs[..., j] = evaluate(expr, ts, ys)
+        return self.levels(coeffs, alpha)
 
     def slope(self, ts, ys) -> np.ndarray:
-        """The field's local slope in the fuzzy metric at the nodes, shaped like coefficients' rows.
+        """The field's local slope in the fuzzy metric at the nodes, shaped like level_arrays' rows.
 
         max_i max_{c in (a_i, d_i)} ||grad_y d_i + c grad_y e_i||_2 for
         component i with support [a_i, d_i].  Every level endpoint of

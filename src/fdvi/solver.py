@@ -133,8 +133,7 @@ def selection_map(spec: ProblemSpec, y: GridFunction, policy: SelectionPolicy) -
     """f(t_i) = midpoint + (lam/2) width of the alpha-level box at (t_i, y_i)."""
     if policy.dim != spec.n:
         raise DimensionMismatch(f"policy has dimension {policy.dim}, problem n = {spec.n}")
-    coeffs = _columns(spec.field.exprs, y)  # scale, offset of each component in turn
-    lo, hi = spec.field.levels(coeffs[:, 0::2], coeffs[:, 1::2], spec.alpha)
+    lo, hi = spec.field.levels(_columns(spec.field.exprs, y), spec.alpha)
     mid = 0.5 * (lo + hi)
     return GridFunction(y.grid, mid + 0.5 * policy.lam[None, :] * (hi - lo))
 

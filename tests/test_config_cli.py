@@ -298,6 +298,16 @@ def test_cli_overflowing_horizon_power_reads_as_inf(tmp_path, config_path, capsy
         assert "non-finite values while applying the operator at sweep 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["1e-160", "1e-151"])
+def test_cli_solve_on_a_horizon_whose_step_squared_underflows(tmp_path, config_path, capsys, horizon):
+    # at N = 1000, h^2 is below the smallest normal float: a usage error naming h,
+    # not a divide-by-zero warning (an error under this suite's filter) or a traceback
+    argv = ["solve", "--config", config_path, "--override", f"T={horizon}", "--override", "solver.N=1000",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "h = " in capsys.readouterr().err
+
+
 _CYCLE4 = "3,-1,0,-1;-1,3,-1,0;0,-1,3,-1;-1,0,-1,3"  # I + the 4-cycle Laplacian: mu = 1, ||M||_2 = 5
 
 

@@ -12,6 +12,7 @@ from fdvi.fractional import (
     UniformGrid,
     _kernel_spectrum,
     _panel_weights,
+    caputo_estimate,
     caputo_residual,
     frac_integral,
     frac_integral_all,
@@ -281,6 +282,14 @@ def test_caputo_guards():
     other = GridFunction.zeros(UniformGrid(0.7, 32), 1)
     with pytest.raises(DimensionMismatch):
         caputo_residual(1.6, y, other)
+    # h^2 = 1e-306 is a normal float and the estimate stays finite; below the
+    # smallest normal float the differences would divide by a subnormal or 0
+    grid = UniformGrid(1e-150, 1000)
+    assert np.all(np.isfinite(caputo_estimate(1.6, GridFunction(grid, grid.nodes[:, None] ** 1.6))))
+    for horizon in (1e-151, 1e-160):
+        grid = UniformGrid(horizon, 1000)
+        with pytest.raises(DomainError, match=r"h = 1e-1\d\d \(T = "):
+            caputo_estimate(1.6, GridFunction(grid, grid.nodes[:, None] ** 1.6))
 
 
 # --- grid function io ------------------------------------------------------

@@ -54,6 +54,11 @@ def test_shape_parameter_ordering_enforced():
         FuzzyIntervalNumber.triangular(1.0, 0.0, 2.0)
     with pytest.raises(DomainError):
         FuzzyIntervalNumber.trapezoidal(0.0, 2.0, 1.0, 3.0)
+    # built directly, a reversed support or a NaN parameter is refused too, not collapsed by level
+    with pytest.raises(DomainError):
+        FuzzyIntervalNumber((1.0, 0.0, 0.0, -1.0))
+    with pytest.raises(DomainError):
+        FuzzyIntervalNumber((math.nan, 0.0, 0.0, 1.0))
 
 
 def test_triangular_is_trapezoid_with_repeated_peak():

@@ -644,12 +644,10 @@ def pair_metric(field, ts, y1s, y2s):
 
     From the alpha = 0 and 1 levels, as fuzzy_metric; the oracle of the slope.
     """
-    e1, d1 = field.coefficients(ts, y1s)
-    e2, d2 = field.coefficients(ts, y2s)
     out = np.zeros(np.shape(ts))
     for alpha in (0.0, 1.0):
-        lo1, hi1 = field.levels(e1, d1, alpha)
-        lo2, hi2 = field.levels(e2, d2, alpha)
+        lo1, hi1 = field.level_arrays(ts, y1s, alpha)
+        lo2, hi2 = field.level_arrays(ts, y2s, alpha)
         out = np.maximum(out, np.max(np.maximum(np.abs(lo1 - lo2), np.abs(hi1 - hi2)), axis=1))
     return out
 

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import fdvi
@@ -68,3 +69,11 @@ def test_no_module_defines_a_private_name_it_never_reads():
     dead = {(path.stem, name) for path in Path(fdvi.__file__).parent.glob("*.py")
             for name in dead_private_names(path.read_text())}
     assert dead == set()
+
+
+def test_readme_package_layout_names_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Package layout", 1)[1]
+    listed = set(re.findall(r"^\| `fdvi\.(\w+)`", table, flags=re.MULTILINE))
+    modules = {path.stem for path in Path(fdvi.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+    assert listed == modules
